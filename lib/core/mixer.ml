@@ -249,16 +249,6 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   let order = ref [] in  (* arrival order, newest first *)
   let outstanding = ref 0 in
   let arrived = ref 0 in
-  (* child -> parent, for the leave-out / unsolicited bookkeeping *)
-  let parents = Hashtbl.create 16 in
-  let rec index_parents (Tree (p, children)) =
-    List.iter
-      (fun (Tree (cp, _) as c) ->
-        Hashtbl.replace parents cp.p_name p.p_name;
-        index_parents c)
-      children
-  in
-  index_parents w.Run.tree;
   (* deferred long-locks / last-agent acks ride the next real arrival *)
   let flush_all () =
     List.iter
@@ -283,7 +273,13 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       (match (outcome, x.x_commit_started) with
       | Committed, Some s -> Obs.Histogram.record h_commit (E.now engine -. s)
       | _ -> ());
-      Participant.clear_idle_children (Run.participant w w.Run.root) ~txn:x.x_txn;
+      (* drop the leave-out marks [Run.mark_idle_subtrees] left at any
+         parent for this transaction *)
+      if config.opts.leave_out then
+        List.iter
+          (fun (_, n) ->
+            Participant.clear_idle_children n.Run.participant ~txn:x.x_txn)
+          w.Run.nodes;
       decr outstanding;
       maybe_done ()
     end
@@ -308,50 +304,20 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         else None)
       w.Run.nodes
   in
-  let rec subtree_idle x (Tree (p, children)) =
-    (not (node_has_work x p.p_name)) && List.for_all (subtree_idle x) children
+  (* A node its parent will leave out (marked idle there, and suspended)
+     must not receive an unsolicited-vote trigger; every other unsolicited
+     member must, or the vote timer will presume NO from it. *)
+  let left_out idle name =
+    List.exists
+      (fun (parent, child) ->
+        child = name && Participant.is_suspended parent ~child)
+      idle
   in
-  (* tell each parent which child subtrees gave it nothing this txn *)
-  let mark_idle x =
-    let rec mark (Tree (p, children)) =
-      let parent = Run.participant w p.p_name in
-      List.iter
-        (fun (Tree (cp, _) as child) ->
-          if subtree_idle x child then
-            Participant.note_idle_child parent ~txn:x.x_txn ~child:cp.p_name;
-          mark child)
-        children
-    in
-    mark w.Run.tree
-  in
-  (* A node its parent will leave out must not receive an unsolicited-vote
-     trigger; every other unsolicited member must, or the vote timer will
-     presume NO from it. *)
-  let left_out x name =
-    config.opts.leave_out
-    &&
-    match Hashtbl.find_opt parents name with
-    | None -> false
-    | Some parent_name ->
-        let rec find (Tree (p, _) as t') =
-          if p.p_name = name then Some t'
-          else
-            let (Tree (_, children)) = t' in
-            List.find_map find children
-        in
-        (match find w.Run.tree with
-        | Some subtree ->
-            subtree_idle x subtree
-            && Participant.is_suspended
-                 (Run.participant w parent_name)
-                 ~child:name
-        | None -> false)
-  in
-  let trigger_unsolicited x =
+  let trigger_unsolicited x idle =
     if config.opts.unsolicited_vote then
       List.iter
         (fun (name, n) ->
-          if n.Run.profile.p_unsolicited && not (left_out x name) then
+          if n.Run.profile.p_unsolicited && not (left_out idle name) then
             ignore
               (E.schedule engine ~delay:0.0 (fun () ->
                    crecord ~link_from:w.Run.root ~who:name x Obs.Causal.Compute
@@ -446,8 +412,11 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       else begin
         x.x_commit_started <- Some (E.now engine);
         crecord x Obs.Causal.Compute (fun () -> "commit requested");
-        mark_idle x;
-        trigger_unsolicited x;
+        let idle =
+          Run.mark_idle_subtrees w ~txn:x.x_txn ~idle:(fun name ->
+              not (node_has_work x name))
+        in
+        trigger_unsolicited x idle;
         Participant.begin_commit (Run.participant w w.Run.root) ~txn:x.x_txn;
         if inject <> None then
           ignore (E.schedule engine ~delay:cfg.lock_timeout (reap x))

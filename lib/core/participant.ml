@@ -39,6 +39,34 @@ type child = {
   mutable ch_retries : int;
 }
 
+let make_child p ~vote ~implied_ack =
+  {
+    ch_profile = p;
+    ch_vote = vote;
+    ch_implied_ack = implied_ack;
+    ch_acked = false;
+    ch_presumed_no = false;
+    ch_last_agent = false;
+    ch_pending = false;
+    ch_retries = 0;
+  }
+
+(* Whether every child vouches for its subtree: voted YES declaring itself
+   reliable (or, with [leave_out], OK-TO-LEAVE-OUT), voted read-only, or is
+   the last agent, which decides instead of voting up.  The protected
+   variables of a YES aggregate this way up the tree. *)
+let rec children_vouch ~leave_out = function
+  | [] -> true
+  | ch :: rest ->
+      (ch.ch_last_agent
+      ||
+      match ch.ch_vote with
+      | Some (Vote_yes { reliable; leave_out_ok }) ->
+          if leave_out then leave_out_ok else reliable
+      | Some Vote_read_only -> true
+      | Some Vote_no | None -> false)
+      && children_vouch ~leave_out rest
+
 type txn_state = {
   txn : string;
   mutable phase : phase;
@@ -116,8 +144,8 @@ type t = {
   suspended_children : (string, unit) Hashtbl.t;
       (* children whose last committed YES carried OK-TO-LEAVE-OUT: they are
          suspended awaiting data and may be left out of the next transaction *)
-  idle_children : (string * string, unit) Hashtbl.t;
-      (* (txn, child): the child exchanged no data with us in that
+  idle_children : (string, string list) Hashtbl.t;
+      (* txn -> the children that exchanged no data with us in that
          transaction (set by the workload driver before commit begins) *)
   mutable deferred : deferred list;
   mutable rejected : int;
@@ -208,12 +236,13 @@ let set_causal t c = t.causal <- Some c
    exchanged no data with this member; a child that is both idle and
    suspended (its previous committed YES said OK-TO-LEAVE-OUT) is left out
    of the commit entirely. *)
-let note_idle_child t ~txn ~child = Hashtbl.replace t.idle_children (txn, child) ()
+let idle_in t ~txn =
+  Option.value (Hashtbl.find_opt t.idle_children txn) ~default:[]
 
-let clear_idle_children t ~txn =
-  Hashtbl.iter
-    (fun ((tx, _) as k) () -> if tx = txn then Hashtbl.remove t.idle_children k)
-    (Hashtbl.copy t.idle_children)
+let note_idle_child t ~txn ~child =
+  Hashtbl.replace t.idle_children txn (child :: idle_in t ~txn)
+
+let clear_idle_children t ~txn = Hashtbl.remove t.idle_children txn
 
 let is_suspended t ~child = Hashtbl.mem t.suspended_children child
 
@@ -240,6 +269,7 @@ let retry_delay (t : t) attempt =
   t.cfg.retry_interval *. (t.cfg.retry_backoff ** float_of_int (min attempt 6))
 
 let trace t ev = Trace.record t.trace ev
+let note t text = trace t (Trace.Note { time = now t; node = t.name; text })
 
 (* ------------------------------------------------------------------ *)
 (* Causal recording                                                    *)
@@ -327,6 +357,52 @@ let send t ~dst payloads =
   | _ -> ());
   ignore (Net.send t.net ~src:t.name ~dst payloads)
 
+(* Every vote leaves through here, signed with this node's tag. *)
+let send_vote t ~dst ~txn ~delegation ~unsolicited ~implied_ack vote =
+  send t ~dst
+    [
+      Msg.Vote_msg
+        {
+          txn;
+          vote;
+          delegation;
+          unsolicited;
+          implied_ack;
+          tag = Msg.vote_tag ~src:t.name ~txn vote;
+        };
+    ]
+
+(* Prepare flows to every child except the last agent (contacted after all
+   other votes are in) and unsolicited voters (they contact us); with
+   [only_silent], a retransmission, only to children whose vote has not
+   arrived. *)
+let send_prepare t st ~only_silent =
+  List.iter
+    (fun ch ->
+      if
+        (not (only_silent && ch.ch_vote <> None))
+        && (not ch.ch_last_agent)
+        && not (t.cfg.opts.unsolicited_vote && ch.ch_profile.p_unsolicited)
+      then
+        send t ~dst:ch.ch_profile.p_name
+          [
+            Msg.Prepare
+              {
+                txn = st.txn;
+                long_locks = t.cfg.opts.long_locks && ch.ch_profile.p_long_locks;
+              };
+          ])
+    st.children
+
+(* Heuristic-damage reports reaching this node's operator. *)
+let report_damage t ~txn reports =
+  List.iter
+    (fun (d : Msg.damage_report) ->
+      t.damage_seen <- (txn, d) :: t.damage_seen;
+      trace t
+        (Trace.Damage_detected { time = now t; node = d.d_node; reported_to = t.name }))
+    reports
+
 (* ------------------------------------------------------------------ *)
 (* Logging                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -383,6 +459,10 @@ let rec force_records t ~txn records k =
 (* ------------------------------------------------------------------ *)
 
 let cert_for t txn = Hashtbl.find_opt t.certs txn
+
+(* A decision carries its certificate when the protocol made one. *)
+let send_decision t ~dst ~txn outcome =
+  send t ~dst [ Msg.Decision_msg { txn; outcome; cert = cert_for t txn } ]
 
 (* First sight of a certificate for [txn]: cache it and append it to the
    WAL so the next force hardens certificate and outcome together.  Only
@@ -469,9 +549,7 @@ and ops_of t =
           Protocol_intf.op_send = (fun ~dst payloads -> send t ~dst payloads);
           op_force = (fun ~txn kind k -> tm_force t ~txn kind k);
           op_append = (fun ~txn kind -> tm_append t ~txn kind);
-          op_note =
-            (fun text ->
-              trace t (Trace.Note { time = now t; node = t.name; text }));
+          op_note = (fun text -> note t text);
           op_crash_at = (fun point -> maybe_crash t point);
           op_now = (fun () -> now t);
           op_after = (fun ~delay f -> sched_ t ~delay f);
@@ -560,30 +638,29 @@ and participating_children t ~txn =
         t.cfg.opts.leave_out
         && (p.p_left_out
            || (Hashtbl.mem t.suspended_children p.p_name
-              && Hashtbl.mem t.idle_children (txn, p.p_name)))
+              && List.mem p.p_name (idle_in t ~txn)))
       then begin
-        trace t
-          (Trace.Note
-             {
-               time = now t;
-               node = t.name;
-               text = Printf.sprintf "leaves out suspended server %s" p.p_name;
-             });
+        note t (Printf.sprintf "leaves out suspended server %s" p.p_name);
         None
       end
-      else
-        Some
-          {
-            ch_profile = p;
-            ch_vote = None;
-            ch_implied_ack = false;
-            ch_acked = false;
-            ch_presumed_no = false;
-            ch_last_agent = false;
-            ch_pending = false;
-            ch_retries = 0;
-          })
+      else Some (make_child p ~vote:None ~implied_ack:false))
     t.child_profiles
+
+(* State rebuilt from the log at restart.  The votes were lost with
+   volatile state: assume every static child voted YES, so the outcome is
+   re-propagated to each of them and acknowledgments are re-collected. *)
+and resumed_txn_state t ~txn phase =
+  let st = new_txn_state t txn in
+  set_phase t st phase;
+  st.parent <- t.parent_name;
+  st.children <-
+    List.map
+      (fun p ->
+        make_child p
+          ~vote:(Some (Vote_yes { reliable = false; leave_out_ok = false }))
+          ~implied_ack:false)
+      t.child_profiles;
+  st
 
 (* ------------------------------------------------------------------ *)
 (* Voting phase                                                        *)
@@ -615,23 +692,7 @@ and start_phase1 t st =
     (fun ch -> Hashtbl.remove t.suspended_children ch.ch_profile.p_name)
     st.children;
   designate_last_agent t st;
-  (* Prepare flows to everyone except the last agent (contacted after all
-     other votes are in) and unsolicited voters (they contact us). *)
-  List.iter
-    (fun ch ->
-      if
-        (not ch.ch_last_agent)
-        && not (t.cfg.opts.unsolicited_vote && ch.ch_profile.p_unsolicited)
-      then
-        send t ~dst:ch.ch_profile.p_name
-          [
-            Msg.Prepare
-              {
-                txn = st.txn;
-                long_locks = t.cfg.opts.long_locks && ch.ch_profile.p_long_locks;
-              };
-          ])
-    st.children;
+  send_prepare t st ~only_silent:false;
   start_vote_timer t st;
   local_prepare t st
 
@@ -644,46 +705,15 @@ and start_vote_timer ?(attempt = 0) t st =
                (* re-send Prepare to the silent voters before giving up: a
                   lost Prepare (or lost vote) need not abort the transaction
                   when the configuration allows retransmission *)
-               trace t
-                 (Trace.Note
-                    {
-                      time = now t;
-                      node = t.name;
-                      text = "vote timeout: re-sending Prepare to silent members";
-                    });
+               note t "vote timeout: re-sending Prepare to silent members";
                causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
                    "vote timeout: retransmitting Prepare");
-               List.iter
-                 (fun ch ->
-                   if
-                     ch.ch_vote = None
-                     && (not ch.ch_last_agent)
-                     && not
-                          (t.cfg.opts.unsolicited_vote
-                          && ch.ch_profile.p_unsolicited)
-                   then
-                     send t ~dst:ch.ch_profile.p_name
-                       [
-                         Msg.Prepare
-                           {
-                             txn = st.txn;
-                             long_locks =
-                               t.cfg.opts.long_locks
-                               && ch.ch_profile.p_long_locks;
-                           };
-                       ])
-                 st.children;
+               send_prepare t st ~only_silent:true;
                start_vote_timer ~attempt:(attempt + 1) t st
              end
              else begin
                (* missing votes are treated as NO *)
-               trace t
-                 (Trace.Note
-                    {
-                      time = now t;
-                      node = t.name;
-                      text = "vote timeout: presuming NO from silent members";
-                    });
+               note t "vote timeout: presuming NO from silent members";
                causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
                    "vote timeout: presuming NO from silent members");
                List.iter
@@ -765,18 +795,8 @@ and maybe_all_votes_in t st =
    nothing, release locks, and drop out of phase two. *)
 and vote_up_read_only t st =
   trace t (Trace.Locks_released { time = now t; node = t.name });
-  send t ~dst:(Option.get st.parent)
-    [
-      Msg.Vote_msg
-        {
-          txn = st.txn;
-          vote = Vote_read_only;
-          delegation = false;
-          unsolicited = false;
-          implied_ack = false;
-          tag = Msg.vote_tag ~src:t.name ~txn:st.txn Vote_read_only;
-        };
-    ];
+  send_vote t ~dst:(Option.get st.parent) ~txn:st.txn ~delegation:false
+    ~unsolicited:false ~implied_ack:false Vote_read_only;
   end_txn t st Committed
 
 and complete_read_only_root t st =
@@ -791,18 +811,8 @@ and on_voted_no t st =
      voter owns its own abort. *)
   (match st.parent with
   | Some parent ->
-      send t ~dst:parent
-        [
-          Msg.Vote_msg
-            {
-              txn = st.txn;
-              vote = Vote_no;
-              delegation = false;
-              unsolicited = false;
-              implied_ack = false;
-              tag = Msg.vote_tag ~src:t.name ~txn:st.txn Vote_no;
-            };
-        ]
+      send_vote t ~dst:parent ~txn:st.txn ~delegation:false ~unsolicited:false
+        ~implied_ack:false Vote_no
   | None -> ());
   decide t st Aborted
 
@@ -829,13 +839,7 @@ and start_delegation_timer ?(attempt = 0) t st send_delegation =
       Some
         (sched t ~delay:(retry_delay t attempt) (fun () ->
              if st.phase = Ph_delegated then begin
-               trace t
-                 (Trace.Note
-                    {
-                      time = now t;
-                      node = t.name;
-                      text = "delegation unanswered: re-sending to last agent";
-                    });
+               note t "delegation unanswered: re-sending to last agent";
                causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
                    "delegation unanswered: retransmitting");
                send_delegation ();
@@ -847,31 +851,12 @@ and delegate_to_last_agent t st agent =
   let proceed () =
     set_phase t st Ph_delegated;
     let reliable =
-      t.profile.p_reliable
-      && List.for_all
-           (fun ch ->
-             ch.ch_last_agent
-             ||
-             match ch.ch_vote with
-             | Some (Vote_yes { reliable; _ }) -> reliable
-             | Some Vote_read_only -> true
-             | _ -> false)
-           st.children
+      t.profile.p_reliable && children_vouch ~leave_out:false st.children
     in
     let send_delegation () =
-      let vote = Vote_yes { reliable; leave_out_ok = false } in
-      send t ~dst:agent.ch_profile.p_name
-        [
-          Msg.Vote_msg
-            {
-              txn = st.txn;
-              vote;
-              delegation = true;
-              unsolicited = false;
-              implied_ack = false;
-              tag = Msg.vote_tag ~src:t.name ~txn:st.txn vote;
-            };
-        ]
+      send_vote t ~dst:agent.ch_profile.p_name ~txn:st.txn ~delegation:true
+        ~unsolicited:false ~implied_ack:false
+        (Vote_yes { reliable; leave_out_ok = false })
     in
     send_delegation ();
     start_delegation_timer t st send_delegation
@@ -882,25 +867,12 @@ and delegate_to_last_agent t st agent =
   force_records t ~txn:st.txn t.proto.p_delegation_log proceed
 
 and vote_yes_up t st parent =
+  (* no child is the last agent here: [on_all_yes] delegates instead *)
   let reliable =
-    t.profile.p_reliable
-    && List.for_all
-         (fun ch ->
-           match ch.ch_vote with
-           | Some (Vote_yes { reliable; _ }) -> reliable
-           | Some Vote_read_only -> true
-           | _ -> false)
-         st.children
+    t.profile.p_reliable && children_vouch ~leave_out:false st.children
   in
   let leave_out_ok =
-    t.profile.p_leave_out_ok
-    && List.for_all
-         (fun ch ->
-           match ch.ch_vote with
-           | Some (Vote_yes { leave_out_ok; _ }) -> leave_out_ok
-           | Some Vote_read_only -> true
-           | _ -> false)
-         st.children
+    t.profile.p_leave_out_ok && children_vouch ~leave_out:true st.children
   in
   (* A reliable *leaf* resource elides its acknowledgment entirely (its ack
      is implied); a reliable cascaded coordinator still acknowledges, merely
@@ -916,20 +888,10 @@ and vote_yes_up t st parent =
     else begin
       set_phase t st Ph_in_doubt;
       st.sent_vote_reliable <- elide_ack;
-      st.sent_vote <- Some (Vote_yes { reliable; leave_out_ok });
       let vote = Vote_yes { reliable; leave_out_ok } in
-      send t ~dst:parent
-        [
-          Msg.Vote_msg
-            {
-              txn = st.txn;
-              vote;
-              delegation = false;
-              unsolicited = false;
-              implied_ack = elide_ack;
-              tag = Msg.vote_tag ~src:t.name ~txn:st.txn vote;
-            };
-        ];
+      st.sent_vote <- Some vote;
+      send_vote t ~dst:parent ~txn:st.txn ~delegation:false ~unsolicited:false
+        ~implied_ack:elide_ack vote;
       if maybe_crash t Cp_after_vote then ()
       else begin
         start_heuristic_timer t st;
@@ -957,24 +919,13 @@ and begin_unsolicited t ~txn =
           tm_force t ~txn Wal.Log_record.Prepared (fun () ->
               set_phase t st Ph_in_doubt;
               st.sent_vote_reliable <- elide_ack;
-              st.local_vote <-
-                Some (Vote_yes { reliable = t.profile.p_reliable; leave_out_ok = false });
-              st.sent_vote <- st.local_vote;
               let vote =
                 Vote_yes { reliable = t.profile.p_reliable; leave_out_ok = false }
               in
-              send t ~dst:parent
-                [
-                  Msg.Vote_msg
-                    {
-                      txn;
-                      vote;
-                      delegation = false;
-                      unsolicited = true;
-                      implied_ack = elide_ack;
-                      tag = Msg.vote_tag ~src:t.name ~txn vote;
-                    };
-                ];
+              st.local_vote <- Some vote;
+              st.sent_vote <- st.local_vote;
+              send_vote t ~dst:parent ~txn ~delegation:false ~unsolicited:true
+                ~implied_ack:elide_ack vote;
               start_heuristic_timer t st;
               start_indoubt_timer t st))
 
@@ -990,22 +941,6 @@ and decide t st outcome =
       "decides " ^ outcome_to_string outcome);
   if maybe_crash t Cp_before_decision_log then ()
   else
-    let log_decision () =
-      match t.proto.p_decision_log outcome with
-      | Protocol_intf.Log_force kind ->
-          tm_force t ~txn:st.txn kind (fun () ->
-              st.decision_durable <- true;
-              if not (maybe_crash t Cp_after_decision_log) then
-                after_decision_durable t st)
-      | Protocol_intf.Log_append kind ->
-          tm_append t ~txn:st.txn kind;
-          st.decision_durable <- true;
-          after_decision_durable t st
-      | Protocol_intf.Log_none ->
-          (* nothing durable: the presumption carries the outcome (PA abort) *)
-          st.decision_durable <- true;
-          after_decision_durable t st
-    in
     match t.proto.p_certify with
     | Some certify when not (Hashtbl.mem t.certs st.txn) ->
         (* certified protocol: gather the endorsement quorum first, append
@@ -1018,22 +953,42 @@ and decide t st outcome =
             Hashtbl.replace t.certs st.txn cert;
             tm_append t ~txn:st.txn ~payload:(Msg.cert_to_string cert)
               Wal.Log_record.Certificate;
-            log_decision ())
-    | _ -> log_decision ()
+            log_decision t st outcome)
+    | _ -> log_decision t st outcome
 
+and log_decision t st outcome =
+  log_outcome t st (t.proto.p_decision_log outcome) ~decider:true
+    after_decision_durable
+
+(* Make [st]'s outcome durable under the protocol's log discipline, then
+   continue with [k].  Only the decision maker's forced write is a crash
+   point. *)
+and log_outcome t st discipline ~decider k =
+  match discipline with
+  | Protocol_intf.Log_force kind ->
+      tm_force t ~txn:st.txn kind (fun () ->
+          st.decision_durable <- true;
+          if not (decider && maybe_crash t Cp_after_decision_log) then k t st)
+  | Protocol_intf.Log_append kind ->
+      (* no forced record before acknowledging (PA abort at a subordinate) *)
+      tm_append t ~txn:st.txn kind;
+      st.decision_durable <- true;
+      k t st
+  | Protocol_intf.Log_none ->
+      (* nothing durable: the presumption carries the outcome (PA abort) *)
+      st.decision_durable <- true;
+      k t st
+
+(* The outcome is durable at the node that decided it, or at a delegator
+   that adopted its last agent's outcome: apply it, drive phase two, and
+   report it up the delegation chain if we were a last agent ourselves. *)
 and after_decision_durable t st =
   let outcome = Option.get st.outcome in
-  (* apply locally *)
   apply_local t st outcome (fun () ->
       propagate_decision t st outcome;
-      (* a last agent reports the decision back to its delegator *)
       (match st.delegator with
       | Some up ->
-          send t ~dst:up
-            [
-              Msg.Decision_msg
-                { txn = st.txn; outcome; cert = cert_for t st.txn };
-            ];
+          send_decision t ~dst:up ~txn:st.txn outcome;
           st.awaiting_implied_ack <- true
       | None -> ());
       maybe_finished t st)
@@ -1072,8 +1027,7 @@ and decision_recipients st =
           | Some (Vote_yes _) | Some Vote_no | None -> true))
     st.children
 
-and ack_expected_from t ch =
-  ignore t;
+and ack_expected_from ch =
   match Option.get ch.ch_vote with
   | Vote_yes _ -> not ch.ch_implied_ack (* reliable leaf: its ack is implied *)
   | Vote_read_only | Vote_no -> false
@@ -1082,11 +1036,10 @@ and propagate_decision t st outcome =
   let recipients = decision_recipients st in
   List.iter
     (fun ch ->
-      send t ~dst:ch.ch_profile.p_name
-        [ Msg.Decision_msg { txn = st.txn; outcome; cert = cert_for t st.txn } ];
+      send_decision t ~dst:ch.ch_profile.p_name ~txn:st.txn outcome;
       (match Option.get st.outcome with
       | Committed ->
-          if ack_expected_from t ch then start_ack_retry t st ch
+          if ack_expected_from ch then start_ack_retry t st ch
           else ch.ch_acked <- true
       | Aborted ->
           (* the protocol says which abort notifications must be confirmed
@@ -1100,20 +1053,10 @@ and propagate_decision t st outcome =
   set_phase t st Ph_propagating;
   (* early acknowledgment upstream, if the policy allows it *)
   if st.parent <> None && not st.acked_up then begin
-    let all_children_reliable =
-      List.for_all
-        (fun ch ->
-          ch.ch_last_agent
-          ||
-          match ch.ch_vote with
-          | Some (Vote_yes { reliable; _ }) -> reliable
-          | Some Vote_read_only -> true
-          | Some Vote_no | None -> false)
-        st.children
-    in
     if
       t.cfg.opts.ack = Early_ack
-      || (t.cfg.opts.vote_reliable && all_children_reliable
+      || (t.cfg.opts.vote_reliable
+         && children_vouch ~leave_out:false st.children
          && st.children <> [])
     then send_ack_up t st
   end
@@ -1129,29 +1072,16 @@ and retry_child t st ch =
       (* one attempt made: stop blocking, resolve in the background *)
       ch.ch_pending <- true;
       st.pending <- true;
-      trace t
-        (Trace.Note
-           {
-             time = now t;
-             node = t.name;
-             text =
-               Printf.sprintf "outcome pending: %s unreachable, recovery in background"
-                 ch.ch_profile.p_name;
-           });
+      note t
+        (Printf.sprintf "outcome pending: %s unreachable, recovery in background"
+           ch.ch_profile.p_name);
       maybe_finished t st
     end;
     if ch.ch_retries <= t.cfg.max_retries then begin
       causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
           "ack overdue: retransmitting decision to " ^ ch.ch_profile.p_name);
-      send t ~dst:ch.ch_profile.p_name
-        [
-          Msg.Decision_msg
-            {
-              txn = st.txn;
-              outcome = Option.get st.outcome;
-              cert = cert_for t st.txn;
-            };
-        ];
+      send_decision t ~dst:ch.ch_profile.p_name ~txn:st.txn
+        (Option.get st.outcome);
       start_ack_retry t st ch
     end
     else if ch.ch_presumed_no && not ch.ch_pending then begin
@@ -1163,17 +1093,10 @@ and retry_child t st ch =
          indication. *)
       ch.ch_pending <- true;
       st.pending <- true;
-      trace t
-        (Trace.Note
-           {
-             time = now t;
-             node = t.name;
-             text =
-               Printf.sprintf
-                 "acknowledgment retries exhausted: %s unresolved, decision \
-                  retained"
-                 ch.ch_profile.p_name;
-           });
+      note t
+        (Printf.sprintf
+           "acknowledgment retries exhausted: %s unresolved, decision retained"
+           ch.ch_profile.p_name);
       maybe_finished t st
     end
   end
@@ -1182,14 +1105,13 @@ and retry_child t st ch =
 (* Completion                                                          *)
 (* ------------------------------------------------------------------ *)
 
-and acks_outstanding t st =
-  ignore t;
+and acks_outstanding st =
   List.exists
     (fun ch -> (not ch.ch_acked) && not ch.ch_pending)
     (decision_recipients st)
 
 and maybe_finished t st =
-  if st.phase = Ph_propagating && not (acks_outstanding t st) then begin
+  if st.phase = Ph_propagating && not (acks_outstanding st) then begin
     let outcome = Option.get st.outcome in
     (* wait-for-outcome: children marked pending let the commit complete,
        but the transaction stays open so background retries can still
@@ -1270,16 +1192,11 @@ and defer_ack_long_locks t st =
   (* Long locks: hold the acknowledgment and piggyback it on the data
      message that begins the next transaction (Figure 7).  In a
      single-transaction run that data message is simulated after a think
-     time; in chained runs Stream provides the real one. *)
+     time; under the concurrent Mixer the next real arrival sends it
+     ([flush_piggybacks]). *)
   if not st.acked_up then begin
     st.acked_up <- true;
-    trace t
-      (Trace.Note
-         {
-           time = now t;
-           node = t.name;
-           text = "long locks: ack deferred to next-transaction data";
-         });
+    note t "long locks: ack deferred to next-transaction data";
     let parent = Option.get st.parent in
     defer_piggyback t ~dst:parent
       [
@@ -1294,12 +1211,7 @@ and root_complete t st outcome =
     (Trace.Complete { time = now t; node = t.name; outcome; pending = st.pending });
   causal_record t ~txn:st.txn (fun () ->
       "completes: " ^ outcome_to_string outcome);
-  List.iter
-    (fun (d : Msg.damage_report) ->
-      t.damage_seen <- (st.txn, d) :: t.damage_seen;
-      trace t
-        (Trace.Damage_detected { time = now t; node = d.d_node; reported_to = t.name }))
-    st.damage;
+  report_damage t ~txn:st.txn st.damage;
   match t.on_root_complete with
   | Some f -> f ~txn:st.txn outcome ~pending:st.pending
   | None -> ()
@@ -1359,22 +1271,27 @@ and start_heuristic_timer t st =
 
 and arm_heuristic t st delay action =
   st.heuristic_timer <-
-    Some
-      (sched t ~delay (fun () ->
-           if st.phase = Ph_in_doubt && st.heuristic_action = None then begin
-             st.heuristic_action <- Some action;
-             st.heuristic_at <- Some (now t);
-             trace t (Trace.Heuristic { time = now t; node = t.name; action });
-             causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                 "HEURISTIC " ^ outcome_to_string action);
-             let kind =
-               match action with
-               | Committed -> Wal.Log_record.Heuristic_commit
-               | Aborted -> Wal.Log_record.Heuristic_abort
-             in
-             tm_force t ~txn:st.txn kind (fun () ->
-                 apply_local t st action (fun () -> ()))
-           end))
+    Some (sched t ~delay (fun () -> take_heuristic t st action ~injected:false))
+
+(* An operator overrides the protocol at an in-doubt node, on the patience
+   timer or by adversarial injection: record and force the heuristic
+   decision, then apply it locally.  A no-op once the doubt is resolved or
+   a heuristic decision was already taken. *)
+and take_heuristic t st action ~injected =
+  if st.phase = Ph_in_doubt && st.heuristic_action = None then begin
+    st.heuristic_action <- Some action;
+    st.heuristic_at <- Some (now t);
+    trace t (Trace.Heuristic { time = now t; node = t.name; action });
+    causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
+        "HEURISTIC " ^ outcome_to_string action
+        ^ if injected then " (injected)" else "");
+    let kind =
+      match action with
+      | Committed -> Wal.Log_record.Heuristic_commit
+      | Aborted -> Wal.Log_record.Heuristic_abort
+    in
+    tm_force t ~txn:st.txn kind (fun () -> apply_local t st action (fun () -> ()))
+  end
 
 (* The subordinate side of recovery when the coordinator goes silent:
    PA subordinates inquire (the coordinator may have no memory of the
@@ -1400,13 +1317,7 @@ and start_indoubt_timer ?(attempt = 0) t st =
   in
   if targets = [] then ()
   else if attempt > t.cfg.max_retries then
-    trace t
-      (Trace.Note
-         {
-           time = now t;
-           node = t.name;
-           text = "in doubt: recovery attempts exhausted, still blocked";
-         })
+    note t "in doubt: recovery attempts exhausted, still blocked"
   else
     st.indoubt_timer <-
       Some
@@ -1430,18 +1341,8 @@ and start_indoubt_timer ?(attempt = 0) t st =
 and handle_prepare t ~src ~txn ~long_locks =
   if Hashtbl.mem t.ended txn then
     (* duplicate from a recovering coordinator: repeat our forgotten state *)
-    send t ~dst:src
-      [
-        Msg.Vote_msg
-          {
-            txn;
-            vote = Vote_no;
-            delegation = false;
-            unsolicited = false;
-            implied_ack = false;
-            tag = Msg.vote_tag ~src:t.name ~txn Vote_no;
-          };
-      ]
+    send_vote t ~dst:src ~txn ~delegation:false ~unsolicited:false
+      ~implied_ack:false Vote_no
   else begin
     let st = get_or_new_txn t txn in
     if st.phase = Ph_idle then begin
@@ -1474,29 +1375,12 @@ and handle_prepare t ~src ~txn ~long_locks =
          same transaction: two TMs would own the decision, so the
          transaction aborts (Section 3, PN design; the hazard behind the
          restricted leave-out rule of Figure 5). *)
-      trace t
-        (Trace.Note
-           {
-             time = now t;
-             node = t.name;
-             text =
-               Printf.sprintf
-                 "dual commit initiation detected (%s and %s): aborting"
-                 (match st.parent with Some p -> p | None -> t.name)
-                 src;
-           });
-      send t ~dst:src
-        [
-          Msg.Vote_msg
-            {
-            txn;
-            vote = Vote_no;
-            delegation = false;
-            unsolicited = false;
-            implied_ack = false;
-            tag = Msg.vote_tag ~src:t.name ~txn Vote_no;
-          };
-        ];
+      note t
+        (Printf.sprintf "dual commit initiation detected (%s and %s): aborting"
+           (match st.parent with Some p -> p | None -> t.name)
+           src);
+      send_vote t ~dst:src ~txn ~delegation:false ~unsolicited:false
+        ~implied_ack:false Vote_no;
       if st.phase = Ph_voting then begin
         st.local_vote <- Some Vote_no;
         maybe_all_votes_in t st
@@ -1507,24 +1391,13 @@ and handle_prepare t ~src ~txn ~long_locks =
          the coordinator is retransmitting); repeat the vote we sent *)
       match st.sent_vote with
       | Some vote ->
-          send t ~dst:src
-            [
-              Msg.Vote_msg
-                {
-                  txn;
-                  vote;
-                  delegation = false;
-                  unsolicited = false;
-                  implied_ack = st.sent_vote_reliable;
-                  tag = Msg.vote_tag ~src:t.name ~txn vote;
-                };
-            ]
+          send_vote t ~dst:src ~txn ~delegation:false ~unsolicited:false
+            ~implied_ack:st.sent_vote_reliable vote
       | None -> ()
     end
   end
 
-and handle_vote t ~src ~txn vote ~delegation ~unsolicited ~implied_ack =
-  ignore unsolicited;
+and handle_vote t ~src ~txn vote ~delegation ~implied_ack =
   if delegation then handle_delegation t ~src ~txn vote
   else if Hashtbl.mem t.ended txn then
     (* a straggling (reordered or retransmitted) vote for a transaction we
@@ -1542,18 +1415,7 @@ and handle_vote t ~src ~txn vote ~delegation ~unsolicited ~implied_ack =
            remember it by materializing the child entry *)
         (match List.find_opt (fun p -> p.p_name = src) t.child_profiles with
         | Some p ->
-            st.children <-
-              {
-                ch_profile = p;
-                ch_vote = Some vote;
-                ch_implied_ack = implied_ack;
-                ch_acked = false;
-            ch_presumed_no = false;
-                ch_last_agent = false;
-                ch_pending = false;
-                ch_retries = 0;
-              }
-              :: st.children
+            st.children <- make_child p ~vote:(Some vote) ~implied_ack :: st.children
         | None -> () (* vote from a stranger: drop *)));
     maybe_all_votes_in t st
 
@@ -1568,15 +1430,7 @@ and handle_delegation t ~src ~txn vote =
   | Vote_yes _ ->
       if Hashtbl.mem t.ended txn then
         (* duplicate delegation: repeat the outcome *)
-        send t ~dst:src
-          [
-            Msg.Decision_msg
-              {
-                txn;
-                outcome = Hashtbl.find t.ended txn;
-                cert = cert_for t txn;
-              };
-          ]
+        send_decision t ~dst:src ~txn (Hashtbl.find t.ended txn)
       else begin
         let st = get_or_new_txn t txn in
         if st.phase = Ph_idle then begin
@@ -1622,22 +1476,13 @@ and subordinate_decision t st outcome =
       if maybe_crash t Cp_after_decision_received then ()
       else begin
         set_phase t st Ph_deciding;
-        (match t.proto.p_subordinate_decision_log outcome with
-        | Protocol_intf.Log_force kind ->
-            tm_force t ~txn:st.txn kind (fun () ->
-                st.decision_durable <- true;
-                subordinate_apply t st outcome)
-        | Protocol_intf.Log_append kind ->
-            (* no forced record before acknowledging (PA abort) *)
-            tm_append t ~txn:st.txn kind;
-            st.decision_durable <- true;
-            subordinate_apply t st outcome
-        | Protocol_intf.Log_none ->
-            st.decision_durable <- true;
-            subordinate_apply t st outcome)
+        log_outcome t st
+          (t.proto.p_subordinate_decision_log outcome)
+          ~decider:false subordinate_apply
       end
 
-and subordinate_apply t st outcome =
+and subordinate_apply t st =
+  let outcome = Option.get st.outcome in
   apply_local t st outcome (fun () ->
       propagate_decision t st outcome;
       maybe_finished t st)
@@ -1682,34 +1527,8 @@ and delegator_decision t st outcome =
   causal_record t ~txn:st.txn (fun () ->
       "adopts delegated outcome " ^ outcome_to_string outcome);
   set_phase t st Ph_deciding;
-  match t.proto.p_decision_log outcome with
-  | Protocol_intf.Log_force kind ->
-      tm_force t ~txn:st.txn kind (fun () ->
-          st.decision_durable <- true;
-          delegator_apply t st outcome)
-  | Protocol_intf.Log_append kind ->
-      tm_append t ~txn:st.txn kind;
-      st.decision_durable <- true;
-      delegator_apply t st outcome
-  | Protocol_intf.Log_none ->
-      st.decision_durable <- true;
-      delegator_apply t st outcome
-
-and delegator_apply t st outcome =
-  apply_local t st outcome (fun () ->
-      propagate_decision t st outcome;
-      (match st.delegator with
-      | Some up ->
-          (* we were a last agent ourselves: pass the outcome up the
-             delegation chain *)
-          send t ~dst:up
-            [
-              Msg.Decision_msg
-                { txn = st.txn; outcome; cert = cert_for t st.txn };
-            ];
-          st.awaiting_implied_ack <- true
-      | None -> ());
-      maybe_finished t st)
+  log_outcome t st (t.proto.p_decision_log outcome) ~decider:false
+    after_decision_durable
 
 and handle_ack t ~src ~txn ~damage ~pending =
   match get_txn t txn with
@@ -1717,13 +1536,7 @@ and handle_ack t ~src ~txn ~damage ~pending =
       (* the transaction is already forgotten here (a PA coordinator ends
          an abort immediately), but a damage report arriving on a late
          acknowledgment must still reach this operator *)
-      List.iter
-        (fun (d : Msg.damage_report) ->
-          t.damage_seen <- (txn, d) :: t.damage_seen;
-          trace t
-            (Trace.Damage_detected
-               { time = now t; node = d.d_node; reported_to = t.name }))
-        damage
+      report_damage t ~txn damage
   | Some st -> (
       match List.find_opt (fun ch -> ch.ch_profile.p_name = src) st.children with
       | None -> ()
@@ -1731,15 +1544,9 @@ and handle_ack t ~src ~txn ~damage ~pending =
           if not ch.ch_acked then begin
             ch.ch_acked <- true;
             if ch.ch_pending && not pending then
-              trace t
-                (Trace.Note
-                   {
-                     time = now t;
-                     node = t.name;
-                     text =
-                       Printf.sprintf "background recovery with %s resolved"
-                         ch.ch_profile.p_name;
-                   });
+              note t
+                (Printf.sprintf "background recovery with %s resolved"
+                   ch.ch_profile.p_name);
             if pending then st.pending <- true;
             (match damage with
             | [] -> ()
@@ -1749,27 +1556,19 @@ and handle_ack t ~src ~txn ~damage ~pending =
             | reports ->
                 (* damage is reported to the immediate coordinator (and
                    its operator) only (PA, basic) *)
-                List.iter
-                  (fun (d : Msg.damage_report) ->
-                    t.damage_seen <- (txn, d) :: t.damage_seen;
-                    trace t
-                      (Trace.Damage_detected
-                         { time = now t; node = d.d_node; reported_to = t.name }))
-                  reports);
+                report_damage t ~txn reports);
             maybe_finished t st
           end)
 
 (* Application data beginning the next piece of work doubles as the implied
    acknowledgment for whatever outcome the receiver still remembers. *)
-and handle_data t ~src ~txn ~info =
-  ignore src;
-  ignore info;
+and handle_data t ~txn =
   match get_txn t txn with
   | None -> ()
   | Some st ->
       if st.awaiting_implied_ack then begin
         st.awaiting_implied_ack <- false;
-        if st.phase = Ph_propagating && not (acks_outstanding t st) then
+        if st.phase = Ph_propagating && not (acks_outstanding st) then
           finish_with_end t st
       end
 
@@ -1828,26 +1627,20 @@ and handle_inquiry_reply t ~txn outcome =
             ()
         | _ ->
             let o = match outcome with Some o -> o | None -> Aborted in
-            trace t
-              (Trace.Note
-                 {
-                   time = now t;
-                   node = t.name;
-                   text =
-                     (match outcome with
-                     | Some _ -> "recovery: outcome learned by inquiry"
-                     | None -> "recovery: no information - presuming abort");
-                 });
+            note t
+              (match outcome with
+              | Some _ -> "recovery: outcome learned by inquiry"
+              | None -> "recovery: no information - presuming abort");
             subordinate_decision t st o
       end
 
 and handle_payload t ~src = function
   | Msg.Prepare { txn; long_locks } -> handle_prepare t ~src ~txn ~long_locks
-  | Msg.Vote_msg { txn; vote; delegation; unsolicited; implied_ack; _ } ->
-      handle_vote t ~src ~txn vote ~delegation ~unsolicited ~implied_ack
+  | Msg.Vote_msg { txn; vote; delegation; implied_ack; _ } ->
+      handle_vote t ~src ~txn vote ~delegation ~implied_ack
   | Msg.Decision_msg { txn; outcome; _ } -> handle_decision t ~src ~txn outcome
   | Msg.Ack_msg { txn; damage; pending } -> handle_ack t ~src ~txn ~damage ~pending
-  | Msg.Data { txn; info } -> handle_data t ~src ~txn ~info
+  | Msg.Data { txn; _ } -> handle_data t ~txn
   | Msg.Inquiry { txn } -> handle_inquiry t ~src ~txn
   | Msg.Inquiry_reply { txn; outcome; _ } -> handle_inquiry_reply t ~txn outcome
 
@@ -1900,7 +1693,7 @@ and handler t ~src payloads =
             t.rejected <- t.rejected + 1;
             if String.length reason >= 5 && String.sub reason 0 5 = "cert:"
             then t.rejected_certs <- t.rejected_certs + 1;
-            trace t (Trace.Note { time = now t; node = t.name; text = reason }))
+            note t reason)
       payloads
   end
 
@@ -1947,17 +1740,10 @@ and restart t =
           in
           if not valid then begin
             t.rejected_certs <- t.rejected_certs + 1;
-            trace t
-              (Trace.Note
-                 {
-                   time = now t;
-                   node = t.name;
-                   text =
-                     Printf.sprintf
-                       "cert: recovery refuses invalid durable certificate \
-                        for %s"
-                       r.txn;
-                 })
+            note t
+              (Printf.sprintf
+                 "cert: recovery refuses invalid durable certificate for %s"
+                 r.txn)
           end)
       mine;
   Hashtbl.iter (fun txn kinds -> recover_txn t ~txn ~kinds) by_txn
@@ -1974,36 +1760,12 @@ and recover_txn t ~txn ~kinds =
 (* An outcome is durable but END is missing: some subordinate may not have
    heard it.  Re-drive phase two toward every static child. *)
 and resume_propagation t ~txn outcome =
-  let st = new_txn_state t txn in
-  set_phase t st Ph_propagating;
+  let st = resumed_txn_state t ~txn Ph_propagating in
   st.outcome <- Some outcome;
   st.decision_durable <- true;
-  st.parent <- t.parent_name;
-  st.children <-
-    List.map
-      (fun p ->
-        {
-          ch_profile = p;
-          (* votes were lost with volatile state; assume YES so that every
-             child is re-contacted and acknowledgments are re-collected *)
-          ch_vote = Some (Vote_yes { reliable = false; leave_out_ok = false });
-          ch_implied_ack = false;
-          ch_acked = false;
-            ch_presumed_no = false;
-          ch_last_agent = false;
-          ch_pending = false;
-          ch_retries = 0;
-        })
-      t.child_profiles;
-  trace t
-    (Trace.Note
-       {
-         time = now t;
-         node = t.name;
-         text =
-           Printf.sprintf "recovery: re-driving %s of %s"
-             (outcome_to_string outcome) txn;
-       });
+  note t
+    (Printf.sprintf "recovery: re-driving %s of %s" (outcome_to_string outcome)
+       txn);
   (* Local resource state was rebuilt by Kvstore.recover; if this node's RM
      is still in doubt it must be resolved with the known outcome. *)
   if List.mem txn (Kvstore.in_doubt t.kv) then
@@ -2023,14 +1785,12 @@ and resume_propagation t ~txn outcome =
   end
 
 and resume_in_doubt t ~txn =
-  let st = new_txn_state t txn in
-  set_phase t st Ph_in_doubt;
-  st.parent <- t.parent_name;
+  let st = resumed_txn_state t ~txn Ph_in_doubt in
   (* a durable heuristic record survives the crash: the operator's override
      is still in force, and the eventual real outcome must be checked
      against it - and any damage reported - exactly as if we had never
      crashed.  (This also keeps the restarted heuristic timer from firing
-     a second decision: {!arm_heuristic} is a no-op once an action is
+     a second decision: [take_heuristic] is a no-op once an action is
      recorded.) *)
   List.iter
     (fun (r : Wal.Log_record.t) ->
@@ -2041,25 +1801,7 @@ and resume_in_doubt t ~txn =
         | Wal.Log_record.Heuristic_abort -> st.heuristic_action <- Some Aborted
         | _ -> ())
     (Wal.Log.records_for t.log ~txn);
-  (* assume every static child voted YES so that the eventual decision is
-     re-propagated through us *)
-  st.children <-
-    List.map
-      (fun p ->
-        {
-          ch_profile = p;
-          ch_vote = Some (Vote_yes { reliable = false; leave_out_ok = false });
-          ch_implied_ack = false;
-          ch_acked = false;
-            ch_presumed_no = false;
-          ch_last_agent = false;
-          ch_pending = false;
-          ch_retries = 0;
-        })
-      t.child_profiles;
-  trace t
-    (Trace.Note
-       { time = now t; node = t.name; text = "recovery: in doubt after restart" });
+  note t "recovery: in doubt after restart";
   (* Who can resolve our doubt?  A subordinate asks its parent.  A
      parentless node with a durable Prepared record delegated its decision
      before crashing: the outcome belongs to the last agent.  Presuming
@@ -2079,26 +1821,9 @@ and resume_in_doubt t ~txn =
 (* The protocol knows the outcome without anyone to ask (PN's interrupted
    commit-pending coordinator aborts): decide it now and drive the
    subordinates (coordinator-initiated recovery). *)
-and resume_decide t ~txn ~outcome ~note =
-  trace t (Trace.Note { time = now t; node = t.name; text = note });
-  let st = new_txn_state t txn in
-  set_phase t st Ph_deciding;
-  st.parent <- t.parent_name;
-  st.children <-
-    List.map
-      (fun p ->
-        {
-          ch_profile = p;
-          ch_vote = Some (Vote_yes { reliable = false; leave_out_ok = false });
-          ch_implied_ack = false;
-          ch_acked = false;
-            ch_presumed_no = false;
-          ch_last_agent = false;
-          ch_pending = false;
-          ch_retries = 0;
-        })
-      t.child_profiles;
-  decide t st outcome
+and resume_decide t ~txn ~outcome ~note:text =
+  note t text;
+  decide t (resumed_txn_state t ~txn Ph_deciding) outcome
 
 let attach t = Net.add_node t.net t.name (fun ~src payloads -> handler t ~src payloads)
 
@@ -2144,26 +1869,14 @@ let has_piggybacks t = List.exists (fun d -> not d.d_sent) t.deferred
    right now, as if an impatient operator overrode the protocol at this
    node.  A no-op unless the transaction is genuinely in doubt here with
    no heuristic decision yet - the injector may race the real decision
-   arriving, and losing that race is the correct outcome.  Mirrors the
-   timer-driven path in [arm_heuristic] so the damage-reporting machinery
+   arriving, and losing that race is the correct outcome.  Takes the
+   timer-driven path ([take_heuristic]), so the damage-reporting machinery
    (resolve_heuristic, ack-borne reports) treats both identically. *)
 let force_heuristic t ~txn action =
   if not t.crashed then
     match get_txn t txn with
-    | Some st when st.phase = Ph_in_doubt && st.heuristic_action = None ->
-        st.heuristic_action <- Some action;
-        st.heuristic_at <- Some (now t);
-        trace t (Trace.Heuristic { time = now t; node = t.name; action });
-        causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-            "HEURISTIC " ^ outcome_to_string action ^ " (injected)");
-        let kind =
-          match action with
-          | Committed -> Wal.Log_record.Heuristic_commit
-          | Aborted -> Wal.Log_record.Heuristic_abort
-        in
-        tm_force t ~txn:st.txn kind (fun () ->
-            apply_local t st action (fun () -> ()))
-    | _ -> ()
+    | Some st -> take_heuristic t st action ~injected:true
+    | None -> ()
 
 let rejected_forgeries t = t.rejected
 let rejected_certs t = t.rejected_certs

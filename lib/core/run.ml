@@ -141,6 +141,29 @@ let commit_tree ?config ?txn tree =
 (** What one member does during one transaction of a sequence. *)
 type work = Work_update | Work_read | Work_none
 
+(** Tell each parent which child subtrees did no work in [txn] ([idle]
+    judges one member), returning the marked [(parent, child)] pairs so the
+    caller can clear each parent's marks once [txn] finishes.  The marks
+    only matter under leave-out, so without it nothing is marked. *)
+let mark_idle_subtrees w ~txn ~idle =
+  let rec subtree_idle (Tree (p, children)) =
+    idle p.p_name && List.for_all subtree_idle children
+  in
+  let marked = ref [] in
+  let rec mark (Tree (p, children)) =
+    List.iter
+      (fun (Tree (cp, _) as child) ->
+        if subtree_idle child then begin
+          let parent = participant w p.p_name in
+          Participant.note_idle_child parent ~txn ~child:cp.p_name;
+          marked := (parent, cp.p_name) :: !marked
+        end;
+        mark child)
+      children
+  in
+  if w.cfg.opts.leave_out then mark w.tree;
+  !marked
+
 (** Run several transactions through the same complex, with a per-member,
     per-transaction work assignment.  This is where the dynamic
     OK-TO-LEAVE-OUT protocol lives: a member whose committed YES vote
@@ -169,21 +192,9 @@ let commit_sequence ?config ~work ~txns tree =
       List.iter assign children
     in
     assign w.tree;
-    (* tell each parent which child subtrees exchanged no data with it *)
-    let rec subtree_idle (Tree (p, children)) =
-      work ~txn ~node:p.p_name = Work_none && List.for_all subtree_idle children
+    let marked =
+      mark_idle_subtrees w ~txn ~idle:(fun node -> work ~txn ~node = Work_none)
     in
-    let rec mark (Tree (p, children)) =
-      let parent = participant w p.p_name in
-      Participant.clear_idle_children parent ~txn;
-      List.iter
-        (fun (Tree (cp, _) as child) ->
-          if subtree_idle child then
-            Participant.note_idle_child parent ~txn ~child:cp.p_name;
-          mark child)
-        children
-    in
-    mark w.tree;
     (* unsolicited voters that actually worked prepare themselves *)
     List.iter
       (fun (name, n) ->
@@ -197,6 +208,7 @@ let commit_sequence ?config ~work ~txns tree =
       w.nodes;
     Participant.begin_commit (participant w w.root) ~txn;
     Simkernel.Engine.run w.engine;
+    List.iter (fun (p, _) -> Participant.clear_idle_children p ~txn) marked;
     ( txn,
       Metrics.of_run ~trace:w.trace ~wals:(all_wals w) ~root:w.root
         ~outcome:w.outcome ~pending:w.pending

@@ -68,6 +68,16 @@ val commit_tree :
 (** What one member does during one transaction of a sequence. *)
 type work = Work_update | Work_read | Work_none
 
+val mark_idle_subtrees :
+  world -> txn:string -> idle:(string -> bool) -> (Participant.t * string) list
+(** The dynamic leave-out walk, shared by {!commit_sequence} and
+    {!Mixer}: tell each parent which child subtrees did no work in [txn]
+    ([idle] judges one member by name), via
+    {!Participant.note_idle_child}.  Returns the marked [(parent, child)]
+    pairs; the caller clears each parent's marks with
+    {!Participant.clear_idle_children} once [txn] finishes.  Marks only
+    matter under leave-out, so without it nothing is marked. *)
+
 val commit_sequence :
   ?config:Types.config ->
   work:(txn:string -> node:string -> work) ->

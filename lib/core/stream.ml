@@ -6,8 +6,10 @@
     piggybacking amortizes flows across consecutive transactions, so this
     module drives the flow/log schedule directly (two write-ahead logs, a
     latency-delayed message step, and the trace used for counting) rather
-    than through {!Participant}, whose single-transaction machinery cannot
-    express cross-transaction piggybacks.
+    than through {!Participant}.  The participant does piggyback
+    acknowledgments onto next-transaction data; the gap is Figure 7's
+    pairing across alternating roles, where Commit(t1) and the delegating
+    Vote(t2, you decide) share one flow.
 
     Three chain modes:
 
@@ -29,12 +31,10 @@ let mode_to_string = function
   | Chain_long_locks_last_agent -> "long-locks+last-agent"
 
 type result = {
-  transactions : int;
   flows : int;        (** protocol flows *)
   data_flows : int;
   writes : int;       (** TM log writes at both members *)
   forced : int;
-  force_ios : int;
   duration : float;   (** virtual time from first flow to quiescence *)
   mean_coordinator_lock_time : float;
       (** virtual time the initiating side's resources stay locked per
@@ -52,9 +52,9 @@ type ctx = {
   mutable lock_samples : int;
 }
 
-let make_ctx ?(latency = 1.0) ?(io_latency = 0.5) ?group () =
+let make_ctx ?(latency = 1.0) ?group () =
   let engine = Simkernel.Engine.create () in
-  let wal_config = { Wal.Log.io_latency; group } in
+  let wal_config = { Wal.Log.io_latency = 0.5; group } in
   {
     engine;
     trace = Trace.create ();
@@ -89,67 +89,58 @@ let note_lock_span ctx ~since =
   ctx.lock_samples <- ctx.lock_samples + 1
 
 (* ------------------------------------------------------------------ *)
-(* Basic chain: 4 flows per transaction                                *)
+(* One transaction: Prepare, Vote, Commit, then the acknowledgment    *)
 (* ------------------------------------------------------------------ *)
 
-let rec basic_txn ctx i r k =
+(* How the subordinate's acknowledgment travels: in its own flow (basic,
+   4 flows per transaction) or withheld and piggybacked on the data message
+   that begins the next transaction (long locks, 3 protocol flows). *)
+type ack_step = Ack_explicit | Ack_on_next_data
+
+let commit_one ctx ~txn ~ack k =
+  let prepare =
+    match ack with
+    | Ack_explicit -> "Prepare"
+    | Ack_on_next_data -> "Prepare(long-locks)"
+  in
+  send ctx ~src:"C" ~dst:"S" ~label:prepare ~protocol:true (fun () ->
+      force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
+          send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true (fun () ->
+              force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
+                  send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
+                    (fun () ->
+                      force ctx ctx.wal_s ~txn Wal.Log_record.Committed
+                        (fun () ->
+                          append ctx ctx.wal_s ~txn Wal.Log_record.End;
+                          let acked () =
+                            append ctx ctx.wal_c ~txn Wal.Log_record.End;
+                            k ()
+                          in
+                          match ack with
+                          | Ack_explicit ->
+                              send ctx ~src:"S" ~dst:"C" ~label:"Ack"
+                                ~protocol:true acked
+                          | Ack_on_next_data ->
+                              (* the ack waits for the subordinate to begin
+                                 the next transaction: a think-time gap
+                                 during which the coordinator's resources
+                                 stay locked *)
+                              ignore
+                                (Simkernel.Engine.schedule ctx.engine
+                                   ~delay:1.0 (fun () ->
+                                     send ctx ~src:"S" ~dst:"C"
+                                       ~label:"Data(next txn) + Ack"
+                                       ~protocol:false acked))))))))
+
+(* [r] transactions back to back; the coordinator's resources stay locked
+   from Prepare until the acknowledgment arrives. *)
+let rec chain ctx ~ack i r k =
   if i > r then k ()
   else begin
-    let txn = Printf.sprintf "t%d" i in
     let locked_at = now ctx in
-    send ctx ~src:"C" ~dst:"S" ~label:"Prepare" ~protocol:true (fun () ->
-        force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
-            send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true (fun () ->
-                force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
-                    send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
-                      (fun () ->
-                        force ctx ctx.wal_s ~txn Wal.Log_record.Committed
-                          (fun () ->
-                            append ctx ctx.wal_s ~txn Wal.Log_record.End;
-                            send ctx ~src:"S" ~dst:"C" ~label:"Ack"
-                              ~protocol:true (fun () ->
-                                append ctx ctx.wal_c ~txn Wal.Log_record.End;
-                                note_lock_span ctx ~since:locked_at;
-                                basic_txn ctx (i + 1) r k)))))))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Long locks: 3 flows per transaction, ack rides next-txn data        *)
-(* ------------------------------------------------------------------ *)
-
-let rec long_locks_txn ctx i r k =
-  if i > r then k ()
-  else begin
-    let txn = Printf.sprintf "t%d" i in
-    let locked_at = now ctx in
-    send ctx ~src:"C" ~dst:"S" ~label:"Prepare(long-locks)" ~protocol:true
-      (fun () ->
-        force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
-            send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true
-              (fun () ->
-                force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
-                    send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
-                      (fun () ->
-                        force ctx ctx.wal_s ~txn Wal.Log_record.Committed
-                          (fun () ->
-                            append ctx ctx.wal_s ~txn Wal.Log_record.End;
-                            (* the ack is withheld until the subordinate
-                               begins the next transaction: a think-time gap
-                               during which the coordinator's resources stay
-                               locked *)
-                            ignore
-                              (Simkernel.Engine.schedule ctx.engine
-                                 ~delay:1.0 (fun () ->
-                                   send ctx ~src:"S" ~dst:"C"
-                                     ~label:"Data(next txn) + Ack"
-                                     ~protocol:false (fun () ->
-                                       append ctx ctx.wal_c ~txn
-                                         Wal.Log_record.End;
-                                       (* coordinator-side resources stayed
-                                          locked until the piggybacked ack
-                                          arrived *)
-                                       note_lock_span ctx ~since:locked_at;
-                                       long_locks_txn ctx (i + 1) r k)))))))))
+    commit_one ctx ~txn:(Printf.sprintf "t%d" i) ~ack (fun () ->
+        note_lock_span ctx ~since:locked_at;
+        chain ctx ~ack (i + 1) r k)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -235,23 +226,19 @@ let rec ll_last_agent_pair ctx i r ~initiator_is_c k =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let finish ctx ~r =
+let finish ctx =
   Simkernel.Engine.run ctx.engine;
-  let stats_c = Wal.Log.stats ctx.wal_c and stats_s = Wal.Log.stats ctx.wal_s in
-  let events = Trace.events ctx.trace in
   let data_flows =
     List.length
       (List.filter
          (function Trace.Send { protocol = false; _ } -> true | _ -> false)
-         events)
+         (Trace.events ctx.trace))
   in
   {
-    transactions = r;
     flows = Trace.flows ctx.trace;
     data_flows;
     writes = Trace.tm_writes ctx.trace;
     forced = Trace.tm_forced_writes ctx.trace;
-    force_ios = stats_c.Wal.Log.force_ios + stats_s.Wal.Log.force_ios;
     duration = now ctx;
     mean_coordinator_lock_time =
       (if ctx.lock_samples = 0 then 0.0
@@ -259,14 +246,14 @@ let finish ctx ~r =
     trace = ctx.trace;
   }
 
-let run_chain ?latency ?io_latency ?group mode ~r =
-  let ctx = make_ctx ?latency ?io_latency ?group () in
+let run_chain ?latency mode ~r =
+  let ctx = make_ctx ?latency () in
   (match mode with
-  | Chain_basic -> basic_txn ctx 1 r (fun () -> ())
-  | Chain_long_locks -> long_locks_txn ctx 1 r (fun () -> ())
+  | Chain_basic -> chain ctx ~ack:Ack_explicit 1 r (fun () -> ())
+  | Chain_long_locks -> chain ctx ~ack:Ack_on_next_data 1 r (fun () -> ())
   | Chain_long_locks_last_agent ->
       ll_last_agent_pair ctx 1 r ~initiator_is_c:true (fun () -> ()));
-  finish ctx ~r
+  finish ctx
 
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
@@ -274,12 +261,10 @@ let run_chain ?latency ?io_latency ?group mode ~r =
 
 type gc_result = {
   gc_transactions : int;
-  gc_group_size : int;
   gc_force_requests : int;  (** logical forced writes issued *)
   gc_force_ios : int;       (** physical force I/Os after batching *)
   gc_saved_ios : int;
   gc_paper_saving : float;  (** the paper's 3n/2m estimate *)
-  gc_duration : float;
   gc_mean_commit_latency : float;
       (** group commit's cost: commits wait for their batch *)
 }
@@ -290,52 +275,35 @@ type gc_result = {
     transaction issues three forced writes (subordinate Prepared,
     coordinator Committed, subordinate Committed); the group-commit log
     manager batches them. *)
-let run_group_commit ?(latency = 1.0) ?(io_latency = 0.5) ?(timeout = 5.0)
-    ?(stagger = 0.1) ~n ~group_size () =
+let run_group_commit ?(timeout = 5.0) ~n ~group_size () =
   let group =
     if group_size <= 1 then None
     else Some { Wal.Log.size = group_size; timeout }
   in
-  let ctx = make_ctx ~latency ~io_latency ?group () in
+  let ctx = make_ctx ?group () in
   let completed = ref 0 in
   let latency_acc = ref 0.0 in
-  let one_txn i =
-    let txn = Printf.sprintf "g%d" i in
-    let started = now ctx in
-    send ctx ~src:"C" ~dst:"S" ~label:"Prepare" ~protocol:true (fun () ->
-        force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
-            send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true (fun () ->
-                force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
-                    send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
-                      (fun () ->
-                        force ctx ctx.wal_s ~txn Wal.Log_record.Committed
-                          (fun () ->
-                            append ctx ctx.wal_s ~txn Wal.Log_record.End;
-                            send ctx ~src:"S" ~dst:"C" ~label:"Ack"
-                              ~protocol:true (fun () ->
-                                append ctx ctx.wal_c ~txn Wal.Log_record.End;
-                                incr completed;
-                                latency_acc :=
-                                  !latency_acc +. (now ctx -. started))))))))
-  in
   for i = 1 to n do
     ignore
       (Simkernel.Engine.schedule ctx.engine
-         ~delay:(float_of_int (i - 1) *. stagger)
-         (fun () -> one_txn i))
+         ~delay:(float_of_int (i - 1) *. 0.1)
+         (fun () ->
+           let started = now ctx in
+           commit_one ctx ~txn:(Printf.sprintf "g%d" i) ~ack:Ack_explicit
+             (fun () ->
+               incr completed;
+               latency_acc := !latency_acc +. (now ctx -. started))))
   done;
   Simkernel.Engine.run ctx.engine;
   let stats_c = Wal.Log.stats ctx.wal_c and stats_s = Wal.Log.stats ctx.wal_s in
   let requests = stats_c.Wal.Log.forced_writes + stats_s.Wal.Log.forced_writes in
   let ios = stats_c.Wal.Log.force_ios + stats_s.Wal.Log.force_ios in
   {
-    gc_transactions = n;
-    gc_group_size = max 1 group_size;
+    gc_transactions = !completed;
     gc_force_requests = requests;
     gc_force_ios = ios;
     gc_saved_ios = requests - ios;
     gc_paper_saving = Cost_model.group_commit_saving ~n ~m:(max 1 group_size);
-    gc_duration = now ctx;
     gc_mean_commit_latency =
       (if !completed = 0 then 0.0 else !latency_acc /. float_of_int !completed);
   }

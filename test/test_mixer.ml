@@ -121,6 +121,50 @@ let test_long_locks_piggyback_on_arrivals () =
     (agg.Agg.commit_latency_p50 < 500.0);
   ignore w
 
+(* -- leave-out below a cascaded coordinator --------------------------- *)
+
+(* root -> cascaded coordinator "mid" -> pure server "leaf".  Once a
+   committed YES has suspended "leaf", any transaction that gives it no work
+   must be committed without it: the left-out decision is taken by "mid",
+   one level below the root, from the idle marks the mixer's walk left
+   there. *)
+let test_leave_out_under_cascaded_coordinator () =
+  let tree =
+    Tree
+      ( member "root",
+        [
+          Tree (member "mid", [ Tree (member ~leave_out_ok:true "leaf", []) ]);
+          Tree (member "side", []);
+        ] )
+  in
+  let config = default_config |> with_opts [ `Leave_out ] in
+  let cfg =
+    {
+      M.default_cfg with
+      M.txns = 40;
+      keyspace = 64;
+      update_prob = 0.5;
+      read_prob = 0.0;
+      seed = 3;
+    }
+  in
+  let agg, w = M.run ~config cfg tree in
+  Alcotest.(check int) "all resolved" cfg.M.txns
+    (agg.Agg.committed + agg.Agg.aborted);
+  Alcotest.(check int) "consistent" 0 agg.Agg.consistency_violations;
+  let left_out_by_mid =
+    List.length
+      (List.filter
+         (function
+           | Tpc.Trace.Note { node = "mid"; text; _ } ->
+               text = "leaves out suspended server leaf"
+           | _ -> false)
+         (Tpc.Trace.events w.Tpc.Run.trace))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "mid left leaf out (%d times)" left_out_by_mid)
+    true (left_out_by_mid > 0)
+
 (* -- JSON round-trip ------------------------------------------------ *)
 
 let test_agg_json_round_trips () =
@@ -161,6 +205,8 @@ let suite =
       test_group_commit_amortizes_across_concurrency;
     Alcotest.test_case "long-locks acks ride real arrivals" `Quick
       test_long_locks_piggyback_on_arrivals;
+    Alcotest.test_case "leave-out under a cascaded coordinator" `Quick
+      test_leave_out_under_cascaded_coordinator;
     Alcotest.test_case "aggregate JSON round-trips" `Quick
       test_agg_json_round_trips;
   ]
