@@ -138,8 +138,8 @@ module Audit = struct
      (live state), rebuilt in-doubt by crash recovery (KV state), or
      awaiting a delegated decision. *)
   let in_doubt_at (n : Run.node) txn =
-    List.mem txn (Kvstore.in_doubt n.Run.kv)
-    || List.mem txn (Participant.in_doubt_txns n.Run.participant)
+    Kvstore.is_in_doubt n.Run.kv ~txn
+    || Participant.is_in_doubt n.Run.participant ~txn
 
   let breakdown w summaries =
     let rm_commits, decided_commit = commit_evidence w in
@@ -230,11 +230,11 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
      arrival, every lock grant and the commit trigger precede the root
      participant's own first event there, so each transaction's graph is
      connected from arrival to terminal. *)
-  let crecord ?terminal ?link_from ?(who = w.Run.root) x seg label =
+  let crecord ?terminal ?link_from ?(who = w.Run.root) x seg label arg =
     let c = w.Run.causal in
     if Obs.Causal.enabled c then
       Obs.Causal.record ?terminal ?link_from c ~txn:x.x_txn ~who
-        ~time:(E.now engine) ~seg (label ())
+        ~time:(E.now engine) ~seg (label arg)
   in
   (* Latency distributions stream into bounded log-bucketed histograms as
      transactions finish: memory stays proportional to the dynamic range of
@@ -266,10 +266,11 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       x.x_outcome <- Some outcome;
       crecord ~terminal:true x
         (if x.x_timed_out then Obs.Causal.Lock_wait else Obs.Causal.Compute)
-        (fun () ->
+        (fun x ->
           Printf.sprintf "application notified: %s%s"
-            (outcome_to_string outcome)
-            (if x.x_timed_out then " (lock-wait timeout)" else ""));
+            (outcome_to_string (Option.get x.x_outcome))
+            (if x.x_timed_out then " (lock-wait timeout)" else ""))
+        x;
       (match (outcome, x.x_commit_started) with
       | Committed, Some s -> Obs.Histogram.record h_commit (E.now engine -. s)
       | _ -> ());
@@ -321,7 +322,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
             ignore
               (E.schedule engine ~delay:0.0 (fun () ->
                    crecord ~link_from:w.Run.root ~who:name x Obs.Causal.Compute
-                     (fun () -> "unsolicited vote trigger");
+                     Fun.id "unsolicited vote trigger";
                    Participant.begin_unsolicited n.Run.participant ~txn:x.x_txn)))
         w.Run.nodes
   in
@@ -359,14 +360,16 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     E.register_kind engine ~name:"mixer.lock_timeout" (fun i _ _ _ ->
         match by_idx.(i) with Some x -> fail_txn x | None -> ())
   in
-  (* Branch abandonment (fault runs only): a member that entered a commit's
-     write phase but was never asked to vote - its coordinator died or was
-     cut off before Prepare reached it - would hold its locks forever,
-     because no protocol state exists there to drive a resolution.  Before
-     voting an RM is free to abort unilaterally (Section 2), so a watchdog
-     reaps such branches: still up, not blocked in any protocol state, yet
-     still holding work for the transaction.  A member that voted is in
-     doubt (or otherwise unresolved) and is deliberately left alone. *)
+  (* Branch abandonment, armed whenever [inject] is given (a fault plan,
+     even an empty one): a member that entered a commit's write phase but
+     was never asked to vote - its coordinator died or was cut off before
+     Prepare reached it - would hold its locks forever, because no protocol
+     state exists there to drive a resolution.  Before voting an RM is free
+     to abort unilaterally (Section 2), so a watchdog reaps such branches:
+     still up, not blocked in any protocol state, yet still holding work for
+     the transaction.  A member that voted is in doubt (or otherwise
+     unresolved) and is deliberately left alone.  It runs once per
+     committing transaction, so its membership tests build nothing. *)
   let reap x () =
     List.iter
       (fun it ->
@@ -374,17 +377,17 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         if Net.is_up w.Run.net name then begin
           let n = Run.node w name in
           let kv = n.Run.kv in
+          let txn = x.x_txn in
           let blocked =
-            List.mem x.x_txn (Kvstore.in_doubt kv)
-            || List.mem_assoc x.x_txn
-                 (Participant.unresolved_txns n.Run.participant)
+            Kvstore.is_in_doubt kv ~txn
+            || Participant.is_unresolved n.Run.participant ~txn
           in
           let holding =
-            Kvstore.is_updated kv ~txn:x.x_txn
-            || List.mem x.x_txn (Lockmgr.holding_txns (Kvstore.locks kv))
+            Kvstore.is_updated kv ~txn
+            || Lockmgr.holds_any (Kvstore.locks kv) ~txn
           in
           if (not blocked) && holding then
-            Kvstore.abandon kv ~txn:x.x_txn (fun () -> ())
+            Kvstore.abandon kv ~txn (fun () -> ())
         end)
       x.x_items
   in
@@ -411,7 +414,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         fail_txn x
       else begin
         x.x_commit_started <- Some (E.now engine);
-        crecord x Obs.Causal.Compute (fun () -> "commit requested");
+        crecord x Obs.Causal.Compute Fun.id "commit requested";
         let idle =
           Run.mark_idle_subtrees w ~txn:x.x_txn ~idle:(fun name ->
               not (node_has_work x name))
@@ -427,7 +430,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   let rec acquire x items =
     match items with
     | [] -> start_commit x
-    | { it_node; it_op } :: rest ->
+    | ({ it_node; it_op } as it) :: rest ->
         if not (Net.is_up w.Run.net it_node) then
           (* the member is down right now: fail fast rather than doing work
              a restart would silently forget *)
@@ -445,12 +448,13 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
             crecord x
               (if waited > 1e-9 then Obs.Causal.Lock_wait
                else Obs.Causal.Compute)
-              (fun () ->
+              (fun it ->
                 let key =
-                  match it_op with
+                  match it.it_op with
                   | Op_update { key } | Op_read { key } -> key
                 in
-                Printf.sprintf "lock granted: %s@%s" key it_node);
+                Printf.sprintf "lock granted: %s@%s" key it.it_node)
+              it;
             if x.x_timed_out then
               (* granted after we gave up: let it go again *)
               Kvstore.abort kv ~txn:x.x_txn (fun () -> ())
@@ -470,7 +474,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     (* this transaction's data exchange carries any deferred acks: the
        "genuinely-next transaction" of the long-locks design *)
     flush_all ();
-    let txn = Printf.sprintf "mx-%d" i in
+    let txn = "mx-" ^ string_of_int i in
     let x =
       {
         x_txn = txn;
@@ -490,7 +494,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     order := txn :: !order;
     incr arrived;
     incr outstanding;
-    crecord x Obs.Causal.Compute (fun () -> "arrival");
+    crecord x Obs.Causal.Compute Fun.id "arrival";
     x.x_timer <-
       Some
         (E.schedule_flat engine ~delay:cfg.lock_timeout ~kind:timeout_kind

@@ -85,7 +85,12 @@ val run_full :
     external audits.  [inject] runs after the world is built and every
     arrival is scheduled, but before the engine starts: a fault plan uses
     it to schedule crashes, partitions, message drops and jitter onto the
-    same virtual clock.  [causal] (default [Off]) sets the mode of the
+    same virtual clock.  Passing [inject] at all (even a function that
+    schedules nothing) also arms the branch-abandonment watchdog: one
+    check per committing transaction, at [cfg.lock_timeout] after its
+    commit starts, that aborts a member's branch still holding work the
+    protocol never asked it to vote on (its coordinator died or was cut
+    off).  [causal] (default [Off]) sets the mode of the
     world's {!Obs.Causal} recorder: with [Graph], every transaction's
     commit becomes a causal event graph reachable from
     [world.Run.causal] — arrivals, lock grants and the commit trigger are

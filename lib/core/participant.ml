@@ -67,6 +67,10 @@ let rec children_vouch ~leave_out = function
       | Some Vote_no | None -> false)
       && children_vouch ~leave_out rest
 
+let rec names_member name = function
+  | [] -> false
+  | (p : profile) :: rest -> String.equal p.p_name name || names_member name rest
+
 type txn_state = {
   txn : string;
   mutable phase : phase;
@@ -268,8 +272,20 @@ let cancel_timer t ev_opt =
 let retry_delay (t : t) attempt =
   t.cfg.retry_interval *. (t.cfg.retry_backoff ** float_of_int (min attempt 6))
 
+(* Under a counter-only trace nothing reads an event back, so producers
+   test [tracing] and build no event at all; the two kinds that move the
+   paper's counters are counted directly instead. *)
+let tracing t = Trace.keeps_events t.trace
 let trace t ev = Trace.record t.trace ev
-let note t text = trace t (Trace.Note { time = now t; node = t.name; text })
+
+let note t text =
+  if tracing t then trace t (Trace.Note { time = now t; node = t.name; text })
+
+let locks_released t =
+  if tracing t then trace t (Trace.Locks_released { time = now t; node = t.name })
+
+let decided t outcome =
+  if tracing t then trace t (Trace.Decide { time = now t; node = t.name; outcome })
 
 (* ------------------------------------------------------------------ *)
 (* Causal recording                                                    *)
@@ -280,14 +296,17 @@ let note t text = trace t (Trace.Note { time = now t; node = t.name; text })
    single pointer test per potential event. *)
 let causal_sink t =
   match t.causal with
-  | Some c when Obs.Causal.enabled c -> Some c
+  | Some c as sink when Obs.Causal.enabled c -> sink
   | _ -> None
 
-let causal_record ?(seg = Obs.Causal.Compute) t ~txn label =
+(* Record [label arg] on this node's chain.  The label is built only when
+   the recorder is on; passing its argument separately keeps [label] a
+   closed (statically allocated) function at every call site. *)
+let causal_record ?(seg = Obs.Causal.Compute) t ~txn label arg =
   match causal_sink t with
   | Some c ->
       Obs.Causal.record c ~txn ~who:t.name ~time:(Simkernel.Engine.now t.engine)
-        ~seg (label ())
+        ~seg (label arg)
   | None -> ()
 
 let observe t name v =
@@ -299,14 +318,20 @@ let observe t name v =
 (* Phase telemetry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let phase_name = function
-  | Ph_idle -> "idle"
-  | Ph_voting -> "voting"
-  | Ph_in_doubt -> "in-doubt"
-  | Ph_delegated -> "delegated"
-  | Ph_deciding -> "decision"
-  | Ph_propagating -> "phase-two"
-  | Ph_ended -> "ended"
+(* The registry histogram of each phase, a constant so a transition builds
+   no string; the phase's own name is the part after "phase/". *)
+let phase_histogram = function
+  | Ph_idle -> "phase/idle"
+  | Ph_voting -> "phase/voting"
+  | Ph_in_doubt -> "phase/in-doubt"
+  | Ph_delegated -> "phase/delegated"
+  | Ph_deciding -> "phase/decision"
+  | Ph_propagating -> "phase/phase-two"
+  | Ph_ended -> "phase/ended"
+
+let phase_name ph =
+  let h = phase_histogram ph in
+  String.sub h 6 (String.length h - 6)
 
 (* Every phase transition goes through here: the residence time of the
    phase being left streams into the registry's "phase/<name>" histogram
@@ -314,8 +339,7 @@ let phase_name = function
 let set_phase t st ph =
   (match t.registry with
   | Some reg when ph <> st.phase && st.phase <> Ph_idle ->
-      Obs.Registry.observe reg
-        ("phase/" ^ phase_name st.phase)
+      Obs.Registry.observe reg (phase_histogram st.phase)
         (now t -. st.phase_since)
   | _ -> ());
   if ph <> st.phase then begin
@@ -340,37 +364,33 @@ let set_phase t st ph =
 let bundle_is_protocol payloads =
   not (List.exists (function Msg.Data _ -> true | _ -> false) payloads)
 
+(* The bundle label is built at most once, and only when the event trace
+   or the causal recorder will keep it. *)
 let send t ~dst payloads =
-  trace t
-    (Trace.Send
-       {
-         time = now t;
-         src = t.name;
-         dst;
-         label = Msg.bundle_label payloads;
-         protocol = bundle_is_protocol payloads;
-       });
-  (match (causal_sink t, payloads) with
-  | Some c, p :: _ ->
-      Obs.Causal.send c ~txn:(Msg.payload_txn p) ~src:t.name ~dst ~time:(now t)
-        ~label:(Msg.bundle_label payloads)
-  | _ -> ());
+  let protocol = bundle_is_protocol payloads in
+  let causal = causal_sink t in
+  if tracing t || causal <> None then begin
+    let label = Msg.bundle_label payloads in
+    if tracing t then
+      trace t (Trace.Send { time = now t; src = t.name; dst; label; protocol })
+    else Trace.count_send t.trace ~protocol;
+    match (causal, payloads) with
+    | Some c, p :: _ ->
+        Obs.Causal.send c ~txn:(Msg.payload_txn p) ~src:t.name ~dst
+          ~time:(now t) ~label
+    | _ -> ()
+  end
+  else Trace.count_send t.trace ~protocol;
   ignore (Net.send t.net ~src:t.name ~dst payloads)
 
-(* Every vote leaves through here, signed with this node's tag. *)
+(* Every vote leaves through here.  Only a protocol that certifies
+   decisions checks voter signatures, so only its votes are signed. *)
 let send_vote t ~dst ~txn ~delegation ~unsolicited ~implied_ack vote =
+  let tag =
+    if t.proto.p_certify = None then "" else Msg.vote_tag ~src:t.name ~txn vote
+  in
   send t ~dst
-    [
-      Msg.Vote_msg
-        {
-          txn;
-          vote;
-          delegation;
-          unsolicited;
-          implied_ack;
-          tag = Msg.vote_tag ~src:t.name ~txn vote;
-        };
-    ]
+    [ Msg.Vote_msg { txn; vote; delegation; unsolicited; implied_ack; tag } ]
 
 (* Prepare flows to every child except the last agent (contacted after all
    other votes are in) and unsolicited voters (they contact us); with
@@ -410,41 +430,49 @@ let report_damage t ~txn reports =
 (* Shared-log members write their records into the parent's log without
    forcing: durability rides on the parent TM's forces. *)
 let mark_logged t ~txn =
-  match Hashtbl.find_opt t.txns txn with
-  | Some st -> st.logged_tm <- true
-  | None -> ()
+  match Hashtbl.find t.txns txn with
+  | st -> st.logged_tm <- true
+  | exception Not_found -> ()
+
+let log_write t kind ~forced =
+  if tracing t then
+    trace t
+      (Trace.Log_write { time = now t; node = t.name; kind; forced; rm = false })
+  else Trace.count_tm_write t.trace ~forced
 
 let tm_force t ~txn kind k =
   mark_logged t ~txn;
   let record = Wal.Log_record.make ~txn ~node:t.name kind in
   if t.cfg.opts.shared_log && t.profile.p_shares_parent_log then begin
-    trace t
-      (Trace.Log_write { time = now t; node = t.name; kind; forced = false; rm = false });
-    causal_record t ~txn (fun () ->
-        "log append " ^ Wal.Log_record.kind_to_string kind ^ " (shared log)");
+    log_write t kind ~forced:false;
+    causal_record t ~txn
+      (fun kind ->
+        "log append " ^ Wal.Log_record.kind_to_string kind ^ " (shared log)")
+      kind;
     Wal.Log.append t.log record;
     k ()
   end
   else begin
-    trace t
-      (Trace.Log_write { time = now t; node = t.name; kind; forced = true; rm = false });
-    causal_record t ~txn (fun () ->
-        "force " ^ Wal.Log_record.kind_to_string kind);
+    log_write t kind ~forced:true;
+    causal_record t ~txn
+      (fun kind -> "force " ^ Wal.Log_record.kind_to_string kind)
+      kind;
     let ep = t.epoch in
     Wal.Log.force t.log record (fun () ->
         if (not t.crashed) && t.epoch = ep then begin
-          causal_record t ~txn ~seg:Obs.Causal.Log_wait (fun () ->
-              Wal.Log_record.kind_to_string kind ^ " durable");
+          causal_record t ~txn ~seg:Obs.Causal.Log_wait
+            (fun kind -> Wal.Log_record.kind_to_string kind ^ " durable")
+            kind;
           k ()
         end)
   end
 
 let tm_append ?payload t ~txn kind =
   mark_logged t ~txn;
-  trace t
-    (Trace.Log_write { time = now t; node = t.name; kind; forced = false; rm = false });
-  causal_record t ~txn (fun () ->
-      "log append " ^ Wal.Log_record.kind_to_string kind);
+  log_write t kind ~forced:false;
+  causal_record t ~txn
+    (fun kind -> "log append " ^ Wal.Log_record.kind_to_string kind)
+    kind;
   Wal.Log.append t.log (Wal.Log_record.make ~txn ~node:t.name ?payload kind)
 
 (* Force a protocol-prescribed record sequence in order, then continue:
@@ -560,29 +588,39 @@ and ops_of t =
                  The pseudo-endpoint name is not a registered node, so the
                  sequence diagram skips these arrows while the flow and
                  forced-write counters (and so Tables 2-4) see them. *)
-              let replica = t.name ^ "!replica" in
-              for _ = 1 to flows do
-                trace t
-                  (Trace.Send
-                     {
-                       time = now t;
-                       src = t.name;
-                       dst = replica;
-                       label = "replica-quorum";
-                       protocol = true;
-                     })
-              done;
-              for _ = 1 to forces do
-                trace t
-                  (Trace.Log_write
-                     {
-                       time = now t;
-                       node = replica;
-                       kind = Wal.Log_record.Certificate;
-                       forced = true;
-                       rm = false;
-                     })
-              done);
+              if tracing t then begin
+                let replica = t.name ^ "!replica" in
+                for _ = 1 to flows do
+                  trace t
+                    (Trace.Send
+                       {
+                         time = now t;
+                         src = t.name;
+                         dst = replica;
+                         label = "replica-quorum";
+                         protocol = true;
+                       })
+                done;
+                for _ = 1 to forces do
+                  trace t
+                    (Trace.Log_write
+                       {
+                         time = now t;
+                         node = replica;
+                         kind = Wal.Log_record.Certificate;
+                         forced = true;
+                         rm = false;
+                       })
+                done
+              end
+              else begin
+                for _ = 1 to flows do
+                  Trace.count_send t.trace ~protocol:true
+                done;
+                for _ = 1 to forces do
+                  Trace.count_tm_write t.trace ~forced:true
+                done
+              end);
         }
       in
       t.ops <- Some o;
@@ -706,16 +744,16 @@ and start_vote_timer ?(attempt = 0) t st =
                   lost Prepare (or lost vote) need not abort the transaction
                   when the configuration allows retransmission *)
                note t "vote timeout: re-sending Prepare to silent members";
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "vote timeout: retransmitting Prepare");
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "vote timeout: retransmitting Prepare";
                send_prepare t st ~only_silent:true;
                start_vote_timer ~attempt:(attempt + 1) t st
              end
              else begin
                (* missing votes are treated as NO *)
                note t "vote timeout: presuming NO from silent members";
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "vote timeout: presuming NO from silent members");
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "vote timeout: presuming NO from silent members";
                List.iter
                  (fun ch ->
                    if ch.ch_vote = None && not ch.ch_last_agent then begin
@@ -794,15 +832,15 @@ and maybe_all_votes_in t st =
 (* A subordinate subtree that did nothing but read: vote read-only, write
    nothing, release locks, and drop out of phase two. *)
 and vote_up_read_only t st =
-  trace t (Trace.Locks_released { time = now t; node = t.name });
+  locks_released t;
   send_vote t ~dst:(Option.get st.parent) ~txn:st.txn ~delegation:false
     ~unsolicited:false ~implied_ack:false Vote_read_only;
   end_txn t st Committed
 
 and complete_read_only_root t st =
   st.outcome <- Some Committed;
-  trace t (Trace.Decide { time = now t; node = t.name; outcome = Committed });
-  trace t (Trace.Locks_released { time = now t; node = t.name });
+  decided t Committed;
+  locks_released t;
   root_complete t st Committed;
   end_txn t st Committed
 
@@ -840,8 +878,8 @@ and start_delegation_timer ?(attempt = 0) t st send_delegation =
         (sched t ~delay:(retry_delay t attempt) (fun () ->
              if st.phase = Ph_delegated then begin
                note t "delegation unanswered: re-sending to last agent";
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "delegation unanswered: retransmitting");
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "delegation unanswered: retransmitting";
                send_delegation ();
                start_delegation_timer ~attempt:(attempt + 1) t st
                  send_delegation
@@ -936,9 +974,10 @@ and begin_unsolicited t ~txn =
 and decide t st outcome =
   set_phase t st Ph_deciding;
   st.outcome <- Some outcome;
-  trace t (Trace.Decide { time = now t; node = t.name; outcome });
-  causal_record t ~txn:st.txn (fun () ->
-      "decides " ^ outcome_to_string outcome);
+  decided t outcome;
+  causal_record t ~txn:st.txn
+    (fun o -> "decides " ^ outcome_to_string o)
+    outcome;
   if maybe_crash t Cp_before_decision_log then ()
   else
     match t.proto.p_certify with
@@ -995,8 +1034,8 @@ and after_decision_durable t st =
 
 and apply_local t st outcome k =
   let released () =
-    trace t (Trace.Locks_released { time = now t; node = t.name });
-    causal_record t ~txn:st.txn (fun () -> "releases locks");
+    locks_released t;
+    causal_record t ~txn:st.txn Fun.id "releases locks";
     (* the lock-hostage window a blocked member held its data for: from
        entering in-doubt to the locks actually coming off *)
     (match st.indoubt_entered with
@@ -1010,22 +1049,19 @@ and apply_local t st outcome k =
   | Committed -> Kvstore.commit t.kv ~txn:st.txn ~force:false released
   | Aborted -> Kvstore.abort t.kv ~txn:st.txn released
 
-and decision_recipients st =
+and decision_recipient st ch =
   (* Commits flow to YES voters only: read-only voters left phase two, a
      delegated last agent decided the outcome itself.  Aborts additionally
      flow to members that never voted or voted NO (Table 2 charges the PA
      abort-case coordinator two flows), releasing their resources. *)
-  List.filter
-    (fun ch ->
-      match Option.get st.outcome with
-      | Committed -> (
-          (not ch.ch_last_agent)
-          && match ch.ch_vote with Some (Vote_yes _) -> true | _ -> false)
-      | Aborted -> (
-          match ch.ch_vote with
-          | Some Vote_read_only -> false
-          | Some (Vote_yes _) | Some Vote_no | None -> true))
-    st.children
+  match Option.get st.outcome with
+  | Committed -> (
+      (not ch.ch_last_agent)
+      && match ch.ch_vote with Some (Vote_yes _) -> true | _ -> false)
+  | Aborted -> (
+      match ch.ch_vote with
+      | Some Vote_read_only -> false
+      | Some (Vote_yes _) | Some Vote_no | None -> true)
 
 and ack_expected_from ch =
   match Option.get ch.ch_vote with
@@ -1033,23 +1069,25 @@ and ack_expected_from ch =
   | Vote_read_only | Vote_no -> false
 
 and propagate_decision t st outcome =
-  let recipients = decision_recipients st in
   List.iter
     (fun ch ->
-      send_decision t ~dst:ch.ch_profile.p_name ~txn:st.txn outcome;
-      (match Option.get st.outcome with
-      | Committed ->
-          if ack_expected_from ch then start_ack_retry t st ch
-          else ch.ch_acked <- true
-      | Aborted ->
-          (* the protocol says which abort notifications must be confirmed
-             (PA: none; PN: all but a real NO voter; basic: YES voters) *)
-          if
-            t.proto.p_abort_ack_required ~vote:ch.ch_vote
-              ~presumed_no:ch.ch_presumed_no
-          then start_ack_retry t st ch
-          else ch.ch_acked <- true))
-    recipients;
+      if decision_recipient st ch then begin
+        send_decision t ~dst:ch.ch_profile.p_name ~txn:st.txn outcome;
+        match Option.get st.outcome with
+        | Committed ->
+            if ack_expected_from ch then start_ack_retry t st ch
+            else ch.ch_acked <- true
+        | Aborted ->
+            (* the protocol says which abort notifications must be
+               confirmed (PA: none; PN: all but a real NO voter; basic: YES
+               voters) *)
+            if
+              t.proto.p_abort_ack_required ~vote:ch.ch_vote
+                ~presumed_no:ch.ch_presumed_no
+            then start_ack_retry t st ch
+            else ch.ch_acked <- true
+      end)
+    st.children;
   set_phase t st Ph_propagating;
   (* early acknowledgment upstream, if the policy allows it *)
   if st.parent <> None && not st.acked_up then begin
@@ -1078,8 +1116,9 @@ and retry_child t st ch =
       maybe_finished t st
     end;
     if ch.ch_retries <= t.cfg.max_retries then begin
-      causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-          "ack overdue: retransmitting decision to " ^ ch.ch_profile.p_name);
+      causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt
+        (fun child -> "ack overdue: retransmitting decision to " ^ child)
+        ch.ch_profile.p_name;
       send_decision t ~dst:ch.ch_profile.p_name ~txn:st.txn
         (Option.get st.outcome);
       start_ack_retry t st ch
@@ -1105,10 +1144,17 @@ and retry_child t st ch =
 (* Completion                                                          *)
 (* ------------------------------------------------------------------ *)
 
-and acks_outstanding st =
-  List.exists
-    (fun ch -> (not ch.ch_acked) && not ch.ch_pending)
-    (decision_recipients st)
+(* Recipients of the decision still owing an acknowledgment, and those
+   whose resolution continues in the background (wait-for-outcome). *)
+and acks_outstanding st = exists_recipient st ~pending:false st.children
+
+and resolving_in_background st = exists_recipient st ~pending:true st.children
+
+and exists_recipient st ~pending = function
+  | [] -> false
+  | ch :: rest ->
+      ((not ch.ch_acked) && ch.ch_pending = pending && decision_recipient st ch)
+      || exists_recipient st ~pending rest
 
 and maybe_finished t st =
   if st.phase = Ph_propagating && not (acks_outstanding st) then begin
@@ -1116,11 +1162,7 @@ and maybe_finished t st =
     (* wait-for-outcome: children marked pending let the commit complete,
        but the transaction stays open so background retries can still
        resolve them (the END record waits for the real acknowledgments) *)
-    let background_pending =
-      List.exists
-        (fun ch -> ch.ch_pending && not ch.ch_acked)
-        (decision_recipients st)
-    in
+    let background_pending = resolving_in_background st in
     match (st.parent, st.delegator) with
     | None, None ->
         (* root: tell the application, then forget *)
@@ -1207,10 +1249,13 @@ and defer_ack_long_locks t st =
   end
 
 and root_complete t st outcome =
-  trace t
-    (Trace.Complete { time = now t; node = t.name; outcome; pending = st.pending });
-  causal_record t ~txn:st.txn (fun () ->
-      "completes: " ^ outcome_to_string outcome);
+  if tracing t then
+    trace t
+      (Trace.Complete
+         { time = now t; node = t.name; outcome; pending = st.pending });
+  causal_record t ~txn:st.txn
+    (fun o -> "completes: " ^ outcome_to_string o)
+    outcome;
   report_damage t ~txn:st.txn st.damage;
   match t.on_root_complete with
   | Some f -> f ~txn:st.txn outcome ~pending:st.pending
@@ -1282,9 +1327,11 @@ and take_heuristic t st action ~injected =
     st.heuristic_action <- Some action;
     st.heuristic_at <- Some (now t);
     trace t (Trace.Heuristic { time = now t; node = t.name; action });
-    causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
+    causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt
+      (fun () ->
         "HEURISTIC " ^ outcome_to_string action
-        ^ if injected then " (injected)" else "");
+        ^ if injected then " (injected)" else "")
+      ();
     let kind =
       match action with
       | Committed -> Wal.Log_record.Heuristic_commit
@@ -1328,8 +1375,8 @@ and start_indoubt_timer ?(attempt = 0) t st =
                | None -> false
              in
              if st.phase = Ph_in_doubt && still_current then begin
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "in doubt: recovery tick");
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "in doubt: recovery tick";
                t.proto.p_indoubt_tick (ops_of t) ~txn:st.txn ~targets;
                start_indoubt_timer ~attempt:(attempt + 1) t st
              end))
@@ -1523,9 +1570,10 @@ and delegator_decision t st outcome =
   cancel_timer t st.delegation_timer;
   st.delegation_timer <- None;
   st.outcome <- Some outcome;
-  trace t (Trace.Decide { time = now t; node = t.name; outcome });
-  causal_record t ~txn:st.txn (fun () ->
-      "adopts delegated outcome " ^ outcome_to_string outcome);
+  decided t outcome;
+  causal_record t ~txn:st.txn
+    (fun o -> "adopts delegated outcome " ^ outcome_to_string o)
+    outcome;
   set_phase t st Ph_deciding;
   log_outcome t st (t.proto.p_decision_log outcome) ~decider:false
     after_decision_durable
@@ -1652,49 +1700,53 @@ and handle_payload t ~src = function
    forgeries the protocol caught. *)
 and admissible t ~src payload =
   let role =
-    if t.parent_name = Some src then Protocol_intf.From_parent
-    else if List.exists (fun (p : profile) -> p.p_name = src) t.child_profiles
-    then Protocol_intf.From_child
-    else Protocol_intf.From_stranger
+    match t.parent_name with
+    | Some parent when String.equal parent src -> Protocol_intf.From_parent
+    | _ ->
+        if names_member src t.child_profiles then Protocol_intf.From_child
+        else Protocol_intf.From_stranger
   in
   let txn = Msg.payload_txn payload in
   let known =
-    match Hashtbl.find_opt t.ended txn with
-    | Some o -> Some o
-    | None -> (
-        match get_txn t txn with
-        | Some st when st.decision_durable -> st.outcome
-        | _ -> None)
+    match Hashtbl.find t.ended txn with
+    | o -> Some o
+    | exception Not_found -> (
+        match Hashtbl.find t.txns txn with
+        | st when st.decision_durable -> st.outcome
+        | _ | (exception Not_found) -> None)
   in
   t.proto.p_admissible ~cfg:t.cfg ~src ~role ~known payload
 
+(* Act on each payload of a delivered bundle that the protocol admits. *)
+and deliver_payloads t ~src = function
+  | [] -> ()
+  | payload :: rest ->
+      (match admissible t ~src payload with
+      | None ->
+          note_payload_cert t payload;
+          handle_payload t ~src payload
+      | Some reason ->
+          t.rejected <- t.rejected + 1;
+          if String.length reason >= 5 && String.sub reason 0 5 = "cert:"
+          then t.rejected_certs <- t.rejected_certs + 1;
+          note t reason);
+      deliver_payloads t ~src rest
+
 and handler t ~src payloads =
   if not t.crashed then begin
-    trace t
-      (Trace.Deliver
-         {
-           time = now t;
-           src;
-           dst = t.name;
-           label = Msg.bundle_label payloads;
-         });
-    (match (causal_sink t, payloads) with
-    | Some c, p :: _ ->
-        Obs.Causal.deliver c ~txn:(Msg.payload_txn p) ~src ~dst:t.name
-          ~time:(now t) ~label:(Msg.bundle_label payloads)
-    | _ -> ());
-    List.iter
-      (fun payload ->
-        match admissible t ~src payload with
-        | None ->
-            note_payload_cert t payload;
-            handle_payload t ~src payload
-        | Some reason ->
-            t.rejected <- t.rejected + 1;
-            if String.length reason >= 5 && String.sub reason 0 5 = "cert:"
-            then t.rejected_certs <- t.rejected_certs + 1;
-            note t reason)
-      payloads
+    (* as in [send]: one label, built only for a sink that keeps it *)
+    let causal = causal_sink t in
+    if tracing t || causal <> None then begin
+      let label = Msg.bundle_label payloads in
+      if tracing t then
+        trace t (Trace.Deliver { time = now t; src; dst = t.name; label });
+      match (causal, payloads) with
+      | Some c, p :: _ ->
+          Obs.Causal.deliver c ~txn:(Msg.payload_txn p) ~src ~dst:t.name
+            ~time:(now t) ~label
+      | _ -> ()
+    end;
+    deliver_payloads t ~src payloads
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1768,7 +1820,7 @@ and resume_propagation t ~txn outcome =
        txn);
   (* Local resource state was rebuilt by Kvstore.recover; if this node's RM
      is still in doubt it must be resolved with the known outcome. *)
-  if List.mem txn (Kvstore.in_doubt t.kv) then
+  if Kvstore.is_in_doubt t.kv ~txn then
     apply_local t st outcome (fun () -> ())
   ;
   if st.children = [] then begin
@@ -1844,14 +1896,21 @@ let unresolved_txns t =
   Hashtbl.fold (fun txn st acc -> (txn, phase_name st.phase) :: acc) t.txns []
   |> List.sort compare
 
+let blocked st =
+  match st.phase with
+  | Ph_in_doubt | Ph_delegated -> true
+  | Ph_idle | Ph_voting | Ph_deciding | Ph_propagating | Ph_ended -> false
+
 let in_doubt_txns t =
-  Hashtbl.fold
-    (fun txn st acc ->
-      match st.phase with
-      | Ph_in_doubt | Ph_delegated -> txn :: acc
-      | Ph_idle | Ph_voting | Ph_deciding | Ph_propagating | Ph_ended -> acc)
-    t.txns []
+  Hashtbl.fold (fun txn st acc -> if blocked st then txn :: acc else acc) t.txns []
   |> List.sort compare
+
+let is_unresolved t ~txn = Hashtbl.mem t.txns txn
+
+let is_in_doubt t ~txn =
+  match Hashtbl.find t.txns txn with
+  | st -> blocked st
+  | exception Not_found -> false
 
 (* The concurrent workload driver calls this when a genuinely-next
    transaction arrives (or at the end of the run): every acknowledgment

@@ -124,6 +124,12 @@ val in_doubt_txns : t -> string list
     agent.  Complements {!Kvstore.in_doubt}, which only covers states
     rebuilt by crash recovery. *)
 
+val is_unresolved : t -> txn:string -> bool
+(** [List.mem_assoc txn (unresolved_txns t)] in O(1), building nothing. *)
+
+val is_in_doubt : t -> txn:string -> bool
+(** [List.mem txn (in_doubt_txns t)] in O(1), building nothing. *)
+
 val force_heuristic : t -> txn:string -> Types.outcome -> unit
 (** Adversarial injection: resolve [txn] heuristically as [action] right
     now, as if an impatient operator overrode the protocol at this node.

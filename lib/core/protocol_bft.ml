@@ -55,9 +55,6 @@ let certify ops ~cfg ~txn ~outcome ~votes ~k =
 let admissible ~cfg ~src ~role ~known payload =
   let f = max 0 cfg.bft_f in
   let reject fmt = Printf.ksprintf Option.some fmt in
-  let standard () =
-    Protocol_intf.standard_admissible ~src ~role ~known payload
-  in
   match (payload : Msg.payload) with
   | Msg.Decision_msg { txn; outcome; cert } -> (
       match cert with
@@ -70,7 +67,7 @@ let admissible ~cfg ~src ~role ~known payload =
               "cert: rejecting %s from %s: certificate below the f+1=%d \
                quorum or inconsistent"
               (Msg.payload_label payload) src (f + 1)
-          else standard ())
+          else Protocol_intf.standard_admissible ~src ~role ~known payload)
   | Msg.Inquiry_reply { txn; outcome = Some o; cert } -> (
       match cert with
       | None -> reject "cert: rejecting uncertified outcome reply from %s" src
@@ -78,13 +75,13 @@ let admissible ~cfg ~src ~role ~known payload =
           if not (Msg.certificate_valid ~f ~txn ~outcome:o c) then
             reject "cert: rejecting outcome reply from %s: invalid certificate"
               src
-          else standard ())
+          else Protocol_intf.standard_admissible ~src ~role ~known payload)
   | Msg.Vote_msg { txn; vote; tag; _ } ->
       if not (String.equal tag (Msg.vote_tag ~src ~txn vote)) then
         reject "cert: rejecting %s from %s: vote signature mismatch"
           (Msg.payload_label payload) src
-      else standard ()
-  | _ -> standard ()
+      else Protocol_intf.standard_admissible ~src ~role ~known payload
+  | _ -> Protocol_intf.standard_admissible ~src ~role ~known payload
 
 let protocol : Protocol_intf.t =
   {

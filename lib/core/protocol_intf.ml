@@ -164,6 +164,12 @@ let standard_recover kinds =
   else if has Wal.Log_record.Prepared then Rec_in_doubt
   else Rec_none
 
+(* A refusal reason; its first two holes are the payload's label and the
+   sender.  The label is built only here, so admitting a payload - every
+   delivery of a benign run - allocates nothing. *)
+let refuse payload src fmt =
+  Printf.ksprintf Option.some fmt (Msg.payload_label payload) src
+
 (** The txn-id/topology validation shared by the paper's three families.
     What an honest node {e can} detect without signatures:
     - a decision that contradicts its own durable outcome for that
@@ -188,28 +194,27 @@ let standard_recover kinds =
       which is exactly the trust assumption the adversarial chaos matrix
       measures. *)
 let standard_admissible ~src ~role ~known payload =
-  let reject fmt = Printf.ksprintf Option.some fmt in
-  let label = Msg.payload_label payload in
   match (payload : Msg.payload) with
   | Msg.Prepare _ -> None
   | Msg.Decision_msg { outcome; _ } -> (
       match known with
       | Some o when o <> outcome ->
-          reject "rejecting %s from %s: contradicts our durable %s (forgery?)"
-            label src (outcome_to_string o)
+          refuse payload src
+            "rejecting %s from %s: contradicts our durable %s (forgery?)"
+            (outcome_to_string o)
       | Some _ -> None
       | None -> (
           match role with
           | From_parent | From_child -> None
           | From_stranger ->
-              reject "rejecting %s from stranger %s: not our coordinator"
-                label src))
+              refuse payload src
+                "rejecting %s from stranger %s: not our coordinator"))
   | Msg.Ack_msg _ -> (
       match role with
       | From_child -> None
       | From_parent | From_stranger ->
-          reject "rejecting %s from %s: acknowledgments come from subordinates"
-            label src)
+          refuse payload src
+            "rejecting %s from %s: acknowledgments come from subordinates")
   | Msg.Vote_msg { delegation; _ } -> (
       match role with
       | From_child -> None
@@ -221,14 +226,14 @@ let standard_admissible ~src ~role ~known payload =
              ghost transaction state here *)
           if delegation then None
           else
-            reject "rejecting %s from %s: only delegation votes flow downward"
-              label src
+            refuse payload src
+              "rejecting %s from %s: only delegation votes flow downward"
       | From_stranger ->
-          reject "rejecting %s from stranger %s: outside the commit tree"
-            label src)
+          refuse payload src
+            "rejecting %s from stranger %s: outside the commit tree")
   | Msg.Data _ | Msg.Inquiry _ | Msg.Inquiry_reply _ -> (
       match role with
       | From_parent | From_child -> None
       | From_stranger ->
-          reject "rejecting %s from stranger %s: outside the commit tree"
-            label src)
+          refuse payload src
+            "rejecting %s from stranger %s: outside the commit tree")

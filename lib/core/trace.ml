@@ -68,13 +68,18 @@ let create ?(keep_events = true) () =
 
 let keeps_events t = t.keep_events
 
+let count_send t ~protocol =
+  if protocol then t.n_flows <- t.n_flows + 1
+  else t.n_data_flows <- t.n_data_flows + 1
+
+let count_tm_write t ~forced =
+  t.n_tm_writes <- t.n_tm_writes + 1;
+  if forced then t.n_tm_forced <- t.n_tm_forced + 1
+
 let record t e =
   (match e with
-  | Send { protocol = true; _ } -> t.n_flows <- t.n_flows + 1
-  | Send { protocol = false; _ } -> t.n_data_flows <- t.n_data_flows + 1
-  | Log_write { rm = false; forced; _ } ->
-      t.n_tm_writes <- t.n_tm_writes + 1;
-      if forced then t.n_tm_forced <- t.n_tm_forced + 1
+  | Send { protocol; _ } -> count_send t ~protocol
+  | Log_write { rm = false; forced; _ } -> count_tm_write t ~forced
   | _ -> ());
   if t.keep_events then t.events <- e :: t.events
 

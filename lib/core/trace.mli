@@ -59,6 +59,18 @@ val create : ?keep_events:bool -> unit -> t
 val record : t -> event -> unit
 
 val keeps_events : t -> bool
+(** Whether {!record} retains events.  When it does not, a producer can
+    skip building the event altogether: only [Send] and TM [Log_write]
+    events move a counter, and {!count_send} / {!count_tm_write} move it
+    directly. *)
+
+val count_send : t -> protocol:bool -> unit
+(** Count one message exactly as {!record} counts a [Send] with this
+    [protocol] flag, without building or retaining the event. *)
+
+val count_tm_write : t -> forced:bool -> unit
+(** Count one transaction-manager log write exactly as {!record} counts a
+    [Log_write] with [rm = false], without building or retaining it. *)
 
 val events : t -> event list
 (** Oldest first; [[]] when the trace was created with

@@ -5,6 +5,7 @@ type op = Put of string * string | Delete of string
 type t = {
   engine : Simkernel.Engine.t;
   rm_name : string;
+  lock_prefix : string;  (* [rm_name ^ "/"]: every lock name starts so *)
   log : Wal.Log.t;
   lock_table : Lockmgr.t;
   reliable : bool;
@@ -21,6 +22,7 @@ let create engine ~name ~wal ?locks ?(reliable = false) () =
   {
     engine;
     rm_name = name;
+    lock_prefix = name ^ "/";
     log = wal;
     lock_table;
     reliable;
@@ -38,8 +40,11 @@ let is_reliable t = t.reliable
 (* --- undo/redo payload encoding (length-prefixed, crash-safe) ------------ *)
 
 let encode_op = function
-  | Put (k, v) -> Printf.sprintf "P%d:%s%d:%s" (String.length k) k (String.length v) v
-  | Delete k -> Printf.sprintf "D%d:%s" (String.length k) k
+  | Put (k, v) ->
+      String.concat ""
+        [ "P"; string_of_int (String.length k); ":"; k;
+          string_of_int (String.length v); ":"; v ]
+  | Delete k -> String.concat "" [ "D"; string_of_int (String.length k); ":"; k ]
 
 let decode_field s pos =
   let colon = String.index_from s pos ':' in
@@ -67,7 +72,7 @@ let wset t txn =
       Hashtbl.replace t.wsets txn r;
       r
 
-let lock_name t key = t.rm_name ^ "/" ^ key
+let lock_name t key = t.lock_prefix ^ key
 
 let can_lock t ~txn ~key mode =
   match Lockmgr.holds t.lock_table ~txn ~key:(lock_name t key) with
@@ -225,6 +230,10 @@ let committed_bindings t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let in_doubt t = t.in_doubt_txns
+
+(* Only crash recovery puts transactions in doubt here, so the list is
+   empty - and the test constant-time - outside recovery windows. *)
+let is_in_doubt t ~txn = t.in_doubt_txns <> [] && List.mem txn t.in_doubt_txns
 
 let crash t =
   Hashtbl.reset t.store;

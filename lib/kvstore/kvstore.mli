@@ -102,6 +102,10 @@ val committed_bindings : t -> (string * string) list
 val in_doubt : t -> string list
 (** Transactions prepared here with no durable outcome (post-[recover]). *)
 
+val is_in_doubt : t -> txn:string -> bool
+(** [List.mem txn (in_doubt t)], building nothing; constant time while no
+    transaction is in doubt here, i.e. outside crash-recovery windows. *)
+
 val crash : t -> unit
 (** Wipe volatile state: committed cache, write sets, in-doubt list, and the
     lock table (crash reclaims every grant; queued waiters are dropped

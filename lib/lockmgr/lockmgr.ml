@@ -144,13 +144,23 @@ let release_all t ~txn =
               if held > t.max_hold then t.max_hold <- held
             in
             List.iter count_hold mine;
-            pump t key e
+            pump t key e;
+            (* the last grant and the last waiter are gone: drop the entry
+               so the table holds only keys in use.  A grant callback may
+               already have dropped it (or re-created the key) re-entrantly,
+               hence the identity check. *)
+            if e.grants = [] && e.queue = [] then
+              match Hashtbl.find t.table key with
+              | e' when e' == e -> Hashtbl.remove t.table key
+              | _ | (exception Not_found) -> ()
       in
       List.iter release_key !keys
 
 let holding_txns t =
   Hashtbl.fold (fun txn _keys acc -> txn :: acc) t.txn_keys []
   |> List.sort_uniq compare
+
+let holds_any t ~txn = Hashtbl.mem t.txn_keys txn
 
 let clear t =
   (* Crash reclamation: the node lost its volatile state, so every grant and

@@ -35,6 +35,9 @@ val holding_txns : t -> string list
 (** Sorted list of transactions currently holding at least one grant.
     Used by the chaos harness's leaked-lock audit. *)
 
+val holds_any : t -> txn:string -> bool
+(** [List.mem txn (holding_txns t)] in O(1), building nothing. *)
+
 val clear : t -> unit
 (** Crash reclamation: drop every grant, every queued request and every
     txn->keys binding {e without} firing [granted] continuations — the

@@ -18,11 +18,14 @@ struct
     nodes : (string, int) Hashtbl.t; (* name -> index into node_arr *)
     mutable node_arr : node_state array;
     mutable n_nodes : int;
-    latencies : (string * string, float) Hashtbl.t;
-    directed_latencies : (string * string, float) Hashtbl.t;
-    partitions : (string * string, unit) Hashtbl.t;
-    directed_sent : (string * string, int ref) Hashtbl.t;
-    drops : (string * string, int list ref) Hashtbl.t;
+    (* Per-link state is keyed by [link] over node indexes, so the send
+       path looks it up without building a key; a symmetric (unordered)
+       pair is keyed by its lower index first. *)
+    latencies : (int, float) Hashtbl.t;
+    directed_latencies : (int, float) Hashtbl.t;
+    partitions : (int, unit) Hashtbl.t;
+    directed_sent : (int, int ref) Hashtbl.t;
+    drops : (int, int list ref) Hashtbl.t;
     mutable jitter : (src:string -> dst:string -> float) option;
     mutable mutator : (src:string -> dst:string -> P.t list -> P.t list) option;
     mutable total_flows : int;
@@ -110,15 +113,24 @@ struct
     s
 
   let node_index t name =
-    match Hashtbl.find_opt t.nodes name with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "netsim: unknown node %S" name)
+    match Hashtbl.find t.nodes name with
+    | i -> i
+    | exception Not_found ->
+        invalid_arg (Printf.sprintf "netsim: unknown node %S" name)
+
+  (* Key of the directed link [si -> di]; [add_node] keeps indexes below
+     2^20, so distinct links never collide. *)
+  let max_nodes = 1 lsl 20
+  let link si di = (si lsl 20) lor di
+
+  let pair_link si di = if si <= di then link si di else link di si
 
   let node_state t name = t.node_arr.(node_index t name)
 
   let add_node t name handler =
     if Hashtbl.mem t.nodes name then
       invalid_arg (Printf.sprintf "netsim: duplicate node %S" name);
+    if t.n_nodes = max_nodes then invalid_arg "netsim: too many nodes";
     if t.n_nodes = Array.length t.node_arr then begin
       let bigger = Array.make (2 * t.n_nodes) no_node in
       Array.blit t.node_arr 0 bigger 0 t.n_nodes;
@@ -130,40 +142,56 @@ struct
 
   let set_handler t name handler = (node_state t name).handler <- handler
 
-  let pair a b = if a <= b then (a, b) else (b, a)
-
-  let set_latency t a b l = Hashtbl.replace t.latencies (pair a b) l
+  let set_latency t a b l =
+    Hashtbl.replace t.latencies (pair_link (node_index t a) (node_index t b)) l
 
   let set_latency_directed t ~src ~dst l =
-    Hashtbl.replace t.directed_latencies (src, dst) l
+    Hashtbl.replace t.directed_latencies
+      (link (node_index t src) (node_index t dst))
+      l
 
+  let link_latency t si di =
+    match Hashtbl.find t.directed_latencies (link si di) with
+    | l -> l
+    | exception Not_found -> (
+        match Hashtbl.find t.latencies (pair_link si di) with
+        | l -> l
+        | exception Not_found -> t.default_latency)
+
+  (* An unregistered name has no override: overrides need both ends
+     registered. *)
   let latency t a b =
-    match Hashtbl.find_opt t.directed_latencies (a, b) with
-    | Some l -> l
-    | None -> (
-        match Hashtbl.find_opt t.latencies (pair a b) with
-        | Some l -> l
-        | None -> t.default_latency)
+    match (Hashtbl.find_opt t.nodes a, Hashtbl.find_opt t.nodes b) with
+    | Some si, Some di -> link_latency t si di
+    | _ -> t.default_latency
 
   let set_jitter t f = t.jitter <- f
   let set_mutator t f = t.mutator <- f
 
-  let partition t a b = Hashtbl.replace t.partitions (pair a b) ()
-  let heal t a b = Hashtbl.remove t.partitions (pair a b)
-  let partitioned t a b = Hashtbl.mem t.partitions (pair a b)
+  let partition t a b =
+    Hashtbl.replace t.partitions (pair_link (node_index t a) (node_index t b)) ()
+
+  let heal t a b =
+    Hashtbl.remove t.partitions (pair_link (node_index t a) (node_index t b))
+
+  let partitioned t a b =
+    match (Hashtbl.find_opt t.nodes a, Hashtbl.find_opt t.nodes b) with
+    | Some si, Some di -> Hashtbl.mem t.partitions (pair_link si di)
+    | _ -> false
 
   let cell tbl key init =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find tbl key with
+    | r -> r
+    | exception Not_found ->
         let r = ref init in
         Hashtbl.replace tbl key r;
         r
 
   let drop_nth t ~src ~dst ~nth =
     if nth < 1 then invalid_arg "netsim: drop_nth expects nth >= 1";
-    let sent = !(cell t.directed_sent (src, dst) 0) in
-    let drops = cell t.drops (src, dst) [] in
+    let l = link (node_index t src) (node_index t dst) in
+    let sent = !(cell t.directed_sent l 0) in
+    let drops = cell t.drops l [] in
     drops := (sent + nth) :: !drops
 
   let crash_node t name = (node_state t name).up <- false
@@ -174,19 +202,20 @@ struct
     let si = node_index t src in
     let di = node_index t dst in
     let s = t.node_arr.(si) in
-    if (not s.up) || partitioned t src dst then false
+    if (not s.up) || Hashtbl.mem t.partitions (pair_link si di) then false
     else begin
       (* The message left the source: it is a flow whether or not it arrives. *)
       t.total_flows <- t.total_flows + 1;
       s.sent <- s.sent + 1;
-      let seq = cell t.directed_sent (src, dst) 0 in
+      let ln = link si di in
+      let seq = cell t.directed_sent ln 0 in
       incr seq;
       let lost =
-        match Hashtbl.find_opt t.drops (src, dst) with
-        | Some drops when List.mem !seq !drops ->
+        match Hashtbl.find t.drops ln with
+        | drops when List.mem !seq !drops ->
             drops := List.filter (fun n -> n <> !seq) !drops;
             true
-        | _ -> false
+        | _ | (exception Not_found) -> false
       in
       if not lost then begin
         (* adversarial relay: a mutator may rewrite the payload bundle in
@@ -198,7 +227,7 @@ struct
           | Some f -> f ~src ~dst payloads
         in
         let l =
-          latency t src dst
+          link_latency t si di
           +.
           match t.jitter with
           | None -> 0.0

@@ -32,7 +32,10 @@ end) : sig
   (** Replace a node's handler (used when a node restarts with fresh state). *)
 
   val set_latency : t -> string -> string -> float -> unit
-  (** Symmetric per-pair latency override. *)
+  (** Symmetric per-pair latency override.  Like every per-link setter
+      below ({!set_latency_directed}, {!partition}, {!heal}, {!drop_nth}),
+      it needs both nodes registered and raises [Invalid_argument]
+      otherwise: per-link state is keyed by node index. *)
 
   val set_latency_directed : t -> src:string -> dst:string -> float -> unit
   (** Per-direction latency override for the [src -> dst] link.  Takes
@@ -42,7 +45,8 @@ end) : sig
 
   val latency : t -> string -> string -> float
   (** Effective base latency from first to second node: directed override,
-      else symmetric override, else default. *)
+      else symmetric override, else default.  The default for a name that
+      is not a registered node. *)
 
   val set_jitter : t -> (src:string -> dst:string -> float) option -> unit
   (** Install (or clear) a delay-jitter hook.  When set, the hook is called
@@ -82,6 +86,7 @@ end) : sig
   val partition : t -> string -> string -> unit
   val heal : t -> string -> string -> unit
   val partitioned : t -> string -> string -> bool
+  (** [false] when either name is not a registered node. *)
 
   val drop_nth : t -> src:string -> dst:string -> nth:int -> unit
   (** Lose the [nth] message (1-based, counted from now) sent from [src] to

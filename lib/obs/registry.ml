@@ -34,9 +34,9 @@ let max_gauge t name v =
   | None -> Hashtbl.replace t.gauges name (ref v)
 
 let histogram t ?buckets_per_decade name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.histograms name with
+  | h -> h
+  | exception Not_found ->
       let h = Histogram.create ?buckets_per_decade () in
       Hashtbl.replace t.histograms name h;
       h

@@ -1,0 +1,169 @@
+(* The steady-state commit path pays only for what its run reads.  A
+   counter-only trace must count exactly what a full trace counts; the
+   allocation-free membership predicates must agree with the list-building
+   views they replace at every step of a faulty run; and a fixed
+   counter-only PA world must stay under an allocation ceiling. *)
+
+open Tpc.Types
+module E = Simkernel.Engine
+module M = Tpc.Mixer
+module P = Tpc.Participant
+module T = Tpc.Trace
+
+let bft =
+  match Tpc.Protocol.of_string "bft" with
+  | Some p -> p
+  | None -> failwith "the bft protocol is not registered"
+
+let protocols =
+  [ ("basic", Basic); ("pa", Presumed_abort); ("pn", Presumed_nothing); ("bft", bft) ]
+
+let opt_sets =
+  [ []; [ `Read_only ]; [ `Last_agent ]; [ `Long_locks ];
+    [ `Read_only; `Last_agent; `Long_locks ] ]
+
+let counters tr = [ T.flows tr; T.data_flows tr; T.tm_writes tr; T.tm_forced_writes tr ]
+
+let config protocol opts ~events =
+  default_config |> with_protocol protocol |> with_opts opts
+  |> with_trace_events events
+
+(* One read-only member and one long-locks member, so each switch has
+   something to act on in a single commit. *)
+let commit_tree =
+  Workload.flat ~n:5
+    ~decorate:(fun i p ->
+      match i with
+      | 0 -> { p with p_updated = false }
+      | 1 -> { p with p_long_locks = true }
+      | _ -> p)
+    ()
+
+let test_counter_only_counts protocol () =
+  List.iter
+    (fun opts ->
+      let label what =
+        Printf.sprintf "%s [%s]" what
+          (String.concat "+" (List.map opt_to_string opts))
+      in
+      let commit events =
+        let config = config protocol opts ~events in
+        let _, w = Tpc.Run.commit_tree ~config commit_tree in
+        counters w.Tpc.Run.trace
+      in
+      Alcotest.(check (list int)) (label "commit_tree") (commit true) (commit false);
+      let mix events =
+        let cfg = { M.default_cfg with M.txns = 200; concurrency = 4; seed = 3 } in
+        let config = config protocol opts ~events in
+        let _, w = M.run ~config cfg (Workload.mixer_tree ~opts ()) in
+        counters w.Tpc.Run.trace
+      in
+      Alcotest.(check (list int)) (label "mixer") (mix true) (mix false))
+    opt_sets
+
+(* Step seeded chaos worlds one event at a time and compare every O(1)
+   predicate with the list view it stands for, for every transaction at
+   every member.  Half the worlds delegate to a last agent, so delegators
+   awaiting their agent are covered too; the [seen] tally checks that each
+   predicate was actually true somewhere. *)
+let test_predicates_agree () =
+  let seen = Array.make 4 0 in
+  let txns = 40 in
+  let agree idx name expected actual =
+    if actual <> expected then
+      Alcotest.failf "%s disagrees with its list view (list says %b)" name expected;
+    if actual then seen.(idx) <- seen.(idx) + 1
+  in
+  let world (opts, seed) =
+    let tree = Workload.mixer_tree ~n:4 ~opts () in
+    let config =
+      default_config |> with_opts opts |> with_trace_events false
+      |> with_retries ~interval:25.0 ~max:8
+      |> with_prepare_retries 2 |> with_retry_backoff 2.0
+    in
+    let plan =
+      Faultlab.gen ~seed ~nodes:(Faultlab.tree_nodes tree)
+        { Faultlab.default_gen with horizon = 300.0 }
+    in
+    let check (w : Tpc.Run.world) =
+      List.iter
+        (fun (_, (n : Tpc.Run.node)) ->
+          let p = n.Tpc.Run.participant and kv = n.Tpc.Run.kv in
+          let locks = Kvstore.locks kv in
+          let unresolved = P.unresolved_txns p
+          and in_doubt = P.in_doubt_txns p
+          and kv_in_doubt = Kvstore.in_doubt kv
+          and holding = Lockmgr.holding_txns locks in
+          for i = 1 to txns do
+            let txn = "mx-" ^ string_of_int i in
+            agree 0 "Participant.is_unresolved"
+              (List.mem_assoc txn unresolved) (P.is_unresolved p ~txn);
+            agree 1 "Participant.is_in_doubt" (List.mem txn in_doubt)
+              (P.is_in_doubt p ~txn);
+            agree 2 "Kvstore.is_in_doubt" (List.mem txn kv_in_doubt)
+              (Kvstore.is_in_doubt kv ~txn);
+            agree 3 "Lockmgr.holds_any" (List.mem txn holding)
+              (Lockmgr.holds_any locks ~txn)
+          done)
+        w.Tpc.Run.nodes
+    in
+    let inject w =
+      Faultlab.inject plan w;
+      check w;
+      while E.step w.Tpc.Run.engine do
+        check w
+      done
+    in
+    ignore
+      (M.run_full ~config ~inject
+         { M.default_cfg with M.txns; concurrency = 6; seed }
+         tree)
+  in
+  List.iter
+    (fun seed ->
+      world ([], seed);
+      world ([ `Last_agent ], seed))
+    [ 1; 2; 3; 4; 5; 6 ];
+  Array.iteri
+    (fun i n ->
+      if n = 0 then Alcotest.failf "predicate %d was never true: vacuous check" i)
+    seen
+
+(* Allocation gate: minor-heap words per committed transaction of a fixed
+   counter-only PA world (the ledger's pa-wide shape, 500 transactions),
+   with the fault watchdog armed by an empty plan as in the ledger.  The
+   count is deterministic for one compiler version: 5,010 words on OCaml
+   5.1, the version CI pins.  The ceiling sits about 5% above it, so an
+   allocation regression on the commit path fails here before it reaches
+   the benchmark. *)
+let alloc_ceiling = 5250.0
+
+let test_alloc_ceiling () =
+  let config = default_config |> with_trace_events false in
+  let cfg =
+    { M.default_cfg with M.txns = 500; concurrency = 16; keyspace = 100_000; seed = 1 }
+  in
+  let tree = Workload.flat ~n:8 () in
+  let before = Gc.minor_words () in
+  let agg, _, _ = M.run_full ~config ~inject:(Faultlab.inject []) cfg tree in
+  let committed = agg.Tpc.Metrics.Agg.committed in
+  let words = (Gc.minor_words () -. before) /. float_of_int committed in
+  Printf.printf "words per committed transaction: %.1f (ceiling %.0f)\n" words
+    alloc_ceiling;
+  Alcotest.(check int) "every transaction committed" 500 committed;
+  if words > alloc_ceiling then
+    Alcotest.failf "%.1f words per committed transaction exceeds the ceiling %.0f"
+      words alloc_ceiling
+
+let suite =
+  List.map
+    (fun (name, p) ->
+      Alcotest.test_case ("counter-only counts match full trace: " ^ name) `Quick
+        (test_counter_only_counts p))
+    protocols
+  @ [
+      Alcotest.test_case "O(1) predicates agree with list views" `Quick
+        test_predicates_agree;
+      Alcotest.test_case "allocation ceiling per transaction" `Quick
+        test_alloc_ceiling;
+    ]

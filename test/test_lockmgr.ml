@@ -159,6 +159,139 @@ let test_reset_stats () =
   Alcotest.(check int) "acquisitions reset" 0 (L.stats l).L.acquisitions;
   Alcotest.(check (float 1e-9)) "hold time reset" 0.0 (L.stats l).L.total_hold_time
 
+(* --- model check against a naive reference ------------------------- *)
+
+(* The lock manager's contract restated as plainly as possible: per key,
+   an unordered grant list and a FIFO queue, with the same compatibility,
+   upgrade and no-barging rules.  Random acquire/try_acquire/release_all
+   schedules must leave both answering holds/holders/waiting/holds_any
+   identically after every step - which also covers the real table
+   dropping a key's entry once its last grant and waiter are gone and
+   re-creating it on the next request. *)
+module Model = struct
+  type t = {
+    grants : (string, (string * L.mode) list) Hashtbl.t;
+    queues : (string, (string * L.mode) list) Hashtbl.t;  (* head first *)
+  }
+
+  let create () = { grants = Hashtbl.create 4; queues = Hashtbl.create 4 }
+  let get tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
+
+  let can_grant grants ~txn mode =
+    match List.assoc_opt txn grants with
+    | Some held ->
+        mode = L.Shared || held = L.Exclusive
+        || List.for_all (fun (o, _) -> o = txn) grants
+    | None -> List.for_all (fun (_, m) -> mode = L.Shared && m = L.Shared) grants
+
+  let grant m ~txn ~key mode =
+    let gs = get m.grants key in
+    let mode =
+      match List.assoc_opt txn gs with
+      | Some held when mode = L.Shared -> held
+      | _ -> mode
+    in
+    Hashtbl.replace m.grants key ((txn, mode) :: List.remove_assoc txn gs)
+
+  let try_acquire m ~txn ~key mode =
+    let gs = get m.grants key in
+    if get m.queues key <> [] && not (List.mem_assoc txn gs) then false
+    else if can_grant gs ~txn mode then begin
+      grant m ~txn ~key mode;
+      true
+    end
+    else false
+
+  let acquire m ~txn ~key mode =
+    if not (try_acquire m ~txn ~key mode) then
+      Hashtbl.replace m.queues key (get m.queues key @ [ (txn, mode) ])
+
+  let rec pump m key =
+    match get m.queues key with
+    | (txn, mode) :: rest when can_grant (get m.grants key) ~txn mode ->
+        Hashtbl.replace m.queues key rest;
+        grant m ~txn ~key mode;
+        pump m key
+    | _ -> ()
+
+  let release_all m ~txn =
+    Hashtbl.fold
+      (fun key gs acc -> if List.mem_assoc txn gs then key :: acc else acc)
+      m.grants []
+    |> List.iter (fun key ->
+           Hashtbl.replace m.grants key (List.remove_assoc txn (get m.grants key));
+           pump m key)
+
+  let holds m ~txn ~key = List.assoc_opt txn (get m.grants key)
+  let holders m ~key = List.sort compare (get m.grants key)
+  let waiting m = Hashtbl.fold (fun _ q acc -> acc + List.length q) m.queues 0
+
+  let holds_any m ~txn =
+    Hashtbl.fold (fun _ gs acc -> acc || List.mem_assoc txn gs) m.grants false
+end
+
+type lock_op =
+  | Acquire of string * string * L.mode
+  | Try of string * string * L.mode
+  | Release of string
+
+let txns = [ "t1"; "t2"; "t3"; "t4" ]
+let keys = [ "a"; "b"; "c" ]
+let mode_str = function L.Shared -> "S" | L.Exclusive -> "X"
+
+let lock_op_print = function
+  | Acquire (t, k, m) -> Printf.sprintf "acquire %s %s %s" t k (mode_str m)
+  | Try (t, k, m) -> Printf.sprintf "try %s %s %s" t k (mode_str m)
+  | Release t -> "release " ^ t
+
+let gen_lock_ops =
+  let open QCheck.Gen in
+  let request f =
+    map3 f (oneofl txns) (oneofl keys) (oneofl [ L.Shared; L.Exclusive ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map lock_op_print ops))
+    (list_size (int_range 1 60)
+       (frequency
+          [
+            (3, request (fun t k m -> Acquire (t, k, m)));
+            (2, request (fun t k m -> Try (t, k, m)));
+            (2, map (fun t -> Release t) (oneofl txns));
+          ]))
+
+let prop_matches_model =
+  QCheck.Test.make ~count:300 ~name:"lock manager matches a naive model"
+    gen_lock_ops (fun ops ->
+      let _e, l = mk () in
+      let m = Model.create () in
+      let holders_of key = List.sort compare (L.holders l ~key) in
+      List.for_all
+        (fun op ->
+          let same_answer =
+            match op with
+            | Acquire (txn, key, mode) ->
+                L.acquire l ~txn ~key mode ~granted:(fun () -> ());
+                Model.acquire m ~txn ~key mode;
+                true
+            | Try (txn, key, mode) ->
+                L.try_acquire l ~txn ~key mode = Model.try_acquire m ~txn ~key mode
+            | Release txn ->
+                L.release_all l ~txn;
+                Model.release_all m ~txn;
+                true
+          in
+          same_answer
+          && L.waiting l = Model.waiting m
+          && List.for_all (fun key -> holders_of key = Model.holders m ~key) keys
+          && List.for_all
+               (fun txn ->
+                 L.holds_any l ~txn = Model.holds_any m ~txn
+                 && List.for_all
+                      (fun key -> L.holds l ~txn ~key = Model.holds m ~txn ~key)
+                      keys)
+               txns)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "shared compatible" `Quick test_shared_compatible;
@@ -181,4 +314,5 @@ let suite =
     Alcotest.test_case "no false deadlock" `Quick test_no_false_deadlock;
     Alcotest.test_case "three-way cycle" `Quick test_three_way_cycle;
     Alcotest.test_case "reset stats" `Quick test_reset_stats;
+    QCheck_alcotest.to_alcotest prop_matches_model;
   ]

@@ -32,4 +32,5 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("parallel", Test_parallel.suite);
       ("driver", Test_driver.suite);
+      ("hot-path", Test_hot_path.suite);
     ]
