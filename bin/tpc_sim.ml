@@ -875,9 +875,7 @@ let chaos_cmd protocol opt_names n f seeds seed0 txns concurrency crashes
       | Some _, None -> acc)
     None cells
   |> Option.iter (fun (t : Faultlab.accounting) ->
-         let certified =
-           (Tpc.Protocol.resolve protocol).Tpc.Protocol.p_certify <> None
-         in
+         let certified = Tpc.Protocol.(certified (resolve protocol)) in
          let cert_refusals =
            List.fold_left
              (fun acc (cell : Driver.chaos_cell) ->

@@ -121,6 +121,7 @@ type t = {
   profile : profile;
   cfg : config;
   proto : Protocol_intf.t;  (* resolved from [cfg.protocol] at creation *)
+  evidence : Protocol_intf.evidence;
   mutable ops : Protocol_intf.ops option;
       (* the capability record handed to protocol hooks; built lazily
          because its closures need functions defined below [create] *)
@@ -156,16 +157,6 @@ type t = {
       (* payloads refused by the protocol's admissibility check (forgeries
          an honest node can detect); survives restarts - the counter models
          the operator's tally, not volatile state *)
-  mutable rejected_certs : int;
-      (* the subset of refusals that were certificate-rule violations
-         (uncertified/mis-certified decisions, bad vote signatures, invalid
-         durable certificates found at restart); survives restarts like
-         [rejected] *)
-  certs : (string, Msg.certificate) Hashtbl.t;
-      (* per-txn decision certificate under a certified protocol: built at
-         the decision maker ([p_certify]), learned from admissible
-         certified payloads elsewhere; volatile - restart re-validates and
-         restores from the WAL's [Certificate] records *)
   mutable damage_seen : (string * Msg.damage_report) list;
       (* heuristic-damage reports that reached this node's operator, as
          (txn, report); populated where the protocol says reports stop
@@ -182,6 +173,7 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
   List.iter
     (fun f -> if f.f_node = profile.p_name then Hashtbl.replace faults f.f_point f)
     cfg.faults;
+  let proto = Protocol.resolve cfg.protocol in
   let tref = ref None in
   let guard_kind =
     Simkernel.Engine.register_kind engine
@@ -195,7 +187,8 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     name = profile.p_name;
     profile;
     cfg;
-    proto = Protocol.resolve cfg.protocol;
+    proto;
+    evidence = proto.p_evidence cfg;
     ops = None;
     engine;
     net;
@@ -218,10 +211,8 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     idle_children = Hashtbl.create 4;
     deferred = [];
     rejected = 0;
-    rejected_certs = 0;
-      certs = Hashtbl.create 4;
-      damage_seen = [];
-      guard_kind;
+    damage_seen = [];
+    guard_kind;
     }
   in
   tref := Some t;
@@ -364,33 +355,38 @@ let set_phase t st ph =
 let bundle_is_protocol payloads =
   not (List.exists (function Msg.Data _ -> true | _ -> false) payloads)
 
+(* The one producer of send events: every send, real or charged by
+   [op_charge], is an event when the trace keeps events and a counter bump
+   otherwise. *)
+let trace_send t ~dst ~label ~protocol =
+  if tracing t then
+    trace t (Trace.Send { time = now t; src = t.name; dst; label; protocol })
+  else Trace.count_send t.trace ~protocol
+
 (* The bundle label is built at most once, and only when the event trace
    or the causal recorder will keep it. *)
 let send t ~dst payloads =
   let protocol = bundle_is_protocol payloads in
   let causal = causal_sink t in
-  if tracing t || causal <> None then begin
-    let label = Msg.bundle_label payloads in
-    if tracing t then
-      trace t (Trace.Send { time = now t; src = t.name; dst; label; protocol })
-    else Trace.count_send t.trace ~protocol;
-    match (causal, payloads) with
-    | Some c, p :: _ ->
-        Obs.Causal.send c ~txn:(Msg.payload_txn p) ~src:t.name ~dst
-          ~time:(now t) ~label
-    | _ -> ()
-  end
-  else Trace.count_send t.trace ~protocol;
+  let label =
+    if tracing t || causal <> None then Msg.bundle_label payloads else ""
+  in
+  trace_send t ~dst ~label ~protocol;
+  (match (causal, payloads) with
+  | Some c, p :: _ ->
+      Obs.Causal.send c ~txn:(Msg.payload_txn p) ~src:t.name ~dst ~time:(now t)
+        ~label
+  | _ -> ());
   ignore (Net.send t.net ~src:t.name ~dst payloads)
 
-(* Every vote leaves through here.  Only a protocol that certifies
-   decisions checks voter signatures, so only its votes are signed. *)
+(* Every vote leaves through here, signed as the protocol signs votes. *)
 let send_vote t ~dst ~txn ~delegation ~unsolicited ~implied_ack vote =
-  let tag =
-    if t.proto.p_certify = None then "" else Msg.vote_tag ~src:t.name ~txn vote
-  in
+  let tag = t.evidence.ev_vote_tag ~src:t.name ~txn vote in
   send t ~dst
     [ Msg.Vote_msg { txn; vote; delegation; unsolicited; implied_ack; tag } ]
+
+let send_decision t ~dst ~txn outcome =
+  send t ~dst [ t.evidence.ev_decision ~txn outcome ]
 
 (* Prepare flows to every child except the last agent (contacted after all
    other votes are in) and unsolicited voters (they contact us); with
@@ -419,8 +415,10 @@ let report_damage t ~txn reports =
   List.iter
     (fun (d : Msg.damage_report) ->
       t.damage_seen <- (txn, d) :: t.damage_seen;
-      trace t
-        (Trace.Damage_detected { time = now t; node = d.d_node; reported_to = t.name }))
+      if tracing t then
+        trace t
+          (Trace.Damage_detected
+             { time = now t; node = d.d_node; reported_to = t.name }))
     reports
 
 (* ------------------------------------------------------------------ *)
@@ -434,17 +432,17 @@ let mark_logged t ~txn =
   | st -> st.logged_tm <- true
   | exception Not_found -> ()
 
-let log_write t kind ~forced =
+(* The one producer of TM log-write events, as [trace_send] is of sends. *)
+let log_write t ~node kind ~forced =
   if tracing t then
-    trace t
-      (Trace.Log_write { time = now t; node = t.name; kind; forced; rm = false })
+    trace t (Trace.Log_write { time = now t; node; kind; forced; rm = false })
   else Trace.count_tm_write t.trace ~forced
 
 let tm_force t ~txn kind k =
   mark_logged t ~txn;
   let record = Wal.Log_record.make ~txn ~node:t.name kind in
   if t.cfg.opts.shared_log && t.profile.p_shares_parent_log then begin
-    log_write t kind ~forced:false;
+    log_write t ~node:t.name kind ~forced:false;
     causal_record t ~txn
       (fun kind ->
         "log append " ^ Wal.Log_record.kind_to_string kind ^ " (shared log)")
@@ -453,7 +451,7 @@ let tm_force t ~txn kind k =
     k ()
   end
   else begin
-    log_write t kind ~forced:true;
+    log_write t ~node:t.name kind ~forced:true;
     causal_record t ~txn
       (fun kind -> "force " ^ Wal.Log_record.kind_to_string kind)
       kind;
@@ -469,7 +467,7 @@ let tm_force t ~txn kind k =
 
 let tm_append ?payload t ~txn kind =
   mark_logged t ~txn;
-  log_write t kind ~forced:false;
+  log_write t ~node:t.name kind ~forced:false;
   causal_record t ~txn
     (fun kind -> "log append " ^ Wal.Log_record.kind_to_string kind)
     kind;
@@ -483,64 +481,18 @@ let rec force_records t ~txn records k =
   | kind :: rest -> tm_force t ~txn kind (fun () -> force_records t ~txn rest k)
 
 (* ------------------------------------------------------------------ *)
-(* Decision certificates (certified protocols only)                    *)
-(* ------------------------------------------------------------------ *)
-
-let cert_for t txn = Hashtbl.find_opt t.certs txn
-
-(* A decision carries its certificate when the protocol made one. *)
-let send_decision t ~dst ~txn outcome =
-  send t ~dst [ Msg.Decision_msg { txn; outcome; cert = cert_for t txn } ]
-
-(* First sight of a certificate for [txn]: cache it and append it to the
-   WAL so the next force hardens certificate and outcome together.  Only
-   certified payloads that passed admissibility reach here; under the
-   paper's protocols no certificate ever arrives and this is a no-op. *)
-let note_cert t ~txn cert =
-  match cert with
-  | Some c when not (Hashtbl.mem t.certs txn) ->
-      Hashtbl.replace t.certs txn c;
-      tm_append t ~txn ~payload:(Msg.cert_to_string c)
-        Wal.Log_record.Certificate
-  | _ -> ()
-
-let note_payload_cert t (payload : Msg.payload) =
-  match payload with
-  | Msg.Decision_msg { txn; cert; _ } | Msg.Inquiry_reply { txn; cert; _ } ->
-      note_cert t ~txn cert
-  | _ -> ()
-
-(* Canonical digest of the vote set a decision was taken over: what the
-   replica ensemble endorses, and what ties every endorsement in one
-   certificate to the same evidence. *)
-let votes_digest t st =
-  let vs =
-    (t.name, st.local_vote)
-    :: List.map (fun ch -> (ch.ch_profile.p_name, ch.ch_vote)) st.children
-  in
-  Msg.digest
-    (String.concat ";"
-       (List.map
-          (fun (n, v) ->
-            n ^ "="
-            ^ match v with Some v -> Types.vote_to_string v | None -> "-")
-          (List.sort compare vs)))
-
-(* ------------------------------------------------------------------ *)
 (* Crash injection                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let rec crash t =
   t.crashed <- true;
   t.epoch <- t.epoch + 1;
-  trace t (Trace.Crash { time = now t; node = t.name });
+  if tracing t then trace t (Trace.Crash { time = now t; node = t.name });
   Net.crash_node t.net t.name;
   Wal.Log.crash t.log;
   Kvstore.crash t.kv;
   Hashtbl.reset t.txns;
-  (* the in-memory certificate cache dies with the node; restart rebuilds
-     it from the durable [Certificate] records, re-validating each *)
-  Hashtbl.reset t.certs;
+  t.evidence.ev_crash ();
   (* suspension is conversation state: the sessions died with us, so the
      conservative post-crash behaviour is to re-engage everyone *)
   Hashtbl.reset t.suspended_children;
@@ -576,51 +528,25 @@ and ops_of t =
         {
           Protocol_intf.op_send = (fun ~dst payloads -> send t ~dst payloads);
           op_force = (fun ~txn kind k -> tm_force t ~txn kind k);
-          op_append = (fun ~txn kind -> tm_append t ~txn kind);
+          op_append = (fun ~txn ?payload kind -> tm_append ?payload t ~txn kind);
           op_note = (fun text -> note t text);
           op_crash_at = (fun point -> maybe_crash t point);
           op_now = (fun () -> now t);
           op_after = (fun ~delay f -> sched_ t ~delay f);
           op_charge =
-            (fun ~flows ~forces ->
+            (fun ~flows ~forces kind ->
               (* Synthetic cost for protocol machinery the simulation does
                  not model as separate nodes (the BFT replica ensemble).
                  The pseudo-endpoint name is not a registered node, so the
                  sequence diagram skips these arrows while the flow and
                  forced-write counters (and so Tables 2-4) see them. *)
-              if tracing t then begin
-                let replica = t.name ^ "!replica" in
-                for _ = 1 to flows do
-                  trace t
-                    (Trace.Send
-                       {
-                         time = now t;
-                         src = t.name;
-                         dst = replica;
-                         label = "replica-quorum";
-                         protocol = true;
-                       })
-                done;
-                for _ = 1 to forces do
-                  trace t
-                    (Trace.Log_write
-                       {
-                         time = now t;
-                         node = replica;
-                         kind = Wal.Log_record.Certificate;
-                         forced = true;
-                         rm = false;
-                       })
-                done
-              end
-              else begin
-                for _ = 1 to flows do
-                  Trace.count_send t.trace ~protocol:true
-                done;
-                for _ = 1 to forces do
-                  Trace.count_tm_write t.trace ~forced:true
-                done
-              end);
+              let replica = if tracing t then t.name ^ "!replica" else "" in
+              for _ = 1 to flows do
+                trace_send t ~dst:replica ~label:"replica-quorum" ~protocol:true
+              done;
+              for _ = 1 to forces do
+                log_write t ~node:replica kind ~forced:true
+              done);
         }
       in
       t.ops <- Some o;
@@ -980,24 +906,15 @@ and decide t st outcome =
     outcome;
   if maybe_crash t Cp_before_decision_log then ()
   else
-    match t.proto.p_certify with
-    | Some certify when not (Hashtbl.mem t.certs st.txn) ->
-        (* certified protocol: gather the endorsement quorum first, append
-           the certificate, then log the outcome - the outcome force
-           hardens both, so no one ever sees a certificate whose decision
-           is not durable *)
-        certify (ops_of t) ~cfg:t.cfg ~txn:st.txn ~outcome
-          ~votes:(votes_digest t st)
-          ~k:(fun cert ->
-            Hashtbl.replace t.certs st.txn cert;
-            tm_append t ~txn:st.txn ~payload:(Msg.cert_to_string cert)
-              Wal.Log_record.Certificate;
-            log_decision t st outcome)
-    | _ -> log_decision t st outcome
-
-and log_decision t st outcome =
-  log_outcome t st (t.proto.p_decision_log outcome) ~decider:true
-    after_decision_durable
+    (* the protocol backs the outcome before it is logged, so the outcome
+       force hardens whatever it appended *)
+    t.evidence.ev_decide (ops_of t) ~txn:st.txn outcome
+      ~votes:(fun () ->
+        (t.name, st.local_vote)
+        :: List.map (fun ch -> (ch.ch_profile.p_name, ch.ch_vote)) st.children)
+      ~k:(fun () ->
+        log_outcome t st (t.proto.p_decision_log outcome) ~decider:true
+          after_decision_durable)
 
 (* Make [st]'s outcome durable under the protocol's log discipline, then
    continue with [k].  Only the decision maker's forced write is a crash
@@ -1326,7 +1243,8 @@ and take_heuristic t st action ~injected =
   if st.phase = Ph_in_doubt && st.heuristic_action = None then begin
     st.heuristic_action <- Some action;
     st.heuristic_at <- Some (now t);
-    trace t (Trace.Heuristic { time = now t; node = t.name; action });
+    if tracing t then
+      trace t (Trace.Heuristic { time = now t; node = t.name; action });
     causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt
       (fun () ->
         "HEURISTIC " ^ outcome_to_string action
@@ -1548,7 +1466,7 @@ and resolve_heuristic t st ~action ~outcome =
     (* the local operator console learns of the mismatch the moment it is
        detected; damage is silent only when no console anywhere hears *)
     t.damage_seen <- (st.txn, report) :: t.damage_seen;
-    if st.sent_vote_reliable then
+    if st.sent_vote_reliable && tracing t then
       (* Table 1's vote-reliable disadvantage: with the ack elided there is
          no channel to report the damage; it is lost *)
       trace t
@@ -1621,13 +1539,7 @@ and handle_data t ~txn =
       end
 
 and handle_inquiry t ~src ~txn =
-  let reply outcome =
-    (* a positive answer under a certified protocol carries its proof *)
-    let cert =
-      match outcome with Some _ -> cert_for t txn | None -> None
-    in
-    send t ~dst:src [ Msg.Inquiry_reply { txn; outcome; cert } ]
-  in
+  let reply outcome = send t ~dst:src [ t.evidence.ev_reply ~txn outcome ] in
   match get_txn t txn with
   | Some st -> (
       match st.outcome with
@@ -1693,11 +1605,12 @@ and handle_payload t ~src = function
   | Msg.Inquiry_reply { txn; outcome; _ } -> handle_inquiry_reply t ~txn outcome
 
 (* The honest-node defense: before acting on a payload, ask the protocol
-   whether an honest peer could have sent it, given who [src] is in our
-   static tree and what we durably know about the transaction.  A benign
-   run never trips this (CI holds chaos output byte-identical); a rejection
-   is counted and traced so the adversarial audit can report how many
-   forgeries the protocol caught. *)
+   whether an honest peer could have sent it: first by the evidence the
+   payload carries, then by who [src] is in our static tree and what we
+   durably know about the transaction.  A benign run never trips this (CI
+   holds chaos output byte-identical); a rejection is counted and traced
+   so the adversarial audit can report how many forgeries the protocol
+   caught. *)
 and admissible t ~src payload =
   let role =
     match t.parent_name with
@@ -1715,7 +1628,9 @@ and admissible t ~src payload =
         | st when st.decision_durable -> st.outcome
         | _ | (exception Not_found) -> None)
   in
-  t.proto.p_admissible ~cfg:t.cfg ~src ~role ~known payload
+  match t.evidence.ev_check ~src payload with
+  | None -> t.proto.p_admissible ~src ~role ~known payload
+  | refusal -> refusal
 
 (* Act on each payload of a delivered bundle that the protocol admits. *)
 and deliver_payloads t ~src = function
@@ -1723,12 +1638,10 @@ and deliver_payloads t ~src = function
   | payload :: rest ->
       (match admissible t ~src payload with
       | None ->
-          note_payload_cert t payload;
+          t.evidence.ev_admitted (ops_of t) payload;
           handle_payload t ~src payload
       | Some reason ->
           t.rejected <- t.rejected + 1;
-          if String.length reason >= 5 && String.sub reason 0 5 = "cert:"
-          then t.rejected_certs <- t.rejected_certs + 1;
           note t reason);
       deliver_payloads t ~src rest
 
@@ -1756,7 +1669,7 @@ and handler t ~src payloads =
 and restart t =
   t.crashed <- false;
   t.epoch <- t.epoch + 1;
-  trace t (Trace.Restart { time = now t; node = t.name });
+  if tracing t then trace t (Trace.Restart { time = now t; node = t.name });
   Net.restart_node t.net t.name;
   Kvstore.recover t.kv;
   (* Reconstruct protocol obligations from the durable log. *)
@@ -1771,33 +1684,9 @@ and restart t =
       let l = try Hashtbl.find by_txn r.txn with Not_found -> [] in
       Hashtbl.replace by_txn r.txn (r.kind :: l))
     mine;
-  (* Under a certified protocol, re-validate every durable decision
-     certificate before trusting it again: a record that does not parse or
-     whose endorsement quorum no longer checks out is refused (counted like
-     a certificate-violating message), so recovery re-drives decisions only
-     with proof in hand.  This runs before [recover_txn] so re-driven
-     decisions carry their certificates. *)
-  if t.proto.p_certify <> None then
-    List.iter
-      (fun (r : Wal.Log_record.t) ->
-        if r.kind = Wal.Log_record.Certificate then
-          let valid =
-            match Msg.cert_of_string r.payload with
-            | Some ({ Msg.c_endorsements = e :: _ } as c)
-              when Msg.certificate_valid ~f:(max 0 t.cfg.bft_f) ~txn:r.txn
-                     ~outcome:e.Msg.e_outcome c ->
-                Hashtbl.replace t.certs r.txn c;
-                true
-            | _ -> false
-          in
-          if not valid then begin
-            t.rejected_certs <- t.rejected_certs + 1;
-            note t
-              (Printf.sprintf
-                 "cert: recovery refuses invalid durable certificate for %s"
-                 r.txn)
-          end)
-      mine;
+  (* the protocol restores (and re-validates) the evidence it logged
+     first, so decisions recovery re-drives carry it *)
+  t.evidence.ev_restart (ops_of t) mine;
   Hashtbl.iter (fun txn kinds -> recover_txn t ~txn ~kinds) by_txn
 
 and recover_txn t ~txn ~kinds =
@@ -1889,7 +1778,7 @@ let force_restart t = restart t
 let force_restart_amnesia t =
   t.crashed <- false;
   t.epoch <- t.epoch + 1;
-  trace t (Trace.Restart { time = now t; node = t.name });
+  if tracing t then trace t (Trace.Restart { time = now t; node = t.name });
   Net.restart_node t.net t.name
 
 let unresolved_txns t =
@@ -1938,6 +1827,7 @@ let force_heuristic t ~txn action =
     | None -> ()
 
 let rejected_forgeries t = t.rejected
-let rejected_certs t = t.rejected_certs
+(* refusals counted by the protocol's own evidence check (BFT certificates) *)
+let rejected_certs t = t.evidence.ev_refusals ()
 
 let damage_seen t = List.rev t.damage_seen

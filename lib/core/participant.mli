@@ -146,11 +146,12 @@ val rejected_forgeries : t -> int
     benign run. *)
 
 val rejected_certs : t -> int
-(** The subset of refusals that violated certificate rules (an
-    admissibility reason starting with ["cert:"]: uncertified or
-    mis-certified decisions, vote-signature mismatches), plus durable
-    certificates that failed re-validation at restart.  Always zero under
-    the paper's uncertified protocols. *)
+(** Refusals the protocol's own evidence check counted
+    ({!Protocol_intf.evidence}): under BFT, uncertified or mis-certified
+    decisions and outcome replies and vote-signature mismatches (also
+    counted in {!rejected_forgeries}), plus durable certificates that
+    failed re-validation at restart.  Always zero under the paper's
+    protocols. *)
 
 val damage_seen : t -> (string * Msg.damage_report) list
 (** Heuristic-damage reports that reached this node's operator, oldest

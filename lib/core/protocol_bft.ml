@@ -3,10 +3,11 @@
     {!Protocol_intf}: the coordinator is replicated over 2f+1 replicas and
     a decision only becomes actionable when carried by a {e decision
     certificate} of at least f+1 matching endorsements over the same vote
-    set.  Participants refuse uncertified or mis-certified decisions and
-    votes whose signature does not match, routing them to the
-    rejected-forgeries console instead of acting; restart recovery
-    re-validates certificates from the WAL.
+    set.  Everything about certificates is in [evidence] below:
+    signing votes, certifying decisions, caching and logging
+    certificates, refusing uncertified or mis-certified decisions and
+    mis-signed votes before acting (they reach the rejected-forgeries
+    console too), and re-validating durable certificates at restart.
 
     The replica ensemble is not modelled as separate simulation nodes: the
     endorsement round is synthesized at the decision maker, which charges
@@ -20,68 +21,129 @@
 
 open Types
 
-(* Cost of one certified decision, beyond what the node itself logs: the
-   coordinator exchanges request/endorsement with each of the 2f other
-   replicas (2 * 2f flows) and each of those replicas forces its
-   endorsement record (2f forced writes).  The round trip overlaps the
-   replica forces, so latency is one round trip plus one force. *)
-let quorum_flows ~f = 4 * f
-let quorum_forces ~f = 2 * f
-let quorum_delay ~cfg ~f =
-  if f = 0 then 0.0 else (2.0 *. cfg.latency) +. cfg.io_latency
+(* Canonical digest of the vote set a decision was taken over: what the
+   replica ensemble endorses, and what ties every endorsement in one
+   certificate to the same evidence. *)
+let votes_digest votes =
+  Msg.digest
+    (String.concat ";"
+       (List.map
+          (fun (n, v) ->
+            n ^ "=" ^ match v with Some v -> vote_to_string v | None -> "-")
+          (List.sort compare votes)))
 
-let certify ops ~cfg ~txn ~outcome ~votes ~k =
+(* One node's certificates.  The per-txn cache is filled at the decision
+   maker and on first sight of an admitted certified payload elsewhere;
+   each new certificate is appended to the WAL so the next force hardens
+   certificate and outcome together.  The cache dies with the node and
+   restart restores it from the durable [Certificate] records, re-validating
+   each.  On top of the topology check every protocol runs, decisions and
+   outcome-bearing inquiry replies must carry a valid certificate and votes
+   a matching signature; those refusals, and invalid durable certificates
+   found at restart, are counted here. *)
+let evidence cfg =
   let f = max 0 cfg.bft_f in
-  let cert =
-    {
-      Msg.c_endorsements =
-        List.init (f + 1) (fun r -> Msg.endorse ~replica:r ~txn ~outcome ~votes);
-    }
+  let certs : (string, Msg.certificate) Hashtbl.t = Hashtbl.create 4 in
+  let refusals = ref 0 in
+  let refuse fmt =
+    incr refusals;
+    Printf.ksprintf Option.some fmt
   in
-  if f = 0 then k cert
-  else begin
-    ops.Protocol_intf.op_note
-      (Printf.sprintf "gathering decision certificate (f=%d, quorum=%d)" f
-         (f + 1));
-    ops.Protocol_intf.op_charge ~flows:(quorum_flows ~f)
-      ~forces:(quorum_forces ~f);
-    ops.Protocol_intf.op_after ~delay:(quorum_delay ~cfg ~f) (fun () -> k cert)
-  end
-
-(* Everything the standard topology check catches still applies; on top of
-   it, decisions and outcome-bearing inquiry replies must carry a valid
-   certificate and votes must carry a matching signature.  Certificate
-   reasons start with "cert:" so the plumbing can count them separately. *)
-let admissible ~cfg ~src ~role ~known payload =
-  let f = max 0 cfg.bft_f in
-  let reject fmt = Printf.ksprintf Option.some fmt in
-  match (payload : Msg.payload) with
-  | Msg.Decision_msg { txn; outcome; cert } -> (
-      match cert with
-      | None ->
-          reject "cert: rejecting uncertified %s from %s"
-            (Msg.payload_label payload) src
-      | Some c ->
-          if not (Msg.certificate_valid ~f ~txn ~outcome c) then
-            reject
-              "cert: rejecting %s from %s: certificate below the f+1=%d \
-               quorum or inconsistent"
-              (Msg.payload_label payload) src (f + 1)
-          else Protocol_intf.standard_admissible ~src ~role ~known payload)
-  | Msg.Inquiry_reply { txn; outcome = Some o; cert } -> (
-      match cert with
-      | None -> reject "cert: rejecting uncertified outcome reply from %s" src
-      | Some c ->
-          if not (Msg.certificate_valid ~f ~txn ~outcome:o c) then
-            reject "cert: rejecting outcome reply from %s: invalid certificate"
+  let keep (ops : Protocol_intf.ops) ~txn cert =
+    Hashtbl.replace certs txn cert;
+    ops.op_append ~txn ~payload:(Msg.cert_to_string cert)
+      Wal.Log_record.Certificate
+  in
+  let valid ~txn ~outcome c = Msg.certificate_valid ~f ~txn ~outcome c in
+  {
+    Protocol_intf.ev_vote_tag = Msg.vote_tag;
+    (* The replicas endorse the outcome over the vote set.  Beyond what the
+       node itself logs, the coordinator exchanges request/endorsement with
+       each of the 2f other replicas (2 * 2f flows) and each of those
+       replicas forces its endorsement record (2f forced writes); the round
+       trip overlaps the replica forces, so it adds one round trip plus one
+       force of latency. *)
+    ev_decide =
+      (fun ops ~txn outcome ~votes ~k ->
+        if Hashtbl.mem certs txn then k ()
+        else
+          let votes = votes_digest (votes ()) in
+          let cert =
+            {
+              Msg.c_endorsements =
+                List.init (f + 1) (fun r ->
+                    Msg.endorse ~replica:r ~txn ~outcome ~votes);
+            }
+          in
+          let certified () =
+            keep ops ~txn cert;
+            k ()
+          in
+          if f = 0 then certified ()
+          else begin
+            ops.op_note
+              (Printf.sprintf "gathering decision certificate (f=%d, quorum=%d)"
+                 f (f + 1));
+            ops.op_charge ~flows:(4 * f) ~forces:(2 * f)
+              Wal.Log_record.Certificate;
+            ops.op_after ~delay:((2.0 *. cfg.latency) +. cfg.io_latency) certified
+          end);
+    ev_decision =
+      (fun ~txn outcome ->
+        Msg.Decision_msg { txn; outcome; cert = Hashtbl.find_opt certs txn });
+    ev_reply =
+      (fun ~txn outcome ->
+        let cert =
+          match outcome with Some _ -> Hashtbl.find_opt certs txn | None -> None
+        in
+        Msg.Inquiry_reply { txn; outcome; cert });
+    ev_check =
+      (fun ~src payload ->
+        match payload with
+        | Msg.Decision_msg { cert = None; _ } ->
+            refuse "rejecting uncertified %s from %s" (Msg.payload_label payload)
               src
-          else Protocol_intf.standard_admissible ~src ~role ~known payload)
-  | Msg.Vote_msg { txn; vote; tag; _ } ->
-      if not (String.equal tag (Msg.vote_tag ~src ~txn vote)) then
-        reject "cert: rejecting %s from %s: vote signature mismatch"
-          (Msg.payload_label payload) src
-      else Protocol_intf.standard_admissible ~src ~role ~known payload
-  | _ -> Protocol_intf.standard_admissible ~src ~role ~known payload
+        | Msg.Decision_msg { txn; outcome; cert = Some c }
+          when not (valid ~txn ~outcome c) ->
+            refuse
+              "rejecting %s from %s: certificate below the f+1=%d quorum or \
+               inconsistent"
+              (Msg.payload_label payload) src (f + 1)
+        | Msg.Inquiry_reply { outcome = Some _; cert = None; _ } ->
+            refuse "rejecting uncertified outcome reply from %s" src
+        | Msg.Inquiry_reply { txn; outcome = Some outcome; cert = Some c }
+          when not (valid ~txn ~outcome c) ->
+            refuse "rejecting outcome reply from %s: invalid certificate" src
+        | Msg.Vote_msg { txn; vote; tag; _ }
+          when not (String.equal tag (Msg.vote_tag ~src ~txn vote)) ->
+            refuse "rejecting %s from %s: vote signature mismatch"
+              (Msg.payload_label payload) src
+        | _ -> None);
+    ev_admitted =
+      (fun ops -> function
+        | Msg.Decision_msg { txn; cert = Some c; _ }
+        | Msg.Inquiry_reply { txn; cert = Some c; _ } ->
+            if not (Hashtbl.mem certs txn) then keep ops ~txn c
+        | _ -> ());
+    ev_crash = (fun () -> Hashtbl.reset certs);
+    ev_restart =
+      (fun ops records ->
+        List.iter
+          (fun (r : Wal.Log_record.t) ->
+            if r.kind = Wal.Log_record.Certificate then
+              match Msg.cert_of_string r.payload with
+              | Some ({ Msg.c_endorsements = e :: _ } as c)
+                when valid ~txn:r.txn ~outcome:e.Msg.e_outcome c ->
+                  Hashtbl.replace certs r.txn c
+              | _ ->
+                  incr refusals;
+                  ops.op_note
+                    (Printf.sprintf
+                       "recovery refuses invalid durable certificate for %s"
+                       r.txn))
+          records);
+    ev_refusals = (fun () -> !refusals);
+  }
 
 let protocol : Protocol_intf.t =
   {
@@ -115,6 +177,6 @@ let protocol : Protocol_intf.t =
     p_indoubt_tick = Protocol_intf.send_inquiries;
     p_indoubt_restart = Protocol_intf.send_inquiries;
     p_recover = Protocol_intf.standard_recover;
-    p_admissible = admissible;
-    p_certify = Some certify;
+    p_admissible = Protocol_intf.standard_admissible;
+    p_evidence = evidence;
   }

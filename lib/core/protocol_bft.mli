@@ -6,16 +6,4 @@
     10 documents the quorum/certificate model and the f-threshold
     semantics of the chaos gate. *)
 
-val quorum_flows : f:int -> int
-(** Extra message flows one certified decision costs (2 * 2f: request and
-    endorsement for each of the other replicas). *)
-
-val quorum_forces : f:int -> int
-(** Extra forced log writes one certified decision costs (one endorsement
-    force at each of the 2f other replicas). *)
-
-val quorum_delay : cfg:Types.config -> f:int -> float
-(** Latency the endorsement round adds to a decision: one replica round
-    trip plus one overlapped force; [0] when [f = 0]. *)
-
 val protocol : Protocol_intf.t

@@ -24,8 +24,8 @@ type ops = {
   op_force : txn:string -> Wal.Log_record.kind -> (unit -> unit) -> unit;
       (** force a TM record; the continuation runs when it is durable
           (immediately for shared-log members riding the parent's forces) *)
-  op_append : txn:string -> Wal.Log_record.kind -> unit;
-      (** write a TM record without forcing *)
+  op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
+      (** write a TM record, carrying [payload] if given, without forcing *)
   op_note : string -> unit;  (** free-form trace note at this node *)
   op_crash_at : crash_point -> bool;
       (** fire a configured crash fault at this point; [true] means the
@@ -36,12 +36,13 @@ type ops = {
           (never run) if the node crashes first - protocol hooks use this
           to model rounds the simulated network does not carry, like the
           BFT coordinator's endorsement round trip *)
-  op_charge : flows:int -> forces:int -> unit;
+  op_charge : flows:int -> forces:int -> Wal.Log_record.kind -> unit;
       (** charge synthetic protocol cost to this node's trace: [flows]
-          message flows and [forces] forced log writes that happen on
-          hardware the simulation does not model as separate nodes (the
-          BFT replica ensemble).  Shows up in the paper-style flow/write
-          accounting so sweeps price the protocol honestly. *)
+          message flows and [forces] forced log writes of the given kind
+          that happen on hardware the simulation does not model as
+          separate nodes (the BFT replica ensemble).  Shows up in the
+          paper-style flow/write accounting so sweeps price the protocol
+          honestly. *)
 }
 
 (** How a decision reaches the log at one role. *)
@@ -67,6 +68,27 @@ type recovery_action =
     the evidence they have against forged messages - there are no
     signatures in 2PC. *)
 type sender_role = From_parent | From_child | From_stranger
+
+(** What a protocol attaches to its messages, checks on delivery and keeps
+    in the log to back its decisions, once per node; protocol_intf.mli
+    documents each hook.  The plumbing calls every hook unconditionally. *)
+type evidence = {
+  ev_vote_tag : src:string -> txn:string -> vote -> string;
+  ev_decide :
+    ops ->
+    txn:string ->
+    outcome ->
+    votes:(unit -> (string * vote option) list) ->
+    k:(unit -> unit) ->
+    unit;
+  ev_decision : txn:string -> outcome -> Msg.payload;
+  ev_reply : txn:string -> outcome option -> Msg.payload;
+  ev_check : src:string -> Msg.payload -> string option;
+  ev_admitted : ops -> Msg.payload -> unit;
+  ev_crash : unit -> unit;
+  ev_restart : ops -> Wal.Log_record.t list -> unit;
+  ev_refusals : unit -> int;
+}
 
 type t = {
   p_id : protocol;  (** the {!Types.config} value selecting this protocol *)
@@ -112,7 +134,6 @@ type t = {
       (** restart-time policy over the TM record kinds found for one txn *)
   (* --- adversary hardening ----------------------------------------- *)
   p_admissible :
-    cfg:config ->
     src:string ->
     role:sender_role ->
     known:outcome option ->
@@ -120,32 +141,34 @@ type t = {
     string option;
       (** Validation an honest node runs on every delivered payload before
           acting on it: [None] admits the payload, [Some reason] rejects it
-          (the plumbing counts the rejection and traces [reason]; a reason
-          starting with ["cert:"] is additionally counted as a certificate
-          refusal).  [known] is this node's durable outcome for the
-          payload's transaction, if any.  The checks are protocol-level
+          (the plumbing counts the rejection and traces [reason]).  It
+          runs only on payloads {!evidence.ev_check} admitted.  [known] is
+          this node's durable outcome for the payload's transaction, if
+          any.  The checks are protocol-level
           because what counts as a protocol-violating message differs per
           family (PN subordinates never inquire); they must never reject
           anything a benign run can deliver.  See {!standard_admissible}. *)
-  p_certify :
-    (ops ->
-    cfg:config ->
-    txn:string ->
-    outcome:outcome ->
-    votes:string ->
-    k:(Msg.certificate -> unit) ->
-    unit)
-    option;
-      (** [Some] makes this a certified-decision protocol: called at the
-          decision maker after the outcome is chosen but before it is
-          logged or propagated; the hook gathers its endorsement quorum
-          (charging cost and latency through [ops]) and passes the
-          certificate to [k].  The plumbing then logs the certificate
-          next to the outcome, attaches it to every outgoing
-          [Decision_msg] and [Inquiry_reply], and restores it from the
-          WAL at restart.  [None] (all paper protocols) skips the whole
-          machinery. *)
+  p_evidence : config -> evidence;
+      (** builds one node's evidence when the node is created *)
 }
+
+(** The paper's protocols: unsigned votes, bare decisions, nothing checked
+    or kept. *)
+let no_evidence (_ : config) =
+  {
+    ev_vote_tag = (fun ~src:_ ~txn:_ _ -> "");
+    ev_decide = (fun _ ~txn:_ _ ~votes:_ ~k -> k ());
+    ev_decision =
+      (fun ~txn outcome -> Msg.Decision_msg { txn; outcome; cert = None });
+    ev_reply = (fun ~txn outcome -> Msg.Inquiry_reply { txn; outcome; cert = None });
+    ev_check = (fun ~src:_ _ -> None);
+    ev_admitted = (fun _ _ -> ());
+    ev_crash = ignore;
+    ev_restart = (fun _ _ -> ());
+    ev_refusals = (fun () -> 0);
+  }
+
+let certified p = p.p_evidence != no_evidence
 
 (** Send an {!Msg.Inquiry} for [txn] to every target: the subordinate-
     initiated recovery action shared by the presuming protocols. *)

@@ -20,8 +20,8 @@ type ops = {
   op_force : txn:string -> Wal.Log_record.kind -> (unit -> unit) -> unit;
       (** force a TM record; the continuation runs when it is durable
           (immediately for shared-log members riding the parent's forces) *)
-  op_append : txn:string -> Wal.Log_record.kind -> unit;
-      (** write a TM record without forcing *)
+  op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
+      (** write a TM record, carrying [payload] if given, without forcing *)
   op_note : string -> unit;  (** free-form trace note at this node *)
   op_crash_at : Types.crash_point -> bool;
       (** fire a configured crash fault at this point; [true] means the
@@ -30,10 +30,10 @@ type ops = {
   op_after : delay:float -> (unit -> unit) -> unit;
       (** run a continuation after [delay] virtual time units; cancelled
           (never run) if the node crashes first *)
-  op_charge : flows:int -> forces:int -> unit;
-      (** charge synthetic protocol cost (message flows / forced writes
-          happening on unmodelled hardware, e.g. the BFT replica ensemble)
-          to this node's trace counters *)
+  op_charge : flows:int -> forces:int -> Wal.Log_record.kind -> unit;
+      (** charge synthetic protocol cost (message flows / forced writes of
+          the given kind happening on unmodelled hardware, e.g. the BFT
+          replica ensemble) to this node's trace counters *)
 }
 
 (** How a decision reaches the log at one role. *)
@@ -59,6 +59,50 @@ type recovery_action =
     durable state is all the evidence they have against forged messages -
     there are no signatures in 2PC. *)
 type sender_role = From_parent | From_child | From_stranger
+
+(** What a protocol attaches to its messages, checks on delivery and keeps
+    in the log to back its decisions, built once per node ({!t.p_evidence}).
+    The paper's protocols trust the commit tree and carry nothing
+    ({!no_evidence}); {!Protocol_bft} carries decision certificates and
+    signed votes.  {!Participant} calls every hook unconditionally. *)
+type evidence = {
+  ev_vote_tag : src:string -> txn:string -> Types.vote -> string;
+      (** the signature a vote from [src] carries; [""] for unsigned *)
+  ev_decide :
+    ops ->
+    txn:string ->
+    Types.outcome ->
+    votes:(unit -> (string * Types.vote option) list) ->
+    k:(unit -> unit) ->
+    unit;
+      (** called at the decision maker after the outcome is chosen and
+          before it is logged or propagated: back the outcome (BFT gathers
+          its endorsement quorum through [ops] and appends the
+          certificate), then run [k], which logs the outcome, so the
+          outcome force hardens both.  [votes ()] builds the vote set
+          decided over as (member, vote) pairs, this node's own first. *)
+  ev_decision : txn:string -> Types.outcome -> Msg.payload;
+      (** the [Decision_msg] this node sends for [txn] *)
+  ev_reply : txn:string -> Types.outcome option -> Msg.payload;
+      (** the [Inquiry_reply] this node sends for [txn] *)
+  ev_check : src:string -> Msg.payload -> string option;
+      (** runs before {!t.p_admissible} on every delivered payload: [Some
+          reason] refuses it.  The refusal is counted here
+          ({!ev_refusals}) and, like any refusal, toward
+          {!Participant.rejected_forgeries}, and [reason] is traced. *)
+  ev_admitted : ops -> Msg.payload -> unit;
+      (** sees every admitted payload before the node acts on it (BFT
+          caches and logs the first certificate it sees per transaction) *)
+  ev_crash : unit -> unit;  (** the node crashed: drop volatile state *)
+  ev_restart : ops -> Wal.Log_record.t list -> unit;
+      (** the node restarted; the list is its own durable TM records.
+          Runs before log-driven recovery re-drives anything, so re-driven
+          decisions carry whatever this restores (BFT re-validates every
+          durable certificate and counts the invalid ones as refusals). *)
+  ev_refusals : unit -> int;
+      (** refusals counted so far ({!Participant.rejected_certs});
+          survives crashes, like the operator's tally it models *)
+}
 
 type t = {
   p_id : Types.protocol;
@@ -100,7 +144,6 @@ type t = {
   p_recover : Wal.Log_record.kind list -> recovery_action;
       (** restart-time policy over the TM record kinds found for one txn *)
   p_admissible :
-    cfg:Types.config ->
     src:string ->
     role:sender_role ->
     known:Types.outcome option ->
@@ -109,37 +152,30 @@ type t = {
       (** Validation an honest node runs on every delivered payload before
           acting on it: [None] admits the payload, [Some reason] rejects it
           (the plumbing counts the rejection toward
-          {!Participant.rejected_forgeries} and traces [reason]; a reason
-          starting with ["cert:"] is additionally counted toward
-          {!Participant.rejected_certs}).  [known] is the receiver's
-          durable outcome for the payload's transaction, if any.  [cfg] is
-          the run configuration (the BFT check needs its [bft_f]).  The
-          checks live in the protocol, not the network, because what
-          counts as a protocol-violating message differs per family (PN
-          subordinates never inquire, so PN rejects every Inquiry);
+          {!Participant.rejected_forgeries} and traces [reason]).  It runs
+          only on payloads {!evidence.ev_check} admitted.  [known] is the
+          receiver's durable outcome for the payload's transaction, if
+          any.  The checks live in the protocol, not the network, because
+          what counts as a protocol-violating message differs per family
+          (PN subordinates never inquire, so PN rejects every Inquiry);
           implementations must never reject anything a benign run can
           deliver — dual commit initiation (Figure 5) makes
           Prepare-from-a-stranger legal, for example.  Start from
           {!standard_admissible}. *)
-  p_certify :
-    (ops ->
-    cfg:Types.config ->
-    txn:string ->
-    outcome:Types.outcome ->
-    votes:string ->
-    k:(Msg.certificate -> unit) ->
-    unit)
-    option;
-      (** [Some] makes this a certified-decision protocol (see
-          {!Protocol_bft}): called at the decision maker after the outcome
-          is chosen but before it is logged or propagated; the hook
-          gathers its endorsement quorum (charging quorum cost and latency
-          through [ops]) and passes the certificate to [k].  The plumbing
-          logs the certificate next to the outcome, attaches it to every
-          outgoing [Decision_msg]/[Inquiry_reply], and restores and
-          re-validates it from the WAL at restart.  [None] for all the
-          paper's protocols. *)
+  p_evidence : Types.config -> evidence;
+      (** builds one node's {!evidence} when the node is created;
+          {!no_evidence} for the paper's three protocols *)
 }
+
+val no_evidence : Types.config -> evidence
+(** The paper's protocols: unsigned votes, decisions and inquiry replies
+    without certificates, no check, nothing cached or logged. *)
+
+val certified : t -> bool
+(** Whether the protocol backs its decisions with evidence, i.e. its
+    [p_evidence] is not {!no_evidence}: under a certified protocol chaos
+    runs report refusals and replica corruption and gate on the
+    sub-threshold guarantee. *)
 
 val send_inquiries : ops -> txn:string -> targets:string list -> unit
 (** Send an {!Msg.Inquiry} for [txn] to every target: the subordinate-

@@ -31,8 +31,6 @@ let protocol : Protocol_intf.t =
     p_indoubt_tick = Protocol_intf.send_inquiries;
     p_indoubt_restart = Protocol_intf.send_inquiries;
     p_recover = Protocol_intf.standard_recover;
-    p_admissible =
-      (fun ~cfg:_ ~src ~role ~known payload ->
-        Protocol_intf.standard_admissible ~src ~role ~known payload);
-    p_certify = None;
+    p_admissible = Protocol_intf.standard_admissible;
+    p_evidence = Protocol_intf.no_evidence;
   }

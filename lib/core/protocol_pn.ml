@@ -75,7 +75,7 @@ let protocol : Protocol_intf.t =
        any Inquiry is a protocol violation PN can reject outright; the
        shared topology/known-outcome checks cover the rest *)
     p_admissible =
-      (fun ~cfg:_ ~src ~role ~known payload ->
+      (fun ~src ~role ~known payload ->
         match payload with
         | Msg.Inquiry _ ->
             Some
@@ -83,5 +83,5 @@ let protocol : Protocol_intf.t =
                  "rejecting inquiry from %s: PN recovery is coordinator-owned"
                  src)
         | _ -> Protocol_intf.standard_admissible ~src ~role ~known payload);
-    p_certify = None;
+    p_evidence = Protocol_intf.no_evidence;
   }

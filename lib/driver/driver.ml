@@ -199,8 +199,7 @@ let chaos_cells ?progress ~jobs p =
      guarantees atomicity outright, so any violation there is a failed
      guarantee, not a data point. *)
   let certified =
-    (Tpc.Protocol.resolve config.Tpc.Types.protocol).Tpc.Protocol.p_certify
-    <> None
+    Tpc.Protocol.certified (Tpc.Protocol.resolve config.Tpc.Types.protocol)
   in
   let bft_f = max 0 config.Tpc.Types.bft_f in
   let bft_gate plan (acc : Faultlab.accounting) =

@@ -394,14 +394,13 @@ let test_bft_registry_round_trip () =
     [ "bft"; "BFT"; "byzantine"; "bft-2pc" ];
   Alcotest.(check string) "flag printed for JSONL" "bft" (P.flag id);
   Alcotest.(check bool) "bft is a certified protocol" true
-    ((P.resolve id).P.p_certify <> None);
+    (P.certified (P.resolve id));
   List.iter
     (fun (impl : P.t) ->
       if impl.P.p_id <> id then
         Alcotest.(check bool)
           (impl.P.p_flag ^ " stays uncertified")
-          true
-          (impl.P.p_certify = None))
+          false (P.certified impl))
     (all ())
 
 let test_bft_certificate_validity () =
@@ -529,6 +528,36 @@ let test_bft_restart_revalidates_certs () =
   check_consistent "recovered state consistent" w ~txn:"txn-1"
     ~outcome:Committed
 
+(* Restart must restore the valid durable certificates, not merely refuse
+   bad ones: after a crash, the subordinate's positive inquiry reply still
+   carries its certificate, and its honest parent admits it. *)
+let test_bft_restart_restores_certs () =
+  let config = default_config |> with_protocol (bft_id ()) in
+  let m, w = run ~config (three ()) in
+  check_outcome "bft commits" (Some Committed) m;
+  let s = Tpc.Run.participant w "S" and parent = Tpc.Run.participant w "M" in
+  Tpc.Participant.force_crash s;
+  Tpc.Participant.force_restart s;
+  Simkernel.Engine.run w.Tpc.Run.engine;
+  let replies () =
+    List.length
+      (List.filter
+         (function
+           | Tpc.Trace.Deliver { src = "S"; dst = "M"; label = "Outcome commit"; _ }
+             ->
+               true
+           | _ -> false)
+         (Tpc.Trace.events w.Tpc.Run.trace))
+  in
+  Alcotest.(check int) "no reply before the inquiry" 0 (replies ());
+  Tpc.Net.inject w.Tpc.Run.net ~src:"M" ~dst:"S" [ Tpc.Msg.Inquiry { txn = "txn-1" } ];
+  Simkernel.Engine.run w.Tpc.Run.engine;
+  Alcotest.(check int) "the restarted subordinate answers" 1 (replies ());
+  Alcotest.(check int) "its parent admits the reply" 0
+    (Tpc.Participant.rejected_forgeries parent);
+  Alcotest.(check int) "no certificate refused anywhere" 0
+    (Tpc.Participant.rejected_certs parent + Tpc.Participant.rejected_certs s)
+
 let suite =
   [
     Alcotest.test_case "flag spellings round-trip" `Quick test_roundtrip_flag;
@@ -585,4 +614,6 @@ let suite =
       test_bft_counts_match_cost_model;
     Alcotest.test_case "bft restart re-validates durable certificates" `Quick
       test_bft_restart_revalidates_certs;
+    Alcotest.test_case "bft restart restores durable certificates" `Quick
+      test_bft_restart_restores_certs;
   ]

@@ -1,8 +1,8 @@
 (* The steady-state commit path pays only for what its run reads.  A
    counter-only trace must count exactly what a full trace counts; the
    allocation-free membership predicates must agree with the list-building
-   views they replace at every step of a faulty run; and a fixed
-   counter-only PA world must stay under an allocation ceiling. *)
+   views they replace at every step of a faulty run; and fixed
+   counter-only PA and BFT worlds must stay under allocation ceilings. *)
 
 open Tpc.Types
 module E = Simkernel.Engine
@@ -130,16 +130,20 @@ let test_predicates_agree () =
     seen
 
 (* Allocation gate: minor-heap words per committed transaction of a fixed
-   counter-only PA world (the ledger's pa-wide shape, 500 transactions),
-   with the fault watchdog armed by an empty plan as in the ledger.  The
-   count is deterministic for one compiler version: 5,010 words on OCaml
-   5.1, the version CI pins.  The ceiling sits about 5% above it, so an
-   allocation regression on the commit path fails here before it reaches
-   the benchmark. *)
-let alloc_ceiling = 5250.0
+   counter-only world (the ledger's pa-wide and bft-wide shape, 500
+   transactions), with the fault watchdog armed by an empty plan as in the
+   ledger.  The count is deterministic for one compiler version; on OCaml
+   5.1, the version CI pins, PA allocates 5,022 words and BFT (f=1)
+   12,138.  Each ceiling sits about 5% above its figure, so an allocation
+   regression on the commit path - PA's or the certificate path's - fails
+   here before it reaches the benchmark. *)
+let alloc_ceilings = [ ("pa", Presumed_abort, 5250.0); ("bft", bft, 12730.0) ]
 
-let test_alloc_ceiling () =
-  let config = default_config |> with_trace_events false in
+let test_alloc_ceiling (protocol, ceiling) () =
+  (* bft runs at the default f=1, as in the ledger *)
+  let config =
+    default_config |> with_protocol protocol |> with_trace_events false
+  in
   let cfg =
     { M.default_cfg with M.txns = 500; concurrency = 16; keyspace = 100_000; seed = 1 }
   in
@@ -149,11 +153,11 @@ let test_alloc_ceiling () =
   let committed = agg.Tpc.Metrics.Agg.committed in
   let words = (Gc.minor_words () -. before) /. float_of_int committed in
   Printf.printf "words per committed transaction: %.1f (ceiling %.0f)\n" words
-    alloc_ceiling;
+    ceiling;
   Alcotest.(check int) "every transaction committed" 500 committed;
-  if words > alloc_ceiling then
+  if words > ceiling then
     Alcotest.failf "%.1f words per committed transaction exceeds the ceiling %.0f"
-      words alloc_ceiling
+      words ceiling
 
 let suite =
   List.map
@@ -164,6 +168,9 @@ let suite =
   @ [
       Alcotest.test_case "O(1) predicates agree with list views" `Quick
         test_predicates_agree;
-      Alcotest.test_case "allocation ceiling per transaction" `Quick
-        test_alloc_ceiling;
     ]
+  @ List.map
+      (fun (name, protocol, ceiling) ->
+        Alcotest.test_case ("allocation ceiling per transaction: " ^ name) `Quick
+          (test_alloc_ceiling (protocol, ceiling)))
+      alloc_ceilings
