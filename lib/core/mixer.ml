@@ -81,8 +81,11 @@ let label_of_opts opts =
   | [] -> "baseline"
   | l -> String.concat "+" (List.map opt_to_string l)
 
-let node_has_work x name =
-  List.exists (fun it -> it.it_node = name) x.x_items
+let rec has_item name = function
+  | [] -> false
+  | it :: rest -> String.equal it.it_node name || has_item name rest
+
+let node_has_work x name = has_item name x.x_items
 
 (* ------------------------------------------------------------------ *)
 (* End-of-run consistency audit                                        *)
@@ -113,25 +116,74 @@ module Audit = struct
 
   let total b = b.committed_missing + b.aborted_applied + b.bad_value
 
-  (* one pass over each physical log builds the commit-evidence indexes;
-     scanning per transaction would be quadratic in the run length *)
-  let commit_evidence w =
-    let rm_commits = Hashtbl.create 1024 in
-    let decided_commit = Hashtbl.create 256 in
+  (* What the driver and the logs say about one transaction. *)
+  type entry = {
+    e_summary : txn_summary option;  (** [None]: only the logs name it *)
+    mutable e_commits : bool;  (** some record commits it *)
+    mutable e_aborts : bool;  (** some record aborts it *)
+    mutable e_applied : string list;
+        (** resource managers with an [Rm_committed] record for it *)
+  }
+
+  type evidence = { ev_world : Run.world; ev_txns : (string, entry) Hashtbl.t }
+
+  let fresh e_summary =
+    { e_summary; e_commits = false; e_aborts = false; e_applied = [] }
+
+  (* One entry per summary, then one pass over each physical log's record
+     arena: scanning per transaction would be quadratic in the run length,
+     and copying the logs into lists would cost more than the checks. *)
+  let scan w summaries =
+    let txns = Hashtbl.create (max 16 (List.length summaries)) in
+    List.iter (fun x -> Hashtbl.replace txns x.ts_txn (fresh (Some x))) summaries;
+    let entry txn =
+      match Hashtbl.find txns txn with
+      | e -> e
+      | exception Not_found ->
+          let e = fresh None in
+          Hashtbl.add txns txn e;
+          e
+    in
     List.iter
       (fun wal ->
-        List.iter
-          (fun (r : Wal.Log_record.t) ->
+        Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
             match r.kind with
             | Wal.Log_record.Rm_committed ->
-                Hashtbl.replace rm_commits (r.node, r.txn) ();
-                Hashtbl.replace decided_commit r.txn ()
+                let e = entry r.txn in
+                e.e_commits <- true;
+                e.e_applied <- r.node :: e.e_applied
             | Wal.Log_record.Committed | Wal.Log_record.Heuristic_commit ->
-                Hashtbl.replace decided_commit r.txn ()
-            | _ -> ())
-          (Wal.Log.all_records wal))
+                (entry r.txn).e_commits <- true
+            | Wal.Log_record.Rm_aborted | Wal.Log_record.Aborted
+            | Wal.Log_record.Heuristic_abort ->
+                (entry r.txn).e_aborts <- true
+            | Wal.Log_record.Rm_update | Wal.Log_record.Rm_prepared
+            | Wal.Log_record.Checkpoint | Wal.Log_record.Commit_pending
+            | Wal.Log_record.Prepared | Wal.Log_record.End
+            | Wal.Log_record.Agent | Wal.Log_record.Certificate ->
+                ()))
       (Run.all_wals w);
-    (rm_commits, decided_commit)
+    { ev_world = w; ev_txns = txns }
+
+  let divergence ev =
+    Hashtbl.fold
+      (fun _ e acc -> if e.e_commits && e.e_aborts then acc + 1 else acc)
+      ev.ev_txns 0
+
+  let rec updates ~node ~key = function
+    | [] -> false
+    | { it_node; it_op = Op_update { key = k } } :: rest ->
+        (String.equal it_node node && String.equal k key)
+        || updates ~node ~key rest
+    | { it_op = Op_read _; _ } :: rest -> updates ~node ~key rest
+
+  (* ground truth: the root's report when there is one, else the durable
+     record is the decision *)
+  let committed x e =
+    match x.ts_outcome with
+    | Some Committed -> true
+    | Some Aborted -> false
+    | None -> e.e_commits
 
   (* A member is excused from having applied an outcome while the
      transaction is in doubt there: blocked awaiting its coordinator
@@ -141,78 +193,64 @@ module Audit = struct
     Kvstore.is_in_doubt n.Run.kv ~txn
     || Participant.is_in_doubt n.Run.participant ~txn
 
-  let breakdown w summaries =
-    let rm_commits, decided_commit = commit_evidence w in
-    let rm_committed (n : Run.node) txn =
-      Hashtbl.mem rm_commits (n.Run.profile.p_name ^ ".rm", txn)
-    in
-    let truth x =
-      match x.ts_outcome with
-      | Some o -> Some o
-      | None ->
-          (* unreported: the durable record is the decision *)
-          if Hashtbl.mem decided_commit x.ts_txn then Some Committed else None
-    in
+  let check ev =
+    let w = ev.ev_world in
     let committed_missing = ref 0 in
     let aborted_applied = ref 0 in
     let bad_value = ref 0 in
-    List.iter
-      (fun x ->
-        let tr = truth x in
-        List.iter
-          (fun it ->
-            match it.it_op with
-            | Op_read _ -> ()
-            | Op_update { key } -> (
-                let n = Run.node w it.it_node in
-                match tr with
-                | Some Committed ->
-                    (* every member the txn updated must have applied it,
-                       unless it is down or still legitimately blocked *)
-                    if
-                      (not (rm_committed n x.ts_txn))
-                      && Net.is_up w.Run.net it.it_node
-                      && not (in_doubt_at n x.ts_txn)
-                    then incr committed_missing
-                | Some Aborted | None ->
-                    (* no member may have applied any part of it *)
-                    if rm_committed n x.ts_txn then incr aborted_applied;
-                    if
-                      Kvstore.committed_value n.Run.kv key
-                      = Some (txn_value x.ts_txn)
-                    then incr aborted_applied))
-          x.ts_items)
-      summaries;
+    Hashtbl.iter
+      (fun _ e ->
+        match e.e_summary with
+        | None -> ()
+        | Some x ->
+            let committed = committed x e in
+            List.iter
+              (fun it ->
+                match it.it_op with
+                | Op_read _ -> ()
+                | Op_update { key } ->
+                    let n = Run.node w it.it_node in
+                    let applied = List.mem (Kvstore.name n.Run.kv) e.e_applied in
+                    if committed then begin
+                      (* every member the txn updated must have applied it,
+                         unless it is down or still legitimately blocked *)
+                      if
+                        (not applied)
+                        && Net.is_up w.Run.net it.it_node
+                        && not (in_doubt_at n x.ts_txn)
+                      then incr committed_missing
+                    end
+                    else begin
+                      (* no member may have applied any part of it *)
+                      if applied then incr aborted_applied;
+                      if
+                        Kvstore.committed_value n.Run.kv key
+                        = Some (txn_value x.ts_txn)
+                      then incr aborted_applied
+                    end)
+              x.ts_items)
+      ev.ev_txns;
     (* every committed binding must belong to a committed transaction that
        actually wrote it there *)
-    let by_txn = Hashtbl.create 64 in
-    List.iter (fun x -> Hashtbl.replace by_txn x.ts_txn x) summaries;
     List.iter
       (fun (name, n) ->
-        List.iter
-          (fun (key, v) ->
+        Kvstore.iter_committed n.Run.kv (fun key v ->
             match value_owner v with
             | None -> ()  (* pre-loaded or foreign value *)
             | Some owner -> (
-                match Hashtbl.find_opt by_txn owner with
-                | Some x
-                  when truth x = Some Committed
-                       && List.exists
-                            (fun it ->
-                              it.it_node = name
-                              && match it.it_op with
-                                 | Op_update { key = k } -> k = key
-                                 | Op_read _ -> false)
-                            x.ts_items ->
+                match Hashtbl.find ev.ev_txns owner with
+                | { e_summary = Some x; _ } as e
+                  when committed x e && updates ~node:name ~key x.ts_items ->
                     ()
-                | _ -> incr bad_value))
-          (Kvstore.committed_bindings n.Run.kv))
+                | _ | (exception Not_found) -> incr bad_value)))
       w.Run.nodes;
     {
       committed_missing = !committed_missing;
       aborted_applied = !aborted_applied;
       bad_value = !bad_value;
     }
+
+  let breakdown w summaries = check (scan w summaries)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -532,38 +570,44 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         })
       all
   in
-  let committed_recs =
-    List.filter (fun x -> x.x_outcome = Some Committed) all
+  (* One pass counts outcomes, waits and completions, and streams each
+     committed transaction's lock hold into the histogram; lock holds are
+     only known once the lock manager has seen the releases.  A hold sums
+     its members in name order, as it always has, so the float sum is the
+     same to the last bit. *)
+  let members =
+    Array.of_list
+      (List.map
+         (fun (name, n) -> (name, Kvstore.locks n.Run.kv))
+         (List.sort (fun (a, _) (b, _) -> compare a b) w.Run.nodes))
   in
-  let committed = List.length committed_recs in
-  let aborted =
-    List.length (List.filter (fun x -> x.x_outcome = Some Aborted) all)
-  in
-  (* lock holds are only known once the lock manager has seen the releases:
-     stream them into the histogram here rather than collecting a list *)
+  let committed = ref 0 and aborted = ref 0 and total_waits = ref 0 in
+  let last_completion = ref 0.0 and total_wait_time = ref 0.0 in
   List.iter
     (fun x ->
-      if x.x_outcome = Some Committed then
-        let nodes =
-          List.sort_uniq compare (List.map (fun it -> it.it_node) x.x_items)
-        in
-        match nodes with
-        | [] -> ()
-        | _ ->
-            Obs.Histogram.record h_hold
-              (List.fold_left
-                 (fun acc name ->
-                   acc
-                   +. Lockmgr.txn_lock_time
-                        (Kvstore.locks (Run.kv w name))
-                        ~txn:x.x_txn)
-                 0.0 nodes))
+      (match x.x_outcome with
+      | Some Committed ->
+          incr committed;
+          if x.x_items <> [] then begin
+            let hold = ref 0.0 in
+            for j = 0 to Array.length members - 1 do
+              let name, locks = members.(j) in
+              if has_item name x.x_items then
+                hold := !hold +. Lockmgr.txn_lock_time locks ~txn:x.x_txn
+            done;
+            Obs.Histogram.record h_hold !hold
+          end
+      | Some Aborted -> incr aborted
+      | None -> ());
+      (match x.x_completed with
+      | Some c -> last_completion := max !last_completion c
+      | None -> ());
+      total_waits := !total_waits + x.x_waits;
+      total_wait_time := !total_wait_time +. x.x_wait_time)
     all;
-  let last_completion =
-    List.fold_left
-      (fun acc x -> match x.x_completed with Some c -> max acc c | None -> acc)
-      0.0 all
-  in
+  let committed = !committed and aborted = !aborted in
+  let total_waits = !total_waits and total_wait_time = !total_wait_time in
+  let last_completion = !last_completion in
   let duration = last_completion in
   let flows = Trace.flows w.Run.trace in
   let data_flows = Trace.data_flows w.Run.trace in
@@ -571,10 +615,6 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     List.fold_left
       (fun acc wal -> acc + (Wal.Log.stats wal).Wal.Log.force_ios)
       0 (Run.all_wals w)
-  in
-  let total_waits = List.fold_left (fun acc x -> acc + x.x_waits) 0 all in
-  let total_wait_time =
-    List.fold_left (fun acc x -> acc +. x.x_wait_time) 0.0 all
   in
   let q h p = if Obs.Histogram.count h = 0 then 0.0 else Obs.Histogram.quantile h p in
   let hist_mean h = if Obs.Histogram.count h = 0 then 0.0 else Obs.Histogram.mean h in

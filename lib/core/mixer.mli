@@ -58,7 +58,13 @@ val value_owner : string -> string option
     transaction is the root's report when present, else the durable commit
     evidence in the logs; a member is excused from the committed-everywhere
     obligation only while down or legitimately in doubt.  On a fault-free
-    run this reduces exactly to the strict audit the mixer always ran. *)
+    run this reduces exactly to the strict audit the mixer always ran.
+
+    The audit makes one pass over each physical log's record arena
+    ({!Wal.Log.iter}) and keeps one evidence entry per transaction: whether
+    any record commits it, whether any aborts it, and which resource
+    managers (by {!Kvstore.name}) applied it.  It builds no list of
+    records, and the bad-value check walks each committed store directly. *)
 module Audit : sig
   type breakdown = {
     committed_missing : int;
@@ -70,7 +76,20 @@ module Audit : sig
   }
 
   val total : breakdown -> int
+
+  type evidence
+  (** The per-transaction evidence of one pass over every physical log. *)
+
+  val scan : Run.world -> txn_summary list -> evidence
+
+  val check : evidence -> breakdown
+
+  val divergence : evidence -> int
+  (** Transactions that some record commits and some record aborts
+      (heuristic records included). *)
+
   val breakdown : Run.world -> txn_summary list -> breakdown
+  (** [check (scan w summaries)]. *)
 end
 
 val run_full :

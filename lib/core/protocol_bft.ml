@@ -55,6 +55,10 @@ let evidence cfg =
       Wal.Log_record.Certificate
   in
   let valid ~txn ~outcome c = Msg.certificate_valid ~f ~txn ~outcome c in
+  (* built once here: a counter-only trace drops the note unread *)
+  let gathering =
+    Printf.sprintf "gathering decision certificate (f=%d, quorum=%d)" f (f + 1)
+  in
   {
     Protocol_intf.ev_vote_tag = Msg.vote_tag;
     (* The replicas endorse the outcome over the vote set.  Beyond what the
@@ -81,9 +85,7 @@ let evidence cfg =
           in
           if f = 0 then certified ()
           else begin
-            ops.op_note
-              (Printf.sprintf "gathering decision certificate (f=%d, quorum=%d)"
-                 f (f + 1));
+            ops.op_note gathering;
             ops.op_charge ~flows:(4 * f) ~forces:(2 * f)
               Wal.Log_record.Certificate;
             ops.op_after ~delay:((2.0 *. cfg.latency) +. cfg.io_latency) certified

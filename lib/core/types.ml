@@ -286,9 +286,10 @@ let protocol_to_string = function
 let outcome_to_string = function Committed -> "commit" | Aborted -> "abort"
 
 let vote_to_string = function
-  | Vote_yes { reliable; leave_out_ok } ->
-      Printf.sprintf "yes%s%s"
-        (if reliable then "+reliable" else "")
-        (if leave_out_ok then "+leave-out-ok" else "")
+  | Vote_yes { reliable = false; leave_out_ok = false } -> "yes"
+  | Vote_yes { reliable = true; leave_out_ok = false } -> "yes+reliable"
+  | Vote_yes { reliable = false; leave_out_ok = true } -> "yes+leave-out-ok"
+  | Vote_yes { reliable = true; leave_out_ok = true } ->
+      "yes+reliable+leave-out-ok"
   | Vote_read_only -> "read-only"
   | Vote_no -> "no"

@@ -644,36 +644,13 @@ let verdict_fields v =
   ]
 
 let audit (w : Tpc.Run.world) summaries =
-  let b = Tpc.Mixer.Audit.breakdown w summaries in
+  let ev = Tpc.Mixer.Audit.scan w summaries in
+  let b = Tpc.Mixer.Audit.check ev in
   let net = w.Tpc.Run.net in
   (* agreement: no transaction may carry both commit and abort evidence
      anywhere in the complex's logs (heuristic records included: the chaos
      profiles never arm heuristics, so any conflict is a protocol bug) *)
-  let commit_ev : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let abort_ev : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun wal ->
-      List.iter
-        (fun (r : Wal.Log_record.t) ->
-          match r.kind with
-          | Wal.Log_record.Rm_committed | Wal.Log_record.Committed
-          | Wal.Log_record.Heuristic_commit ->
-              Hashtbl.replace commit_ev r.txn ()
-          | Wal.Log_record.Rm_aborted | Wal.Log_record.Aborted
-          | Wal.Log_record.Heuristic_abort ->
-              Hashtbl.replace abort_ev r.txn ()
-          | Wal.Log_record.Rm_update | Wal.Log_record.Rm_prepared
-          | Wal.Log_record.Checkpoint | Wal.Log_record.Commit_pending
-          | Wal.Log_record.Prepared | Wal.Log_record.End
-          | Wal.Log_record.Agent | Wal.Log_record.Certificate ->
-              ())
-        (Wal.Log.all_records wal))
-    (Tpc.Run.all_wals w);
-  let divergence =
-    Hashtbl.fold
-      (fun txn () acc -> if Hashtbl.mem abort_ev txn then acc + 1 else acc)
-      commit_ev 0
-  in
+  let divergence = Tpc.Mixer.Audit.divergence ev in
   let wal_divergence = ref 0 in
   let leaked = ref 0 in
   let unresolved_count = ref 0 in
@@ -787,15 +764,13 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
   in
   List.iter
     (fun wal ->
-      List.iter
-        (fun (r : Wal.Log_record.t) ->
+      Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
           match r.kind with
           | Wal.Log_record.Heuristic_commit ->
               Hashtbl.replace heur (r.node, r.txn) Tpc.Types.Committed
           | Wal.Log_record.Heuristic_abort ->
               Hashtbl.replace heur (r.node, r.txn) Tpc.Types.Aborted
-          | _ -> ())
-        (Wal.Log.all_records wal))
+          | _ -> ()))
     wals;
   (* pass 2: per-transaction "strong" (non-heuristic) evidence.  A TM
      outcome record is always honest knowledge (resolve_heuristic appends
@@ -811,8 +786,7 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
   in
   List.iter
     (fun wal ->
-      List.iter
-        (fun (r : Wal.Log_record.t) ->
+      Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
           match r.kind with
           | Wal.Log_record.Committed ->
               Hashtbl.replace told (r.node, r.txn) Tpc.Types.Committed;
@@ -830,8 +804,7 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
                 Hashtbl.find_opt heur (strip_rm r.node, r.txn)
                 <> Some Tpc.Types.Aborted
               then Hashtbl.replace abort_strong r.txn ()
-          | _ -> ())
-        (Wal.Log.all_records wal))
+          | _ -> ()))
     wals;
   (* which damage reports reached an operator console (the damaged member
      records its own detection; ack-borne copies land at coordinators) *)

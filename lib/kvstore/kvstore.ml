@@ -5,9 +5,8 @@ type op = Put of string * string | Delete of string
 type t = {
   engine : Simkernel.Engine.t;
   rm_name : string;
-  lock_prefix : string;  (* [rm_name ^ "/"]: every lock name starts so *)
   log : Wal.Log.t;
-  lock_table : Lockmgr.t;
+  lock_table : Lockmgr.t;  (* private to this store: a lock is named by its key *)
   reliable : bool;
   store : (string, string) Hashtbl.t; (* committed values *)
   wsets : (string, op list ref) Hashtbl.t; (* txn -> reversed op list *)
@@ -17,14 +16,12 @@ type t = {
          Prepare must vote NO, not read-only *)
 }
 
-let create engine ~name ~wal ?locks ?(reliable = false) () =
-  let lock_table = match locks with Some l -> l | None -> Lockmgr.create engine in
+let create engine ~name ~wal ?(reliable = false) () =
   {
     engine;
     rm_name = name;
-    lock_prefix = name ^ "/";
     log = wal;
-    lock_table;
+    lock_table = Lockmgr.create engine;
     reliable;
     store = Hashtbl.create 64;
     wsets = Hashtbl.create 8;
@@ -39,12 +36,40 @@ let is_reliable t = t.reliable
 
 (* --- undo/redo payload encoding (length-prefixed, crash-safe) ------------ *)
 
-let encode_op = function
-  | Put (k, v) ->
-      String.concat ""
-        [ "P"; string_of_int (String.length k); ":"; k;
-          string_of_int (String.length v); ":"; v ]
-  | Delete k -> String.concat "" [ "D"; string_of_int (String.length k); ":"; k ]
+(* A field is "<decimal length>:<bytes>".  Payloads are sized first and
+   written into one [Bytes], so encoding builds nothing else. *)
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+let field_size s = digits (String.length s) + 1 + String.length s
+
+(* write field [s] at [pos]; returns the position after it *)
+let put_field b pos s =
+  let len = String.length s in
+  let d = digits len in
+  let n = ref len in
+  for i = pos + d - 1 downto pos do
+    Bytes.set b i (Char.chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.set b (pos + d) ':';
+  Bytes.blit_string s 0 b (pos + d + 1) len;
+  pos + d + 1 + len
+
+let encode_op op =
+  let b =
+    match op with
+    | Put (k, v) ->
+        let b = Bytes.create (1 + field_size k + field_size v) in
+        Bytes.set b 0 'P';
+        ignore (put_field b (put_field b 1 k) v);
+        b
+    | Delete k ->
+        let b = Bytes.create (1 + field_size k) in
+        Bytes.set b 0 'D';
+        ignore (put_field b 1 k);
+        b
+  in
+  Bytes.unsafe_to_string b
 
 let decode_field s pos =
   let colon = String.index_from s pos ':' in
@@ -72,16 +97,14 @@ let wset t txn =
       Hashtbl.replace t.wsets txn r;
       r
 
-let lock_name t key = t.lock_prefix ^ key
-
 let can_lock t ~txn ~key mode =
-  match Lockmgr.holds t.lock_table ~txn ~key:(lock_name t key) with
+  match Lockmgr.holds t.lock_table ~txn ~key with
   | Some Lockmgr.Exclusive -> true
   | Some Lockmgr.Shared when mode = Lockmgr.Shared -> true
   | Some Lockmgr.Shared | None ->
       (* probe without acquiring: only exact state check available is
          try_acquire, so emulate by checking current holders *)
-      let holders = Lockmgr.holders t.lock_table ~key:(lock_name t key) in
+      let holders = Lockmgr.holders t.lock_table ~key in
       List.for_all
         (fun (h, m) ->
           h = txn
@@ -90,30 +113,31 @@ let can_lock t ~txn ~key mode =
              | _ -> false)
         holders
 
-let uncommitted_view t ~txn key =
-  (* newest op for [key] in the txn's write set, if any *)
+(* the newest op for [key] in a write set (newest first): [Some (Some v)]
+   for a put, [Some None] for a delete, [None] when [key] is unwritten *)
+let rec newest key = function
+  | [] -> None
+  | Put (k, v) :: _ when k = key -> Some (Some v)
+  | Delete k :: _ when k = key -> Some None
+  | _ :: rest -> newest key rest
+
+(* what [txn] sees: its own uncommitted write, else the committed value *)
+let visible t ~txn key =
   let ops = match Hashtbl.find_opt t.wsets txn with Some r -> !r | None -> [] in
-  List.find_map
-    (function
-      | Put (k, v) when k = key -> Some (Some v)
-      | Delete k when k = key -> Some None
-      | Put _ | Delete _ -> None)
-    ops
+  match newest key ops with
+  | Some v -> v
+  | None -> Hashtbl.find_opt t.store key
 
 let get t ~txn key =
-  if not (Lockmgr.try_acquire t.lock_table ~txn ~key:(lock_name t key) Lockmgr.Shared)
-  then None
-  else
-    match uncommitted_view t ~txn key with
-    | Some v -> v
-    | None -> Hashtbl.find_opt t.store key
+  if not (Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Shared) then None
+  else visible t ~txn key
 
 let log_update t ~txn op =
   Wal.Log.append t.log
     (Wal.Log_record.make ~txn ~node:t.rm_name ~payload:(encode_op op) Wal.Log_record.Rm_update)
 
 let put t ~txn ~key ~value =
-  if Lockmgr.try_acquire t.lock_table ~txn ~key:(lock_name t key) Lockmgr.Exclusive
+  if Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Exclusive
   then begin
     let ws = wset t txn in
     let op = Put (key, value) in
@@ -124,7 +148,7 @@ let put t ~txn ~key ~value =
   else false
 
 let delete t ~txn ~key =
-  if Lockmgr.try_acquire t.lock_table ~txn ~key:(lock_name t key) Lockmgr.Exclusive
+  if Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Exclusive
   then begin
     let ws = wset t txn in
     let op = Delete key in
@@ -135,7 +159,7 @@ let delete t ~txn ~key =
   else false
 
 let put_async t ~txn ~key ~value ~granted =
-  Lockmgr.acquire t.lock_table ~txn ~key:(lock_name t key) Lockmgr.Exclusive
+  Lockmgr.acquire t.lock_table ~txn ~key Lockmgr.Exclusive
     ~granted:(fun () ->
       let ws = wset t txn in
       let op = Put (key, value) in
@@ -144,31 +168,30 @@ let put_async t ~txn ~key ~value ~granted =
       granted ())
 
 let get_async t ~txn ~key ~granted =
-  Lockmgr.acquire t.lock_table ~txn ~key:(lock_name t key) Lockmgr.Shared
-    ~granted:(fun () ->
-      let v =
-        match uncommitted_view t ~txn key with
-        | Some v -> v
-        | None -> Hashtbl.find_opt t.store key
-      in
-      granted v)
+  Lockmgr.acquire t.lock_table ~txn ~key Lockmgr.Shared ~granted:(fun () ->
+      granted (visible t ~txn key))
 
 let is_updated t ~txn =
-  match Hashtbl.find_opt t.wsets txn with Some r -> !r <> [] | None -> false
+  match Hashtbl.find t.wsets txn with
+  | r -> !r <> []
+  | exception Not_found -> false
 
 (* --- commit protocol ------------------------------------------------------ *)
 
-let apply_ops t ops =
-  List.iter
-    (function
-      | Put (k, v) -> Hashtbl.replace t.store k v
-      | Delete k -> Hashtbl.remove t.store k)
-    (List.rev ops)
+(* apply a write set (newest first) to [store], oldest op first *)
+let rec apply_to store = function
+  | [] -> ()
+  | op :: older -> (
+      apply_to store older;
+      match op with
+      | Put (k, v) -> Hashtbl.replace store k v
+      | Delete k -> Hashtbl.remove store k)
 
 let finish t ~txn =
   Hashtbl.remove t.wsets txn;
   Hashtbl.remove t.lost_txns txn;
-  t.in_doubt_txns <- List.filter (fun x -> x <> txn) t.in_doubt_txns;
+  if t.in_doubt_txns <> [] then
+    t.in_doubt_txns <- List.filter (fun x -> x <> txn) t.in_doubt_txns;
   Lockmgr.release_all t.lock_table ~txn
 
 let prepare t ~txn ~force k =
@@ -194,8 +217,9 @@ let prepare t ~txn ~force k =
   end
 
 let commit t ~txn ~force k =
-  let ops = match Hashtbl.find_opt t.wsets txn with Some r -> !r | None -> [] in
-  apply_ops t ops;
+  (match Hashtbl.find t.wsets txn with
+  | ops -> apply_to t.store !ops
+  | exception Not_found -> ());
   let record = Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_committed in
   let continue () =
     finish t ~txn;
@@ -229,6 +253,8 @@ let committed_bindings t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let iter_committed t f = Hashtbl.iter f t.store
+
 let in_doubt t = t.in_doubt_txns
 
 (* Only crash recovery puts transactions in doubt here, so the list is
@@ -245,14 +271,15 @@ let crash t =
 
 (* --- checkpointing -------------------------------------------------------- *)
 
+(* every binding as a key field then a value field, in table order *)
 let encode_snapshot t =
-  let buf = Buffer.create 256 in
-  Hashtbl.iter
-    (fun k v ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%s%d:%s" (String.length k) k (String.length v) v))
-    t.store;
-  Buffer.contents buf
+  let b =
+    Bytes.create
+      (Hashtbl.fold (fun k v n -> n + field_size k + field_size v) t.store 0)
+  in
+  ignore
+    (Hashtbl.fold (fun k v pos -> put_field b (put_field b pos k) v) t.store 0);
+  Bytes.unsafe_to_string b
 
 let decode_snapshot s =
   let bindings = ref [] in
@@ -299,13 +326,6 @@ let checkpoint t k =
 let replay_bindings records ~node =
   let store : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let pending : (string, op list ref) Hashtbl.t = Hashtbl.create 8 in
-  let apply ops =
-    List.iter
-      (function
-        | Put (k, v) -> Hashtbl.replace store k v
-        | Delete k -> Hashtbl.remove store k)
-      (List.rev ops)
-  in
   List.iter
     (fun (r : Wal.Log_record.t) ->
       if r.node = node then
@@ -326,7 +346,7 @@ let replay_bindings records ~node =
             ops := decode_op r.payload :: !ops
         | Wal.Log_record.Rm_committed ->
             (match Hashtbl.find_opt pending r.txn with
-            | Some ops -> apply !ops
+            | Some ops -> apply_to store !ops
             | None -> ());
             Hashtbl.remove pending r.txn
         | Wal.Log_record.Rm_aborted -> Hashtbl.remove pending r.txn
@@ -369,7 +389,7 @@ let recover t =
       | Wal.Log_record.Rm_prepared -> Hashtbl.replace prepared r.txn ()
       | Wal.Log_record.Rm_committed ->
           (match Hashtbl.find_opt pending r.txn with
-          | Some ops -> apply_ops t !ops
+          | Some ops -> apply_to t.store !ops
           | None -> ());
           Hashtbl.remove pending r.txn;
           Hashtbl.remove prepared r.txn
@@ -400,8 +420,7 @@ let recover t =
         (fun op ->
           let key = match op with Put (k, _) -> k | Delete k -> k in
           ignore
-            (Lockmgr.try_acquire t.lock_table ~txn ~key:(lock_name t key)
-               Lockmgr.Exclusive))
+            (Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Exclusive))
         !ops)
     prepared;
   (* updates logged but never prepared: the in-memory write set died with

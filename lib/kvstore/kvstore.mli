@@ -18,16 +18,9 @@ type t
 type vote = Vote_yes | Vote_read_only | Vote_no
 
 val create :
-  Simkernel.Engine.t ->
-  name:string ->
-  wal:Wal.Log.t ->
-  ?locks:Lockmgr.t ->
-  ?reliable:bool ->
-  unit ->
-  t
-(** [locks] defaults to a private lock table; pass a shared one to observe
-    cross-transaction contention.  [reliable] (default [false]) is the
-    Vote-Reliable declaration. *)
+  Simkernel.Engine.t -> name:string -> wal:Wal.Log.t -> ?reliable:bool -> unit -> t
+(** Each store has a private lock table in which a lock is named by its
+    key.  [reliable] (default [false]) is the Vote-Reliable declaration. *)
 
 val name : t -> string
 val wal : t -> Wal.Log.t
@@ -98,6 +91,10 @@ val committed_value : t -> string -> string option
 
 val committed_bindings : t -> (string * string) list
 (** All committed key/value pairs, sorted by key. *)
+
+val iter_committed : t -> (string -> string -> unit) -> unit
+(** [f key value] for every committed pair, in no particular order,
+    building nothing. *)
 
 val in_doubt : t -> string list
 (** Transactions prepared here with no durable outcome (post-[recover]). *)

@@ -11,14 +11,18 @@ type wait = { w_txn : string; w_mode : mode; w_granted : unit -> unit }
 
 type entry = { mutable grants : grant list; mutable queue : wait list (* FIFO, head first *) }
 
+(* Released hold time.  All-float records are stored flat, so adding to
+   them allocates nothing. *)
+type tally = { mutable held : float }  (* one transaction's *)
+type totals = { mutable total : float; mutable longest : float }
+
 type t = {
   engine : Simkernel.Engine.t;
   table : (string, entry) Hashtbl.t;
   txn_keys : (string, string list ref) Hashtbl.t; (* txn -> keys it holds *)
-  txn_time : (string, float ref) Hashtbl.t; (* accumulated released hold time *)
+  txn_time : (string, tally) Hashtbl.t; (* accumulated released hold time *)
   mutable acquisitions : int;
-  mutable total_hold : float;
-  mutable max_hold : float;
+  hold : totals;
   mutable nwaiting : int;
 }
 
@@ -29,10 +33,35 @@ let create engine =
     txn_keys = Hashtbl.create 16;
     txn_time = Hashtbl.create 16;
     acquisitions = 0;
-    total_hold = 0.0;
-    max_hold = 0.0;
+    hold = { total = 0.0; longest = 0.0 };
     nwaiting = 0;
   }
+
+(* The scans below are top-level recursive functions taking everything they
+   compare as arguments, so a lookup builds no closure.  A miss is common on
+   this path (a new key, a transaction's first lock), so misses neither
+   allocate nor raise: [grant_of] answers a sentinel, and a table lookup
+   that usually misses uses [find_opt], whose [None] is free. *)
+
+let no_grant = { g_txn = ""; g_mode = Shared; g_since = 0.0 }
+
+(* [txn]'s grant in [grants], else [no_grant]; a transaction holds at most
+   one grant per key *)
+let rec grant_of txn = function
+  | [] -> no_grant
+  | g :: rest -> if g.g_txn = txn then g else grant_of txn rest
+
+(* every grant is [txn]'s own or, for a shared request, shared; for an
+   exclusive request that means [txn] is the sole holder *)
+let rec compatible mode txn = function
+  | [] -> true
+  | g :: rest ->
+      (g.g_txn = txn || (mode = Shared && g.g_mode = Shared))
+      && compatible mode txn rest
+
+let rec without g = function
+  | [] -> []
+  | x :: rest -> if x == g then rest else x :: without g rest
 
 let entry t key =
   match Hashtbl.find_opt t.table key with
@@ -42,51 +71,38 @@ let entry t key =
       Hashtbl.replace t.table key e;
       e
 
-let compatible mode grants ~txn =
-  List.for_all
-    (fun g ->
-      g.g_txn = txn
-      || match (mode, g.g_mode) with
-         | Shared, Shared -> true
-         | Shared, Exclusive | Exclusive, Shared | Exclusive, Exclusive -> false)
-    grants
-
 let note_key t ~txn ~key =
-  let keys =
-    match Hashtbl.find_opt t.txn_keys txn with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.txn_keys txn l;
-        l
-  in
-  if not (List.mem key !keys) then keys := key :: !keys
+  match Hashtbl.find_opt t.txn_keys txn with
+  | Some keys -> if not (List.mem key !keys) then keys := key :: !keys
+  | None -> Hashtbl.replace t.txn_keys txn (ref [ key ])
 
 let grant_now t e ~txn ~key mode =
-  (match List.find_opt (fun g -> g.g_txn = txn) e.grants with
-  | Some g ->
-      (* re-acquire / upgrade: keep the original grant timestamp *)
-      if mode = Exclusive then g.g_mode <- Exclusive
-  | None ->
-      e.grants <-
-        { g_txn = txn; g_mode = mode; g_since = Simkernel.Engine.now t.engine }
-        :: e.grants;
-      t.acquisitions <- t.acquisitions + 1);
+  let g = grant_of txn e.grants in
+  if g != no_grant then begin
+    (* re-acquire / upgrade: keep the original grant timestamp *)
+    if mode = Exclusive then g.g_mode <- Exclusive
+  end
+  else begin
+    e.grants <-
+      { g_txn = txn; g_mode = mode; g_since = Simkernel.Engine.now t.engine }
+      :: e.grants;
+    t.acquisitions <- t.acquisitions + 1
+  end;
   note_key t ~txn ~key
 
 let can_grant e ~txn mode =
-  match List.find_opt (fun g -> g.g_txn = txn) e.grants with
-  | Some g ->
-      (* held already: same/weaker always ok; upgrade needs sole ownership *)
-      (match (mode, g.g_mode) with
-      | Shared, _ | Exclusive, Exclusive -> true
-      | Exclusive, Shared -> List.for_all (fun o -> o.g_txn = txn) e.grants)
-  | None -> compatible mode e.grants ~txn
+  let g = grant_of txn e.grants in
+  if g == no_grant then compatible mode txn e.grants
+  else
+    (* held already: same/weaker always ok; upgrade needs sole ownership *)
+    match (mode, g.g_mode) with
+    | Shared, _ | Exclusive, Exclusive -> true
+    | Exclusive, Shared -> compatible Exclusive txn e.grants
 
 let try_acquire t ~txn ~key mode =
   let e = entry t key in
   (* respect FIFO fairness: a free-but-queued lock is not barged *)
-  if e.queue <> [] && not (List.exists (fun g -> g.g_txn = txn) e.grants) then false
+  if e.queue <> [] && grant_of txn e.grants == no_grant then false
   else if can_grant e ~txn mode then begin
     grant_now t e ~txn ~key mode;
     true
@@ -101,60 +117,61 @@ let acquire t ~txn ~key mode ~granted =
     t.nwaiting <- t.nwaiting + 1
   end
 
-let pump t key e =
-  (* grant from the head of the queue while compatible *)
-  let rec loop () =
-    match e.queue with
-    | [] -> ()
-    | w :: rest ->
-        if can_grant e ~txn:w.w_txn w.w_mode then begin
-          e.queue <- rest;
-          t.nwaiting <- t.nwaiting - 1;
-          grant_now t e ~txn:w.w_txn ~key w.w_mode;
-          w.w_granted ();
-          loop ()
-        end
-  in
-  loop ()
+(* grant from the head of the queue while compatible *)
+let rec pump t key e =
+  match e.queue with
+  | [] -> ()
+  | w :: rest ->
+      if can_grant e ~txn:w.w_txn w.w_mode then begin
+        e.queue <- rest;
+        t.nwaiting <- t.nwaiting - 1;
+        grant_now t e ~txn:w.w_txn ~key w.w_mode;
+        w.w_granted ();
+        pump t key e
+      end
+
+let release_key t ~txn ~now tally key =
+  match Hashtbl.find t.table key with
+  | exception Not_found -> ()
+  | e ->
+      let g = grant_of txn e.grants in
+      if g != no_grant then begin
+        e.grants <- without g e.grants;
+        let held = now -. g.g_since in
+        t.hold.total <- t.hold.total +. held;
+        tally.held <- tally.held +. held;
+        if held > t.hold.longest then t.hold.longest <- held
+      end;
+      pump t key e;
+      (* the last grant and the last waiter are gone: drop the entry so
+         the table holds only keys in use.  A grant callback may already
+         have dropped it (or re-created the key) re-entrantly, hence the
+         identity check. *)
+      if e.grants = [] && e.queue = [] then
+        match Hashtbl.find t.table key with
+        | e' when e' == e -> Hashtbl.remove t.table key
+        | _ | (exception Not_found) -> ()
+
+let rec release_keys t ~txn ~now tally = function
+  | [] -> ()
+  | key :: rest ->
+      release_key t ~txn ~now tally key;
+      release_keys t ~txn ~now tally rest
 
 let release_all t ~txn =
-  match Hashtbl.find_opt t.txn_keys txn with
-  | None -> ()
-  | Some keys ->
+  match Hashtbl.find t.txn_keys txn with
+  | exception Not_found -> ()
+  | keys ->
       Hashtbl.remove t.txn_keys txn;
-      let now = Simkernel.Engine.now t.engine in
-      let acc =
+      let tally =
         match Hashtbl.find_opt t.txn_time txn with
         | Some r -> r
         | None ->
-            let r = ref 0.0 in
+            let r = { held = 0.0 } in
             Hashtbl.replace t.txn_time txn r;
             r
       in
-      let release_key key =
-        match Hashtbl.find_opt t.table key with
-        | None -> ()
-        | Some e ->
-            let mine, others = List.partition (fun g -> g.g_txn = txn) e.grants in
-            e.grants <- others;
-            let count_hold g =
-              let held = now -. g.g_since in
-              t.total_hold <- t.total_hold +. held;
-              acc := !acc +. held;
-              if held > t.max_hold then t.max_hold <- held
-            in
-            List.iter count_hold mine;
-            pump t key e;
-            (* the last grant and the last waiter are gone: drop the entry
-               so the table holds only keys in use.  A grant callback may
-               already have dropped it (or re-created the key) re-entrantly,
-               hence the identity check. *)
-            if e.grants = [] && e.queue = [] then
-              match Hashtbl.find t.table key with
-              | e' when e' == e -> Hashtbl.remove t.table key
-              | _ | (exception Not_found) -> ()
-      in
-      List.iter release_key !keys
+      release_keys t ~txn ~now:(Simkernel.Engine.now t.engine) tally !keys
 
 let holding_txns t =
   Hashtbl.fold (fun txn _keys acc -> txn :: acc) t.txn_keys []
@@ -175,7 +192,8 @@ let holds t ~txn ~key =
   match Hashtbl.find_opt t.table key with
   | None -> None
   | Some e ->
-      Option.map (fun g -> g.g_mode) (List.find_opt (fun g -> g.g_txn = txn) e.grants)
+      let g = grant_of txn e.grants in
+      if g == no_grant then None else Some g.g_mode
 
 let holders t ~key =
   match Hashtbl.find_opt t.table key with
@@ -242,15 +260,17 @@ let wait_for_cycles t =
 let stats t =
   {
     acquisitions = t.acquisitions;
-    total_hold_time = t.total_hold;
-    max_hold_time = t.max_hold;
+    total_hold_time = t.hold.total;
+    max_hold_time = t.hold.longest;
   }
 
 let txn_lock_time t ~txn =
-  match Hashtbl.find_opt t.txn_time txn with Some r -> !r | None -> 0.0
+  match Hashtbl.find t.txn_time txn with
+  | r -> r.held
+  | exception Not_found -> 0.0
 
 let reset_stats t =
   t.acquisitions <- 0;
-  t.total_hold <- 0.0;
-  t.max_hold <- 0.0;
+  t.hold.total <- 0.0;
+  t.hold.longest <- 0.0;
   Hashtbl.reset t.txn_time

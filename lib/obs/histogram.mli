@@ -1,8 +1,9 @@
 (** Log-bucketed streaming histogram with bounded memory.
 
-    Samples stream in one at a time; memory grows with the {e dynamic
-    range} of the data (occupied geometric buckets), never with the number
-    of samples.  Quantiles answer with the geometric midpoint of the
+    Samples stream in one at a time; memory is proportional to the
+    {e occupied bucket range} of the data (the span from its lowest to its
+    highest geometric bucket), never to the number of samples, and
+    recording a sample inside that range allocates nothing.  Quantiles answer with the geometric midpoint of the
     nearest-rank bucket, so the relative error is bounded by
     [sqrt gamma - 1] where [gamma = 10^(1/buckets_per_decade)] — about 4%
     at the default resolution of 30 buckets per decade.
@@ -18,7 +19,7 @@ val create : ?buckets_per_decade:int -> unit -> t
 
 val record : t -> float -> unit
 (** Add one sample.  NaN is ignored; zeros and negatives land in a
-    dedicated low bucket. *)
+    dedicated low bucket; [infinity] shares the top finite bucket. *)
 
 val count : t -> int
 val sum : t -> float
@@ -38,7 +39,8 @@ val quantile : t -> float -> float
     observed [min]/[max]. *)
 
 val bucket_count : t -> int
-(** Occupied buckets: the memory footprint, independent of {!count}. *)
+(** Occupied buckets, independent of {!count}.  The footprint is under
+    four words per bucket of the range they span. *)
 
 val gamma : t -> float
 (** The bucket growth factor: one bucket spans [(x, gamma * x]]. *)

@@ -192,6 +192,11 @@ let slice t n = Array.to_list (Array.sub t.records 0 n)
 let durable t = slice t t.durable_upto
 let all_records t = slice t t.len
 
+let iter t f =
+  for i = 0 to t.len - 1 do
+    f t.records.(i)
+  done
+
 let stats t =
   { writes = t.writes; forced_writes = t.forced_writes; force_ios = t.force_ios }
 

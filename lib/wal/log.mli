@@ -66,6 +66,10 @@ val durable : t -> Log_record.t list
 val all_records : t -> Log_record.t list
 (** Durable plus still-volatile records, oldest first. *)
 
+val iter : t -> (Log_record.t -> unit) -> unit
+(** [List.iter f (all_records t)] straight over the record arena, building
+    no list.  [f] must not write to the log. *)
+
 val stats : t -> stats
 val reset_stats : t -> unit
 

@@ -390,6 +390,172 @@ let test_bft_above_threshold_violates () =
        !violations)
     true (!violations > 0)
 
+(* --- every audit counter can fire ---------------------------------------- *)
+
+(* A finished fault-free world with commits, lock-timeout aborts and
+   overwritten keys: four members over four hot keys, tampered with through
+   public APIs one way at a time.  Each tampering must move exactly one of
+   the six atomicity counters, to a known value. *)
+let audit_counters =
+  [ "committed_missing"; "aborted_applied"; "bad_value"; "divergence";
+    "wal_divergence"; "leaked_locks" ]
+
+let finished_world () =
+  let _, w, summaries =
+    M.run_full ~config:(chaos_config Presumed_abort)
+      { M.default_cfg with txns = 80; concurrency = 16; keyspace = 4;
+        lock_timeout = 20.0; seed = 5 }
+      (tree ())
+  in
+  (w, summaries)
+
+let read_counters (w, summaries) =
+  let fields = F.verdict_fields (F.audit w summaries) in
+  let b = M.Audit.breakdown w summaries in
+  (* the mixer's own audit agrees with the chaos audit's copy of it *)
+  Alcotest.(check (list int)) "Mixer.Audit.breakdown matches Faultlab.audit"
+    [ b.M.Audit.committed_missing; b.aborted_applied; b.bad_value ]
+    (List.map
+       (fun c -> List.assoc c fields)
+       [ "committed_missing"; "aborted_applied"; "bad_value" ]);
+  List.map (fun c -> (c, List.assoc c fields)) audit_counters
+
+let wal_of w name = (Tpc.Run.node w name).Tpc.Run.wal
+let kv_of w name = Tpc.Run.kv w name
+
+let has_record wal (pred : Wal.Log_record.t -> bool) =
+  List.exists pred (Wal.Log.all_records wal)
+
+let update_items (x : M.txn_summary) =
+  List.filter_map
+    (fun (it : M.item) ->
+      match it.M.it_op with
+      | M.Op_update { key } -> Some (it.M.it_node, key)
+      | M.Op_read _ -> None)
+    x.M.ts_items
+
+let first what f summaries =
+  match List.find_map f summaries with
+  | Some found -> found
+  | None -> Alcotest.failf "the world has no %s" what
+
+(* drop exactly the durable records [drop] selects from [wal] *)
+let compact_away wal ~expect drop =
+  Alcotest.(check int) "records compacted away" expect
+    (Wal.Log.compact wal ~keep:(fun r -> not (drop r)))
+
+(* A commit whose key a later commit overwrote at some member: losing its
+   [Rm_committed] record there leaves the replayed store unchanged. *)
+let lose_commit_record (w, summaries) =
+  let txn, node =
+    first "overwritten commit" (fun (x : M.txn_summary) ->
+        if x.M.ts_outcome <> Some Committed then None
+        else
+          List.find_map
+            (fun (node, key) ->
+              let kv = kv_of w node in
+              if Kvstore.committed_value kv key <> Some (M.txn_value x.M.ts_txn)
+              then Some (x.M.ts_txn, node)
+              else None)
+            (update_items x))
+      summaries
+  in
+  let rm = Kvstore.name (kv_of w node) in
+  compact_away (wal_of w node) ~expect:1 (fun r ->
+      r.Wal.Log_record.txn = txn && r.node = rm && r.kind = Wal.Log_record.Rm_committed)
+
+(* A lock-timeout abort whose lock was never granted at some member: turn
+   its abort records into one resource manager's commit there.  Nothing
+   else changes: no write was logged there to replay, and no abort
+   evidence is left to diverge from. *)
+let abort_becomes_commit (w, summaries) =
+  let txn, node =
+    first "abort that never wrote" (fun (x : M.txn_summary) ->
+        if x.M.ts_outcome <> Some Aborted then None
+        else
+          List.find_map
+            (fun (node, _) ->
+              let rm = Kvstore.name (kv_of w node) in
+              if
+                has_record (wal_of w node) (fun r ->
+                    r.txn = x.M.ts_txn && r.node = rm
+                    && r.kind = Wal.Log_record.Rm_update)
+              then None
+              else Some (x.M.ts_txn, node))
+            (update_items x))
+      summaries
+  in
+  let aborts_of (r : Wal.Log_record.t) =
+    r.txn = txn && r.kind = Wal.Log_record.Rm_aborted
+  in
+  List.iter
+    (fun wal ->
+      let n = List.length (List.filter aborts_of (Wal.Log.all_records wal)) in
+      compact_away wal ~expect:n aborts_of)
+    (Tpc.Run.all_wals w);
+  Wal.Log.append (wal_of w node)
+    (Wal.Log_record.make ~txn ~node:(Kvstore.name (kv_of w node))
+       Wal.Log_record.Rm_committed)
+
+(* a committed transaction's value, committed at a member under a key the
+   transaction never wrote there *)
+let foreign_value (w, summaries) =
+  let txn, node, key =
+    first "committed update" (fun (x : M.txn_summary) ->
+        match (x.M.ts_outcome, update_items x) with
+        | Some Committed, (node, key) :: _ ->
+            let other = List.find (fun (n, _) -> n <> node) w.Tpc.Run.nodes in
+            if List.mem (fst other, key) (update_items x) then None
+            else Some (x.M.ts_txn, fst other, key)
+        | _ -> None)
+      summaries
+  in
+  let kv = kv_of w node in
+  Alcotest.(check bool) "tamper lock granted" true
+    (Kvstore.put kv ~txn:"tamper" ~key ~value:(M.txn_value txn));
+  Kvstore.commit kv ~txn:"tamper" ~force:false ignore
+
+(* a commit that one log also records as aborted *)
+let stray_abort_record (w, summaries) =
+  let txn =
+    first "commit" (fun (x : M.txn_summary) ->
+        if x.M.ts_outcome = Some Committed then Some x.M.ts_txn else None)
+      summaries
+  in
+  Wal.Log.append (wal_of w "coord")
+    (Wal.Log_record.make ~txn ~node:"coord" Wal.Log_record.Aborted)
+
+(* a store that loses its committed values without recovering them *)
+let store_forgets (w, _) = Kvstore.crash (kv_of w "sub1")
+
+(* a grant no transaction state accounts for *)
+let stray_lock (w, _) =
+  Alcotest.(check bool) "stray lock granted" true
+    (Lockmgr.try_acquire (Kvstore.locks (kv_of w "sub2")) ~txn:"stray" ~key:"k0"
+       Lockmgr.Exclusive)
+
+let test_each_audit_counter_fires () =
+  let clean = read_counters (finished_world ()) in
+  List.iter
+    (fun (c, n) -> Alcotest.(check int) ("untampered " ^ c) 0 n)
+    clean;
+  List.iter
+    (fun (counter, expected, tamper) ->
+      let world = finished_world () in
+      tamper world;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "only %s fires" counter)
+        (List.map (fun c -> (c, if c = counter then expected else 0)) audit_counters)
+        (read_counters world))
+    [
+      ("committed_missing", 1, lose_commit_record);
+      ("aborted_applied", 1, abort_becomes_commit);
+      ("bad_value", 1, foreign_value);
+      ("divergence", 1, stray_abort_record);
+      ("wal_divergence", 1, store_forgets);
+      ("leaked_locks", 1, stray_lock);
+    ]
+
 let suite =
   [
     Alcotest.test_case "plan round-trips" `Quick test_plan_round_trip;
@@ -402,6 +568,8 @@ let suite =
       (test_sweep_clean Presumed_nothing);
     Alcotest.test_case "broken recovery caught and shrunk" `Quick
       test_broken_recovery_caught_and_shrunk;
+    Alcotest.test_case "each audit counter fires alone" `Quick
+      test_each_audit_counter_fires;
     Alcotest.test_case "adversarial event forms parse" `Quick
       test_adversarial_forms_parse;
     Alcotest.test_case "adversarial plans generate and round-trip" `Quick

@@ -203,6 +203,158 @@ let test_summary () =
   check_float "p50" 2.0 s.H.s_p50;
   check_float "p99" 2.0 s.H.s_p99
 
+(* --- array histogram vs its hash-table predecessor ------------------- *)
+
+(* The hash-table histogram the array one replaced, kept as the oracle: a
+   bucket index -> occupancy table, with quantiles over its sorted
+   bindings. *)
+module Reference = struct
+  type t = {
+    log_gamma : float;
+    counts : (int, int) Hashtbl.t;
+    mutable low : int;
+    mutable count : int;
+    mutable sum : float;
+    mutable min : float;
+    mutable max : float;
+  }
+
+  let create ~buckets_per_decade =
+    {
+      log_gamma = log 10.0 /. float_of_int buckets_per_decade;
+      counts = Hashtbl.create 64;
+      low = 0;
+      count = 0;
+      sum = 0.0;
+      min = infinity;
+      max = neg_infinity;
+    }
+
+  let bump t i n =
+    Hashtbl.replace t.counts i
+      (n + Option.value ~default:0 (Hashtbl.find_opt t.counts i))
+
+  let record t v =
+    if not (Float.is_nan v) then begin
+      t.count <- t.count + 1;
+      t.sum <- t.sum +. v;
+      if v < t.min then t.min <- v;
+      if v > t.max then t.max <- v;
+      if v <= 1e-9 then t.low <- t.low + 1
+      else bump t (int_of_float (Float.floor (log v /. t.log_gamma))) 1
+    end
+
+  let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
+  let min_value t = if t.count = 0 then nan else t.min
+  let max_value t = if t.count = 0 then nan else t.max
+  let bucket_count t = Hashtbl.length t.counts + if t.low > 0 then 1 else 0
+
+  let quantile t p =
+    if t.count = 0 then nan
+    else
+      let rank =
+        Stdlib.min t.count
+          (Stdlib.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.count))))
+      in
+      if rank <= t.low then if t.min < 0.0 then t.min else 0.0
+      else
+        let sorted =
+          List.sort compare (Hashtbl.fold (fun i n acc -> (i, n) :: acc) t.counts [])
+        in
+        let rec find seen = function
+          | [] -> t.max
+          | (i, n) :: rest ->
+              if seen + n >= rank then exp ((float_of_int i +. 0.5) *. t.log_gamma)
+              else find (seen + n) rest
+        in
+        Float.min (Float.max (find t.low sorted) t.min) t.max
+
+  let merge ~into src =
+    Hashtbl.iter (fun i n -> bump into i n) src.counts;
+    into.low <- into.low + src.low;
+    into.count <- into.count + src.count;
+    into.sum <- into.sum +. src.sum;
+    if src.min < into.min then into.min <- src.min;
+    if src.max > into.max then into.max <- src.max
+
+  let clear t =
+    Hashtbl.reset t.counts;
+    t.low <- 0;
+    t.count <- 0;
+    t.sum <- 0.0;
+    t.min <- infinity;
+    t.max <- neg_infinity
+end
+
+(* bit-identical, any NaN matching any NaN *)
+let same_float a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let agrees h r =
+  H.count h = r.Reference.count
+  && same_float (H.sum h) r.Reference.sum
+  && same_float (H.min_value h) (Reference.min_value r)
+  && same_float (H.max_value h) (Reference.max_value r)
+  && same_float (H.mean h) (Reference.mean r)
+  && H.bucket_count h = Reference.bucket_count r
+  && List.for_all
+       (fun p -> same_float (H.quantile h p) (Reference.quantile r p))
+       [ 0.0; 1.0; 50.0; 95.0; 99.0; 100.0 ]
+
+(* zeros, negatives, NaN, repeats of one value, and magnitudes spread
+   log-uniformly over 1e-6 .. 1e6 *)
+let gen_sample =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return 0.0);
+      (1, map (fun e -> -.(10.0 ** e)) (float_range (-6.0) 6.0));
+      (1, return Float.nan);
+      (2, oneofl [ 0.5; 2.5; 4.5; 1e-6; 1e6 ]);
+      (8, map (fun e -> 10.0 ** e) (float_range (-6.0) 6.0));
+    ]
+
+let arb_streams =
+  QCheck.make
+    ~print:(fun (bpd, xs, ys) ->
+      let show l = String.concat ", " (List.map (Printf.sprintf "%h") l) in
+      Printf.sprintf "resolution %d\na: [%s]\nb: [%s]" bpd (show xs) (show ys))
+    QCheck.Gen.(
+      triple (oneofl [ 1; 10; 30 ])
+        (list_size (int_range 0 200) gen_sample)
+        (list_size (int_range 0 200) gen_sample))
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"histogram agrees with the hash-table reference" arb_streams
+    (fun (buckets_per_decade, xs, ys) ->
+      let fill samples =
+        let h = H.create ~buckets_per_decade ()
+        and r = Reference.create ~buckets_per_decade in
+        List.iter
+          (fun v ->
+            H.record h v;
+            Reference.record r v)
+          samples;
+        (h, r)
+      in
+      let ha, ra = fill xs and hb, rb = fill ys in
+      let recorded = agrees ha ra && agrees hb rb in
+      H.merge ~into:ha hb;
+      Reference.merge ~into:ra rb;
+      let merged = agrees ha ra in
+      H.clear ha;
+      Reference.clear ra;
+      let cleared = agrees ha ra in
+      (* a cleared histogram records afresh *)
+      List.iter
+        (fun v ->
+          H.record ha v;
+          Reference.record ra v)
+        ys;
+      recorded && merged && cleared && agrees ha ra)
+
 (* --- registry -------------------------------------------------------- *)
 
 let test_registry_counters_gauges () =
@@ -330,6 +482,7 @@ let suite =
     Alcotest.test_case "merge rejects mixed resolutions" `Quick
       test_merge_resolution_mismatch;
     Alcotest.test_case "summary" `Quick test_summary;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
     Alcotest.test_case "registry counters and gauges" `Quick
       test_registry_counters_gauges;
     Alcotest.test_case "registry histograms" `Quick test_registry_histograms;

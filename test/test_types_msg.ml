@@ -29,6 +29,10 @@ let test_to_string_helpers () =
   Alcotest.(check string) "outcome" "abort" (outcome_to_string Aborted);
   Alcotest.(check string) "plain yes" "yes"
     (vote_to_string (Vote_yes { reliable = false; leave_out_ok = false }));
+  Alcotest.(check string) "reliable yes" "yes+reliable"
+    (vote_to_string (Vote_yes { reliable = true; leave_out_ok = false }));
+  Alcotest.(check string) "leave-out yes" "yes+leave-out-ok"
+    (vote_to_string (Vote_yes { reliable = false; leave_out_ok = true }));
   Alcotest.(check string) "decorated yes" "yes+reliable+leave-out-ok"
     (vote_to_string (Vote_yes { reliable = true; leave_out_ok = true }));
   Alcotest.(check string) "read-only" "read-only" (vote_to_string Vote_read_only)
