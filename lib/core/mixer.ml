@@ -11,6 +11,7 @@
 
 open Types
 module E = Simkernel.Engine
+module Names = Run.Names
 
 type op = Op_update of { key : string } | Op_read of { key : string }
 type item = { it_node : string; it_op : op }
@@ -125,7 +126,7 @@ module Audit = struct
         (** resource managers with an [Rm_committed] record for it *)
   }
 
-  type evidence = { ev_world : Run.world; ev_txns : (string, entry) Hashtbl.t }
+  type evidence = { ev_world : Run.world; ev_txns : entry Names.t }
 
   let fresh e_summary =
     { e_summary; e_commits = false; e_aborts = false; e_applied = [] }
@@ -134,14 +135,14 @@ module Audit = struct
      arena: scanning per transaction would be quadratic in the run length,
      and copying the logs into lists would cost more than the checks. *)
   let scan w summaries =
-    let txns = Hashtbl.create (max 16 (List.length summaries)) in
-    List.iter (fun x -> Hashtbl.replace txns x.ts_txn (fresh (Some x))) summaries;
+    let txns = Names.create (max 16 (List.length summaries)) in
+    List.iter (fun x -> Names.replace txns x.ts_txn (fresh (Some x))) summaries;
     let entry txn =
-      match Hashtbl.find txns txn with
+      match Names.find txns txn with
       | e -> e
       | exception Not_found ->
           let e = fresh None in
-          Hashtbl.add txns txn e;
+          Names.add txns txn e;
           e
     in
     List.iter
@@ -166,7 +167,7 @@ module Audit = struct
     { ev_world = w; ev_txns = txns }
 
   let divergence ev =
-    Hashtbl.fold
+    Names.fold
       (fun _ e acc -> if e.e_commits && e.e_aborts then acc + 1 else acc)
       ev.ev_txns 0
 
@@ -198,7 +199,7 @@ module Audit = struct
     let committed_missing = ref 0 in
     let aborted_applied = ref 0 in
     let bad_value = ref 0 in
-    Hashtbl.iter
+    Names.iter
       (fun _ e ->
         match e.e_summary with
         | None -> ()
@@ -238,7 +239,7 @@ module Audit = struct
             match value_owner v with
             | None -> ()  (* pre-loaded or foreign value *)
             | Some owner -> (
-                match Hashtbl.find ev.ev_txns owner with
+                match Names.find ev.ev_txns owner with
                 | { e_summary = Some x; _ } as e
                   when committed x e && updates ~node:name ~key x.ts_items ->
                     ()
@@ -283,7 +284,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   let h_hold = Obs.Registry.histogram reg "mixer/lock_hold" in
   let h_wait = Obs.Registry.histogram reg "mixer/lock_wait" in
   let rng = Simkernel.Det_rng.create ~seed:cfg.seed in
-  let records : (string, txn_rec) Hashtbl.t = Hashtbl.create cfg.txns in
+  let records : txn_rec Names.t = Names.create cfg.txns in
   let order = ref [] in  (* arrival order, newest first *)
   let outstanding = ref 0 in
   let arrived = ref 0 in
@@ -326,9 +327,9 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   Participant.set_on_root_complete
     (Run.participant w w.Run.root)
     (fun ~txn outcome ~pending:_ ->
-      match Hashtbl.find_opt records txn with
-      | Some x -> finish x outcome
-      | None -> ());
+      match Names.find records txn with
+      | x -> finish x outcome
+      | exception Not_found -> ());
   (* -- work plans -------------------------------------------------- *)
   let plan () =
     List.filter_map
@@ -435,7 +436,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   List.iter
     (fun (name, n) ->
       Participant.set_on_crash n.Run.participant (fun () ->
-          Hashtbl.iter
+          Names.iter
             (fun _ x -> if node_has_work x name then fail_txn x)
             records))
     w.Run.nodes;
@@ -527,7 +528,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         x_wait_time = 0.0;
       }
     in
-    Hashtbl.replace records txn x;
+    Names.replace records txn x;
     by_idx.(i) <- Some x;
     order := txn :: !order;
     incr arrived;
@@ -555,7 +556,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   (match inject with Some f -> f w | None -> ());
   E.run engine;
   (* -- aggregate --------------------------------------------------- *)
-  let all = List.rev_map (Hashtbl.find records) !order in
+  let all = List.rev_map (Names.find records) !order in
   let summaries =
     List.map
       (fun x ->

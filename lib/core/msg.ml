@@ -23,13 +23,38 @@ type damage_report = {
 (* FNV-1a over the signed text, truncated to 30 bits so the arithmetic is
    portable across int widths; collisions are irrelevant here because the
    adversary model is "knows the key or not", not "searches for
-   collisions". *)
-let digest s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := ((!h lxor Char.code c) * 0x01000193) land 0x3FFFFFFF)
-    s;
-  Printf.sprintf "%08x" !h
+   collisions".  The hash is fed one piece at a time: the digest of the
+   pieces is the digest of their concatenation, so a signature hashes its
+   fields in place and builds only its 8 hex digits. *)
+let fnv_basis = 0x811c9dc5
+let fnv_char h c = ((h lxor Char.code c) * 0x01000193) land 0x3FFFFFFF
+
+let fnv_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv_char !h (String.unsafe_get s i)
+  done;
+  !h
+
+(* the digits of [-n] for [n <= 0], most significant first; counting
+   down from zero reaches [min_int] without overflow *)
+let rec fnv_neg_digits h n =
+  let h = if n <= -10 then fnv_neg_digits h (n / 10) else h in
+  fnv_char h (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+(* [n] as [string_of_int] (and so [%d]) prints it *)
+let fnv_int h n =
+  if n < 0 then fnv_neg_digits (fnv_char h '-') n else fnv_neg_digits h (-n)
+
+(* [h] as eight lowercase hex digits, as [%08x] prints a 30-bit value *)
+let hex8 h =
+  let b = Bytes.create 8 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set b i "0123456789abcdef".[(h lsr (28 - (4 * i))) land 15]
+  done;
+  Bytes.unsafe_to_string b
+
+let digest s = hex8 (fnv_string fnv_basis s)
 
 type endorsement = {
   e_replica : int;  (** replica index in [0, 2f] *)
@@ -40,11 +65,12 @@ type endorsement = {
 
 type certificate = { c_endorsements : endorsement list }
 
+(* the digest of "endorse|<replica>|<txn>|<outcome>|<votes>" *)
 let sign_endorsement ~replica ~txn ~outcome ~votes =
-  digest
-    (Printf.sprintf "endorse|%d|%s|%s|%s" replica txn
-       (Types.outcome_to_string outcome)
-       votes)
+  let h = fnv_int (fnv_string fnv_basis "endorse|") replica in
+  let h = fnv_string (fnv_char h '|') txn in
+  let h = fnv_string (fnv_char h '|') (Types.outcome_to_string outcome) in
+  hex8 (fnv_string (fnv_char h '|') votes)
 
 let endorse ~replica ~txn ~outcome ~votes =
   {
@@ -78,7 +104,27 @@ let certificate_valid ~f ~txn ~outcome cert =
 (* A subordinate's vote is signed too, so a BFT coordinator can detect a
    vote flipped in flight (the tag no longer matches the carried vote). *)
 let vote_tag ~src ~txn vote =
-  digest (Printf.sprintf "vote|%s|%s|%s" src txn (Types.vote_to_string vote))
+  (* the digest of "vote|<src>|<txn>|<vote>" *)
+  let h = fnv_string (fnv_string fnv_basis "vote|") src in
+  let h = fnv_string (fnv_char h '|') txn in
+  hex8 (fnv_string (fnv_char h '|') (Types.vote_to_string vote))
+
+(* Canonical digest of a vote set: the members sorted, each as
+   "<name>=<vote>" ("-" for a missing vote), joined by ';'. *)
+let votes_digest votes =
+  let member h (name, vote) =
+    let h = fnv_char (fnv_string h name) '=' in
+    match vote with
+    | Some v -> fnv_string h (Types.vote_to_string v)
+    | None -> fnv_char h '-'
+  in
+  match List.sort compare votes with
+  | [] -> hex8 fnv_basis
+  | first :: rest ->
+      hex8
+        (List.fold_left
+           (fun h m -> member (fnv_char h ';') m)
+           (member fnv_basis first) rest)
 
 (* WAL payload encoding: one endorsement per ';'-separated group, fields
    ','-separated.  Round-trips exactly; [cert_of_string] returns [None]
@@ -88,9 +134,13 @@ let cert_to_string cert =
   String.concat ";"
     (List.map
        (fun e ->
-         Printf.sprintf "%d,%s,%s,%s" e.e_replica
-           (Types.outcome_to_string e.e_outcome)
-           e.e_votes e.e_sig)
+         String.concat ","
+           [
+             string_of_int e.e_replica;
+             Types.outcome_to_string e.e_outcome;
+             e.e_votes;
+             e.e_sig;
+           ])
        cert.c_endorsements)
 
 let cert_of_string s =

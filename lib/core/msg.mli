@@ -49,6 +49,11 @@ val vote_tag : src:string -> txn:string -> Types.vote -> string
 (** Simulated voter signature over (voter, txn, vote); lets a BFT
     coordinator detect votes flipped in flight. *)
 
+val votes_digest : (string * Types.vote option) list -> string
+(** Canonical digest of the vote set a decision was taken over: what the
+    replica ensemble endorses, and what ties every endorsement in one
+    certificate to the same evidence.  Member order does not matter. *)
+
 val cert_to_string : certificate -> string
 (** WAL payload encoding; round-trips through {!cert_of_string}. *)
 

@@ -16,6 +16,8 @@
     implementation reproduces. *)
 
 open Types
+module Ids = Simkernel.Ids
+module Names = Hashtbl.Make (String)
 
 type phase =
   | Ph_idle
@@ -73,6 +75,7 @@ let rec names_member name = function
 
 type txn_state = {
   txn : string;
+  tid : int;  (* [txn]'s id in the engine's name table *)
   mutable phase : phase;
   mutable phase_since : float;
       (* when [phase] was entered; feeds the per-phase latency histograms *)
@@ -132,8 +135,11 @@ type t = {
   trace : Trace.t;
   parent_name : string option;
   child_profiles : profile list;  (* static immediate children *)
-  txns : (string, txn_state) Hashtbl.t;
-  ended : (string, outcome) Hashtbl.t;  (* finished txns, for idempotent replies *)
+  ids : Ids.t;  (* the engine's name table: transactions are keyed by id *)
+  txns : txn_state Ids.Tbl.t;  (* live transactions, by id *)
+  mutable ended : Bytes.t;
+      (* finished transactions' outcomes, for idempotent replies: one
+         [ended_code] byte per id, ['\000'] while not ended *)
   faults : (crash_point, fault) Hashtbl.t;
   fired_faults : (crash_point, unit) Hashtbl.t;
   mutable crashed : bool;
@@ -143,14 +149,18 @@ type t = {
       (* workload-driver hook fired after volatile state is wiped *)
   mutable registry : Obs.Registry.t option;
       (* telemetry sink for per-phase residence times; [None] = no recording *)
+  hists : Obs.Histogram.t option array;
+      (* the registry's histograms this member records into, indexed as
+         [hist_names], each resolved on its first sample so a phase never
+         observed never appears in the registry *)
   mutable causal : Obs.Causal.t option;
       (* per-transaction causal event graph; recording is gated by the
          recorder's own mode, so a shared [Off] recorder costs nothing *)
-  suspended_children : (string, unit) Hashtbl.t;
+  suspended_children : unit Names.t;
       (* children whose last committed YES carried OK-TO-LEAVE-OUT: they are
          suspended awaiting data and may be left out of the next transaction *)
-  idle_children : (string, string list) Hashtbl.t;
-      (* txn -> the children that exchanged no data with us in that
+  idle_children : string list Ids.Tbl.t;
+      (* txn id -> the children that exchanged no data with us in that
          transaction (set by the workload driver before commit begins) *)
   mutable deferred : deferred list;
   mutable rejected : int;
@@ -166,6 +176,30 @@ type t = {
          timer was armed under, the closure payload is the callback.  Saves
          the per-timer guard-closure allocation of the old [sched]. *)
 }
+
+(* The registry histograms a member records into: one per phase, in
+   constructor order, then the three blocking windows.  Constants, so a
+   transition builds no string; a phase's own name is the part after
+   "phase/". *)
+let hist_names =
+  [|
+    "phase/idle"; "phase/voting"; "phase/in-doubt"; "phase/delegated";
+    "phase/decision"; "phase/phase-two"; "phase/ended";
+    "blocking/in_doubt"; "blocking/blocked_lock"; "blocking/heur_exposure";
+  |]
+
+let phase_slot = function
+  | Ph_idle -> 0
+  | Ph_voting -> 1
+  | Ph_in_doubt -> 2
+  | Ph_delegated -> 3
+  | Ph_deciding -> 4
+  | Ph_propagating -> 5
+  | Ph_ended -> 6
+
+let in_doubt_slot = 7
+let blocked_lock_slot = 8
+let heur_exposure_slot = 9
 
 let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     ~wal ~kv =
@@ -197,8 +231,9 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     trace;
     parent_name = parent;
     child_profiles;
-    txns = Hashtbl.create 4;
-    ended = Hashtbl.create 4;
+    ids = Simkernel.Engine.ids engine;
+    txns = Ids.Tbl.create 4;
+    ended = Bytes.empty;
     faults;
     fired_faults = Hashtbl.create 4;
     crashed = false;
@@ -206,9 +241,10 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     on_root_complete = None;
     on_crash = None;
     registry = None;
+    hists = Array.make (Array.length hist_names) None;
     causal = None;
-    suspended_children = Hashtbl.create 4;
-    idle_children = Hashtbl.create 4;
+    suspended_children = Names.create 4;
+    idle_children = Ids.Tbl.create 4;
     deferred = [];
     rejected = 0;
     damage_seen = [];
@@ -224,7 +260,9 @@ let log t = t.log
 let is_crashed t = t.crashed
 let set_on_root_complete t f = t.on_root_complete <- Some f
 let set_on_crash t f = t.on_crash <- Some f
-let set_registry t reg = t.registry <- Some reg
+let set_registry t reg =
+  t.registry <- Some reg;
+  Array.fill t.hists 0 (Array.length t.hists) None
 let set_causal t c = t.causal <- Some c
 
 (* The workload driver declares, per transaction, which immediate children
@@ -232,14 +270,51 @@ let set_causal t c = t.causal <- Some c
    suspended (its previous committed YES said OK-TO-LEAVE-OUT) is left out
    of the commit entirely. *)
 let idle_in t ~txn =
-  Option.value (Hashtbl.find_opt t.idle_children txn) ~default:[]
+  match Ids.Tbl.find t.idle_children (Ids.find t.ids txn) with
+  | children -> children
+  | exception Not_found -> []
 
 let note_idle_child t ~txn ~child =
-  Hashtbl.replace t.idle_children txn (child :: idle_in t ~txn)
+  Ids.Tbl.replace t.idle_children (Ids.intern t.ids txn)
+    (child :: idle_in t ~txn)
 
-let clear_idle_children t ~txn = Hashtbl.remove t.idle_children txn
+let clear_idle_children t ~txn =
+  Ids.Tbl.remove t.idle_children (Ids.find t.ids txn)
 
-let is_suspended t ~child = Hashtbl.mem t.suspended_children child
+let is_suspended t ~child = Names.mem t.suspended_children child
+
+(* Finished transactions, one byte per id: a finished fact costs no table
+   entry.  The known outcomes are shared constants, so answering one
+   allocates nothing. *)
+let ended_code = function Committed -> '\001' | Aborted -> '\002'
+let known_committed = Some Committed
+let known_aborted = Some Aborted
+
+let ended_byte t id =
+  if id >= 0 && id < Bytes.length t.ended then Bytes.unsafe_get t.ended id
+  else '\000'
+
+(* [txn]'s outcome if it ended here, else [None] *)
+let ended_outcome t ~txn =
+  match ended_byte t (Ids.find t.ids txn) with
+  | '\001' -> known_committed
+  | '\002' -> known_aborted
+  | _ -> None
+
+let is_ended t ~txn = ended_byte t (Ids.find t.ids txn) <> '\000'
+
+(* [txn]'s live state; raises [Not_found] when there is none, so a hit
+   allocates nothing *)
+let find_txn t txn = Ids.Tbl.find t.txns (Ids.find t.ids txn)
+
+let set_ended t id outcome =
+  let n = Bytes.length t.ended in
+  if id >= n then begin
+    let bigger = Bytes.make (max (id + 1) (max 64 (2 * n))) '\000' in
+    Bytes.blit t.ended 0 bigger 0 n;
+    t.ended <- bigger
+  end;
+  Bytes.set t.ended id (ended_code outcome)
 
 let now t = Simkernel.Engine.now t.engine
 
@@ -300,46 +375,43 @@ let causal_record ?(seg = Obs.Causal.Compute) t ~txn label arg =
         ~seg (label arg)
   | None -> ()
 
-let observe t name v =
+(* Record [v] into histogram [slot] of [hist_names], resolving it in the
+   registry on first use. *)
+let observe t slot v =
   match t.registry with
-  | Some reg -> Obs.Registry.observe reg name v
   | None -> ()
+  | Some reg ->
+      let h =
+        match Array.unsafe_get t.hists slot with
+        | Some h -> h
+        | None ->
+            let h = Obs.Registry.histogram reg hist_names.(slot) in
+            t.hists.(slot) <- Some h;
+            h
+      in
+      Obs.Histogram.record h v
 
 (* ------------------------------------------------------------------ *)
 (* Phase telemetry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The registry histogram of each phase, a constant so a transition builds
-   no string; the phase's own name is the part after "phase/". *)
-let phase_histogram = function
-  | Ph_idle -> "phase/idle"
-  | Ph_voting -> "phase/voting"
-  | Ph_in_doubt -> "phase/in-doubt"
-  | Ph_delegated -> "phase/delegated"
-  | Ph_deciding -> "phase/decision"
-  | Ph_propagating -> "phase/phase-two"
-  | Ph_ended -> "phase/ended"
-
 let phase_name ph =
-  let h = phase_histogram ph in
+  let h = hist_names.(phase_slot ph) in
   String.sub h 6 (String.length h - 6)
 
 (* Every phase transition goes through here: the residence time of the
    phase being left streams into the registry's "phase/<name>" histogram
    (idle residence is meaningless — states are created on demand). *)
 let set_phase t st ph =
-  (match t.registry with
-  | Some reg when ph <> st.phase && st.phase <> Ph_idle ->
-      Obs.Registry.observe reg (phase_histogram st.phase)
-        (now t -. st.phase_since)
-  | _ -> ());
+  if ph <> st.phase && st.phase <> Ph_idle then
+    observe t (phase_slot st.phase) (now t -. st.phase_since);
   if ph <> st.phase then begin
     (* Blocking-window accounting: the in-doubt residence is the window
        during which this member can neither commit nor abort (Gray &
        Lamport's blocking window); the lock-hostage window it opens closes
        later, when [apply_local] actually releases the locks. *)
     if st.phase = Ph_in_doubt then
-      observe t "blocking/in_doubt" (now t -. st.phase_since);
+      observe t in_doubt_slot (now t -. st.phase_since);
     if ph = Ph_in_doubt && st.indoubt_entered = None then
       st.indoubt_entered <- Some (now t)
   end;
@@ -428,7 +500,7 @@ let report_damage t ~txn reports =
 (* Shared-log members write their records into the parent's log without
    forcing: durability rides on the parent TM's forces. *)
 let mark_logged t ~txn =
-  match Hashtbl.find t.txns txn with
+  match find_txn t txn with
   | st -> st.logged_tm <- true
   | exception Not_found -> ()
 
@@ -491,18 +563,21 @@ let rec crash t =
   Net.crash_node t.net t.name;
   Wal.Log.crash t.log;
   Kvstore.crash t.kv;
-  Hashtbl.reset t.txns;
+  Ids.Tbl.reset t.txns;
   t.evidence.ev_crash ();
   (* suspension is conversation state: the sessions died with us, so the
      conservative post-crash behaviour is to re-engage everyone *)
-  Hashtbl.reset t.suspended_children;
-  Hashtbl.reset t.idle_children;
+  Names.reset t.suspended_children;
+  Ids.Tbl.reset t.idle_children;
   (* undelivered piggybacked acks died with the sessions *)
   t.deferred <- [];
   match t.on_crash with Some f -> f () | None -> ()
 
 (* [maybe_crash] returns true when the fault fired: the caller must stop. *)
 and maybe_crash t point =
+  (* most members have no fault planted: answer without a lookup *)
+  Hashtbl.length t.faults > 0
+  &&
   match Hashtbl.find_opt t.faults point with
   | Some f when not (Hashtbl.mem t.fired_faults point) ->
       Hashtbl.replace t.fired_faults point ();
@@ -560,6 +635,7 @@ and new_txn_state t txn =
   let st =
     {
       txn;
+      tid = Ids.intern t.ids txn;
       phase = Ph_idle;
       phase_since = now t;
       parent = None;
@@ -585,13 +661,13 @@ and new_txn_state t txn =
       heuristic_at = None;
     }
   in
-  Hashtbl.replace t.txns txn st;
+  Ids.Tbl.replace t.txns st.tid st;
   st
 
-and get_txn t txn = Hashtbl.find_opt t.txns txn
-
 and get_or_new_txn t txn =
-  match get_txn t txn with Some st -> st | None -> new_txn_state t txn
+  match find_txn t txn with
+  | st -> st
+  | exception Not_found -> new_txn_state t txn
 
 (* Children that take part in this transaction: left-out members are
    excluded entirely when the optimization is enabled. *)
@@ -601,7 +677,7 @@ and participating_children t ~txn =
       if
         t.cfg.opts.leave_out
         && (p.p_left_out
-           || (Hashtbl.mem t.suspended_children p.p_name
+           || (Names.mem t.suspended_children p.p_name
               && List.mem p.p_name (idle_in t ~txn)))
       then begin
         note t (Printf.sprintf "leaves out suspended server %s" p.p_name);
@@ -653,7 +729,7 @@ and designate_last_agent t st =
 and start_phase1 t st =
   (* any member we engage is no longer suspended *)
   List.iter
-    (fun ch -> Hashtbl.remove t.suspended_children ch.ch_profile.p_name)
+    (fun ch -> Names.remove t.suspended_children ch.ch_profile.p_name)
     st.children;
   designate_last_agent t st;
   send_prepare t st ~only_silent:false;
@@ -957,7 +1033,7 @@ and apply_local t st outcome k =
        entering in-doubt to the locks actually coming off *)
     (match st.indoubt_entered with
     | Some t0 ->
-        observe t "blocking/blocked_lock" (now t -. t0);
+        observe t blocked_lock_slot (now t -. t0);
         st.indoubt_entered <- None
     | None -> ());
     k ()
@@ -1215,11 +1291,11 @@ and end_txn t st outcome =
       (fun ch ->
         match ch.ch_vote with
         | Some (Vote_yes { leave_out_ok = true; _ }) ->
-            Hashtbl.replace t.suspended_children ch.ch_profile.p_name ()
+            Names.replace t.suspended_children ch.ch_profile.p_name ()
         | _ -> ())
       st.children;
-  Hashtbl.replace t.ended st.txn outcome;
-  Hashtbl.remove t.txns st.txn
+  set_ended t st.tid outcome;
+  Ids.Tbl.remove t.txns st.tid
 
 (* ------------------------------------------------------------------ *)
 (* Heuristic decisions                                                 *)
@@ -1288,9 +1364,9 @@ and start_indoubt_timer ?(attempt = 0) t st =
       Some
         (sched t ~delay:(retry_delay t attempt) (fun () ->
              let still_current =
-               match get_txn t st.txn with
-               | Some current -> current == st
-               | None -> false
+               match find_txn t st.txn with
+               | current -> current == st
+               | exception Not_found -> false
              in
              if st.phase = Ph_in_doubt && still_current then begin
                causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
@@ -1304,7 +1380,7 @@ and start_indoubt_timer ?(attempt = 0) t st =
 (* ------------------------------------------------------------------ *)
 
 and handle_prepare t ~src ~txn ~long_locks =
-  if Hashtbl.mem t.ended txn then
+  if is_ended t ~txn then
     (* duplicate from a recovering coordinator: repeat our forgotten state *)
     send_vote t ~dst:src ~txn ~delegation:false ~unsolicited:false
       ~implied_ack:false Vote_no
@@ -1364,7 +1440,7 @@ and handle_prepare t ~src ~txn ~long_locks =
 
 and handle_vote t ~src ~txn vote ~delegation ~implied_ack =
   if delegation then handle_delegation t ~src ~txn vote
-  else if Hashtbl.mem t.ended txn then
+  else if is_ended t ~txn then
     (* a straggling (reordered or retransmitted) vote for a transaction we
        already finished: do not resurrect state for it *)
     ()
@@ -1392,28 +1468,28 @@ and handle_delegation t ~src ~txn vote =
   | Vote_no | Vote_read_only ->
       (* a delegating coordinator always votes YES *)
       ()
-  | Vote_yes _ ->
-      if Hashtbl.mem t.ended txn then
-        (* duplicate delegation: repeat the outcome *)
-        send_decision t ~dst:src ~txn (Hashtbl.find t.ended txn)
-      else begin
-        let st = get_or_new_txn t txn in
-        if st.phase = Ph_idle then begin
-          st.delegator <- Some src;
-          set_phase t st Ph_voting;
-          st.children <- participating_children t ~txn;
-          start_phase1 t st
-        end
-      end
+  | Vote_yes _ -> (
+      match ended_outcome t ~txn with
+      | Some outcome ->
+          (* duplicate delegation: repeat the outcome *)
+          send_decision t ~dst:src ~txn outcome
+      | None ->
+          let st = get_or_new_txn t txn in
+          if st.phase = Ph_idle then begin
+            st.delegator <- Some src;
+            set_phase t st Ph_voting;
+            st.children <- participating_children t ~txn;
+            start_phase1 t st
+          end)
 
 and handle_decision t ~src ~txn outcome =
-  match get_txn t txn with
-  | None ->
+  match find_txn t txn with
+  | exception Not_found ->
       (* Either we finished already (coordinator retransmission) or we never
          voted (an abort reaching a not-yet-prepared member, or recovery
          contacting every static child). *)
-      let first_time = not (Hashtbl.mem t.ended txn) in
-      if first_time then Hashtbl.replace t.ended txn outcome;
+      let first_time = not (is_ended t ~txn) in
+      if first_time then set_ended t (Ids.intern t.ids txn) outcome;
       if first_time && outcome = Aborted then
         (* roll back any uncommitted work and release its locks *)
         Kvstore.abort t.kv ~txn (fun () -> ());
@@ -1421,7 +1497,7 @@ and handle_decision t ~src ~txn outcome =
          is confirmed so that a retrying coordinator can forget the txn *)
       if outcome = Committed || t.proto.p_ack_on_abort then
         send t ~dst:src [ Msg.Ack_msg { txn; damage = []; pending = false } ]
-  | Some st -> (
+  | st -> (
       match st.phase with
       | Ph_in_doubt | Ph_voting -> subordinate_decision t st outcome
       | Ph_delegated -> delegator_decision t st outcome
@@ -1455,7 +1531,7 @@ and subordinate_apply t st =
 and resolve_heuristic t st ~action ~outcome =
   (match st.heuristic_at with
   | Some t0 ->
-      observe t "blocking/heur_exposure" (now t -. t0);
+      observe t heur_exposure_slot (now t -. t0);
       st.heuristic_at <- None
   | None -> ());
   if action <> outcome then begin
@@ -1497,13 +1573,13 @@ and delegator_decision t st outcome =
     after_decision_durable
 
 and handle_ack t ~src ~txn ~damage ~pending =
-  match get_txn t txn with
-  | None ->
+  match find_txn t txn with
+  | exception Not_found ->
       (* the transaction is already forgotten here (a PA coordinator ends
          an abort immediately), but a damage report arriving on a late
          acknowledgment must still reach this operator *)
       report_damage t ~txn damage
-  | Some st -> (
+  | st -> (
       match List.find_opt (fun ch -> ch.ch_profile.p_name = src) st.children with
       | None -> ()
       | Some ch ->
@@ -1529,9 +1605,9 @@ and handle_ack t ~src ~txn ~damage ~pending =
 (* Application data beginning the next piece of work doubles as the implied
    acknowledgment for whatever outcome the receiver still remembers. *)
 and handle_data t ~txn =
-  match get_txn t txn with
-  | None -> ()
-  | Some st ->
+  match find_txn t txn with
+  | exception Not_found -> ()
+  | st ->
       if st.awaiting_implied_ack then begin
         st.awaiting_implied_ack <- false;
         if st.phase = Ph_propagating && not (acks_outstanding st) then
@@ -1540,10 +1616,10 @@ and handle_data t ~txn =
 
 and handle_inquiry t ~src ~txn =
   let reply outcome = send t ~dst:src [ t.evidence.ev_reply ~txn outcome ] in
-  match get_txn t txn with
-  | Some st -> (
+  match find_txn t txn with
+  | st -> (
       match st.outcome with
-      | Some o when st.decision_durable -> reply (Some o)
+      | Some _ as known when st.decision_durable -> reply known
       | _ ->
           (* still deciding: the normal flow will reach them - except when
              the inquirer is the very node we record as this transaction's
@@ -1556,9 +1632,9 @@ and handle_inquiry t ~src ~txn =
              subtree, while a delegator ignores no-information replies by
              design. *)
           if st.parent = Some src then reply None)
-  | None -> (
-      match Hashtbl.find_opt t.ended txn with
-      | Some o -> reply (Some o)
+  | exception Not_found -> (
+      match ended_outcome t ~txn with
+      | Some _ as known -> reply known
       | None -> (
           (* consult the durable log *)
           let records = Wal.Log.records_for t.log ~txn in
@@ -1574,9 +1650,9 @@ and handle_inquiry t ~src ~txn =
             reply None))
 
 and handle_inquiry_reply t ~txn outcome =
-  match get_txn t txn with
-  | None -> ()
-  | Some st ->
+  match find_txn t txn with
+  | exception Not_found -> ()
+  | st ->
       if st.phase = Ph_in_doubt then begin
         match outcome with
         | None when st.parent = None ->
@@ -1621,10 +1697,10 @@ and admissible t ~src payload =
   in
   let txn = Msg.payload_txn payload in
   let known =
-    match Hashtbl.find t.ended txn with
-    | o -> Some o
-    | exception Not_found -> (
-        match Hashtbl.find t.txns txn with
+    match ended_outcome t ~txn with
+    | Some _ as known -> known
+    | None -> (
+        match find_txn t txn with
         | st when st.decision_durable -> st.outcome
         | _ | (exception Not_found) -> None)
   in
@@ -1678,16 +1754,18 @@ and restart t =
       (fun (r : Wal.Log_record.t) -> r.node = t.name && Wal.Log_record.is_tm_record r)
       (Wal.Log.durable t.log)
   in
-  let by_txn = Hashtbl.create 8 in
+  (* keyed by name: recovery walks the table in its order, and that order
+     reaches the output *)
+  let by_txn = Names.create 8 in
   List.iter
     (fun (r : Wal.Log_record.t) ->
-      let l = try Hashtbl.find by_txn r.txn with Not_found -> [] in
-      Hashtbl.replace by_txn r.txn (r.kind :: l))
+      let l = try Names.find by_txn r.txn with Not_found -> [] in
+      Names.replace by_txn r.txn (r.kind :: l))
     mine;
   (* the protocol restores (and re-validates) the evidence it logged
      first, so decisions recovery re-drives carry it *)
   t.evidence.ev_restart (ops_of t) mine;
-  Hashtbl.iter (fun txn kinds -> recover_txn t ~txn ~kinds) by_txn
+  Names.iter (fun txn kinds -> recover_txn t ~txn ~kinds) by_txn
 
 and recover_txn t ~txn ~kinds =
   match t.proto.p_recover kinds with
@@ -1782,7 +1860,7 @@ let force_restart_amnesia t =
   Net.restart_node t.net t.name
 
 let unresolved_txns t =
-  Hashtbl.fold (fun txn st acc -> (txn, phase_name st.phase) :: acc) t.txns []
+  Ids.Tbl.fold (fun _ st acc -> (st.txn, phase_name st.phase) :: acc) t.txns []
   |> List.sort compare
 
 let blocked st =
@@ -1791,13 +1869,13 @@ let blocked st =
   | Ph_idle | Ph_voting | Ph_deciding | Ph_propagating | Ph_ended -> false
 
 let in_doubt_txns t =
-  Hashtbl.fold (fun txn st acc -> if blocked st then txn :: acc else acc) t.txns []
+  Ids.Tbl.fold (fun _ st acc -> if blocked st then st.txn :: acc else acc) t.txns []
   |> List.sort compare
 
-let is_unresolved t ~txn = Hashtbl.mem t.txns txn
+let is_unresolved t ~txn = Ids.Tbl.mem t.txns (Ids.find t.ids txn)
 
 let is_in_doubt t ~txn =
-  match Hashtbl.find t.txns txn with
+  match find_txn t txn with
   | st -> blocked st
   | exception Not_found -> false
 
@@ -1822,9 +1900,9 @@ let has_piggybacks t = List.exists (fun d -> not d.d_sent) t.deferred
    (resolve_heuristic, ack-borne reports) treats both identically. *)
 let force_heuristic t ~txn action =
   if not t.crashed then
-    match get_txn t txn with
-    | Some st -> take_heuristic t st action ~injected:true
-    | None -> ()
+    match find_txn t txn with
+    | st -> take_heuristic t st action ~injected:true
+    | exception Not_found -> ()
 
 let rejected_forgeries t = t.rejected
 (* refusals counted by the protocol's own evidence check (BFT certificates) *)

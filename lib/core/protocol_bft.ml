@@ -21,17 +21,6 @@
 
 open Types
 
-(* Canonical digest of the vote set a decision was taken over: what the
-   replica ensemble endorses, and what ties every endorsement in one
-   certificate to the same evidence. *)
-let votes_digest votes =
-  Msg.digest
-    (String.concat ";"
-       (List.map
-          (fun (n, v) ->
-            n ^ "=" ^ match v with Some v -> vote_to_string v | None -> "-")
-          (List.sort compare votes)))
-
 (* One node's certificates.  The per-txn cache is filled at the decision
    maker and on first sight of an admitted certified payload elsewhere;
    each new certificate is appended to the WAL so the next force hardens
@@ -71,7 +60,7 @@ let evidence cfg =
       (fun ops ~txn outcome ~votes ~k ->
         if Hashtbl.mem certs txn then k ()
         else
-          let votes = votes_digest (votes ()) in
+          let votes = Msg.votes_digest (votes ()) in
           let cert =
             {
               Msg.c_endorsements =

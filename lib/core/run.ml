@@ -3,6 +3,7 @@
     quiescence, and summarize the result. *)
 
 open Types
+module Names = Hashtbl.Make (String)
 
 type node = {
   participant : Participant.t;
@@ -20,12 +21,13 @@ type world = {
   cfg : config;
   tree : tree;
   nodes : (string * node) list;  (** tree order, root first *)
+  by_name : node Names.t;  (** [nodes] keyed by name, for [node] *)
   root : string;
   mutable outcome : outcome option;
   mutable pending : bool;
 }
 
-let node w name = List.assoc name w.nodes
+let node w name = Names.find w.by_name name
 let participant w name = (node w name).participant
 let kv w name = (node w name).kv
 let root_node w = node w w.root
@@ -76,6 +78,8 @@ let setup ?(config = default_config) ?scratch tree =
     @ List.concat_map (build (Some p.p_name) (Some wal)) children
   in
   let nodes = build None None tree in
+  let by_name = Names.create 16 in
+  List.iter (fun (name, n) -> Names.replace by_name name n) nodes;
   let root = (tree_profile tree).p_name in
   let w =
     {
@@ -87,6 +91,7 @@ let setup ?(config = default_config) ?scratch tree =
       cfg = config;
       tree;
       nodes;
+      by_name;
       root;
       outcome = None;
       pending = false;

@@ -2,6 +2,10 @@
     commit tree, give every member work, run two-phase commits to
     quiescence and summarize the results. *)
 
+module Names : Hashtbl.S with type key = string
+(** String-keyed tables; they iterate in the order a generic [Hashtbl]
+    would. *)
+
 (** One member's runtime pieces. *)
 type node = {
   participant : Participant.t;
@@ -26,6 +30,7 @@ type world = {
   cfg : Types.config;
   tree : Types.tree;
   nodes : (string * node) list;  (** tree order, root first *)
+  by_name : node Names.t;  (** [nodes] keyed by name, for {!node} *)
   root : string;
   mutable outcome : Types.outcome option;
       (** what the root reported to its application, once it has *)

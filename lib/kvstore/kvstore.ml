@@ -2,31 +2,36 @@ type vote = Vote_yes | Vote_read_only | Vote_no
 
 type op = Put of string * string | Delete of string
 
+module Ids = Simkernel.Ids
+module Keys = Hashtbl.Make (String)
+
 type t = {
   engine : Simkernel.Engine.t;
+  ids : Ids.t;  (* the engine's name table: transactions are keyed by id *)
   rm_name : string;
   log : Wal.Log.t;
   lock_table : Lockmgr.t;  (* private to this store: a lock is named by its key *)
   reliable : bool;
-  store : (string, string) Hashtbl.t; (* committed values *)
-  wsets : (string, op list ref) Hashtbl.t; (* txn -> reversed op list *)
+  store : string Keys.t; (* committed values *)
+  wsets : op list ref Ids.Tbl.t; (* txn id -> reversed op list *)
   mutable in_doubt_txns : string list;
-  lost_txns : (string, unit) Hashtbl.t;
-      (* txns whose unprepared updates were wiped by a crash: a later
+  lost_txns : unit Ids.Tbl.t;
+      (* txn ids whose unprepared updates were wiped by a crash: a later
          Prepare must vote NO, not read-only *)
 }
 
 let create engine ~name ~wal ?(reliable = false) () =
   {
     engine;
+    ids = Simkernel.Engine.ids engine;
     rm_name = name;
     log = wal;
     lock_table = Lockmgr.create engine;
     reliable;
-    store = Hashtbl.create 64;
-    wsets = Hashtbl.create 8;
+    store = Keys.create 64;
+    wsets = Ids.Tbl.create 8;
     in_doubt_txns = [];
-    lost_txns = Hashtbl.create 4;
+    lost_txns = Ids.Tbl.create 4;
   }
 
 let name t = t.rm_name
@@ -90,12 +95,20 @@ let decode_op s =
 (* --- transaction-time operations ----------------------------------------- *)
 
 let wset t txn =
-  match Hashtbl.find_opt t.wsets txn with
+  let id = Ids.intern t.ids txn in
+  match Ids.Tbl.find_opt t.wsets id with
   | Some r -> r
   | None ->
       let r = ref [] in
-      Hashtbl.replace t.wsets txn r;
+      Ids.Tbl.replace t.wsets id r;
       r
+
+(* [txn]'s write set, newest op first; empty when it wrote nothing here.
+   A name never interned finds id -1, which no table holds. *)
+let ops_of t ~txn =
+  match Ids.Tbl.find t.wsets (Ids.find t.ids txn) with
+  | r -> !r
+  | exception Not_found -> []
 
 let can_lock t ~txn ~key mode =
   match Lockmgr.holds t.lock_table ~txn ~key with
@@ -123,10 +136,9 @@ let rec newest key = function
 
 (* what [txn] sees: its own uncommitted write, else the committed value *)
 let visible t ~txn key =
-  let ops = match Hashtbl.find_opt t.wsets txn with Some r -> !r | None -> [] in
-  match newest key ops with
+  match newest key (ops_of t ~txn) with
   | Some v -> v
-  | None -> Hashtbl.find_opt t.store key
+  | None -> Keys.find_opt t.store key
 
 let get t ~txn key =
   if not (Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Shared) then None
@@ -171,10 +183,7 @@ let get_async t ~txn ~key ~granted =
   Lockmgr.acquire t.lock_table ~txn ~key Lockmgr.Shared ~granted:(fun () ->
       granted (visible t ~txn key))
 
-let is_updated t ~txn =
-  match Hashtbl.find t.wsets txn with
-  | r -> !r <> []
-  | exception Not_found -> false
+let is_updated t ~txn = ops_of t ~txn <> []
 
 (* --- commit protocol ------------------------------------------------------ *)
 
@@ -184,18 +193,23 @@ let rec apply_to store = function
   | op :: older -> (
       apply_to store older;
       match op with
-      | Put (k, v) -> Hashtbl.replace store k v
-      | Delete k -> Hashtbl.remove store k)
+      | Put (k, v) -> Keys.replace store k v
+      | Delete k -> Keys.remove store k)
+
+(* drop [txn]'s write set and its lost mark *)
+let forget t ~txn =
+  let id = Ids.find t.ids txn in
+  Ids.Tbl.remove t.wsets id;
+  Ids.Tbl.remove t.lost_txns id
 
 let finish t ~txn =
-  Hashtbl.remove t.wsets txn;
-  Hashtbl.remove t.lost_txns txn;
+  forget t ~txn;
   if t.in_doubt_txns <> [] then
     t.in_doubt_txns <- List.filter (fun x -> x <> txn) t.in_doubt_txns;
   Lockmgr.release_all t.lock_table ~txn
 
 let prepare t ~txn ~force k =
-  if Hashtbl.mem t.lost_txns txn then
+  if Ids.Tbl.mem t.lost_txns (Ids.find t.ids txn) then
     (* we performed updates for this transaction but a crash wiped the
        unprepared write set: "no updates" here means "work lost", so the
        only safe vote is NO *)
@@ -203,7 +217,7 @@ let prepare t ~txn ~force k =
   else if not (is_updated t ~txn) then begin
     (* read-only: no log write, release read locks now *)
     Lockmgr.release_all t.lock_table ~txn;
-    Hashtbl.remove t.wsets txn;
+    forget t ~txn;
     k Vote_read_only
   end
   else begin
@@ -217,9 +231,7 @@ let prepare t ~txn ~force k =
   end
 
 let commit t ~txn ~force k =
-  (match Hashtbl.find t.wsets txn with
-  | ops -> apply_to t.store !ops
-  | exception Not_found -> ());
+  apply_to t.store (ops_of t ~txn);
   let record = Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_committed in
   let continue () =
     finish t ~txn;
@@ -242,18 +254,18 @@ let abandon t ~txn k =
   (* remember the unilateral abort: a Prepare that straggles in afterwards
      (delayed, or retransmitted by a recovering coordinator) must draw
      Vote_no, not a read-only vote for work we just threw away *)
-  Hashtbl.replace t.lost_txns txn ();
+  Ids.Tbl.replace t.lost_txns (Ids.intern t.ids txn) ();
   k ()
 
 (* --- introspection, crash, recovery -------------------------------------- *)
 
-let committed_value t key = Hashtbl.find_opt t.store key
+let committed_value t key = Keys.find_opt t.store key
 
 let committed_bindings t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
+  Keys.fold (fun k v acc -> (k, v) :: acc) t.store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let iter_committed t f = Hashtbl.iter f t.store
+let iter_committed t f = Keys.iter f t.store
 
 let in_doubt t = t.in_doubt_txns
 
@@ -262,8 +274,8 @@ let in_doubt t = t.in_doubt_txns
 let is_in_doubt t ~txn = t.in_doubt_txns <> [] && List.mem txn t.in_doubt_txns
 
 let crash t =
-  Hashtbl.reset t.store;
-  Hashtbl.reset t.wsets;
+  Keys.reset t.store;
+  Ids.Tbl.reset t.wsets;
   t.in_doubt_txns <- [];
   (* the lock table is volatile state too: crashing reclaims every grant a
      dead transaction was holding (waiters' continuations died with us) *)
@@ -271,14 +283,16 @@ let crash t =
 
 (* --- checkpointing -------------------------------------------------------- *)
 
-(* every binding as a key field then a value field, in table order *)
+(* every binding as a key field then a value field, in table order;
+   [String.hash] is [Hashtbl.hash] on strings, so the order, and with it
+   the checkpoint bytes, are those of a generic table *)
 let encode_snapshot t =
   let b =
     Bytes.create
-      (Hashtbl.fold (fun k v n -> n + field_size k + field_size v) t.store 0)
+      (Keys.fold (fun k v n -> n + field_size k + field_size v) t.store 0)
   in
   ignore
-    (Hashtbl.fold (fun k v pos -> put_field b (put_field b pos k) v) t.store 0);
+    (Keys.fold (fun k v pos -> put_field b (put_field b pos k) v) t.store 0);
   Bytes.unsafe_to_string b
 
 let decode_snapshot s =
@@ -301,7 +315,7 @@ let checkpoint t k =
       (* compact: drop this RM's records older than the checkpoint, except
          those of transactions still holding a write set (in flight or in
          doubt) *)
-      let live txn = Hashtbl.mem t.wsets txn in
+      let live txn = Ids.Tbl.mem t.wsets (Ids.find t.ids txn) in
       (* find the newest durable checkpoint of this RM: everything of ours
          before it is superseded, unless it belongs to a live transaction *)
       let newest =
@@ -323,33 +337,35 @@ let checkpoint t k =
              else !past_newest || live r.txn);
       k ())
 
+(* the write set [pending] accumulates for [txn] during a log replay *)
+let pending_ops pending txn =
+  match Keys.find_opt pending txn with
+  | Some l -> l
+  | None ->
+      let l = ref [] in
+      Keys.replace pending txn l;
+      l
+
 let replay_bindings records ~node =
-  let store : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let pending : (string, op list ref) Hashtbl.t = Hashtbl.create 8 in
+  let store : string Keys.t = Keys.create 64 in
+  let pending : op list ref Keys.t = Keys.create 8 in
   List.iter
     (fun (r : Wal.Log_record.t) ->
       if r.node = node then
         match r.kind with
         | Wal.Log_record.Checkpoint ->
-            Hashtbl.reset store;
-            List.iter (fun (k, v) -> Hashtbl.replace store k v)
+            Keys.reset store;
+            List.iter (fun (k, v) -> Keys.replace store k v)
               (decode_snapshot r.payload)
         | Wal.Log_record.Rm_update ->
-            let ops =
-              match Hashtbl.find_opt pending r.txn with
-              | Some l -> l
-              | None ->
-                  let l = ref [] in
-                  Hashtbl.replace pending r.txn l;
-                  l
-            in
+            let ops = pending_ops pending r.txn in
             ops := decode_op r.payload :: !ops
         | Wal.Log_record.Rm_committed ->
-            (match Hashtbl.find_opt pending r.txn with
+            (match Keys.find_opt pending r.txn with
             | Some ops -> apply_to store !ops
             | None -> ());
-            Hashtbl.remove pending r.txn
-        | Wal.Log_record.Rm_aborted -> Hashtbl.remove pending r.txn
+            Keys.remove pending r.txn
+        | Wal.Log_record.Rm_aborted -> Keys.remove pending r.txn
         | Wal.Log_record.Rm_prepared | Wal.Log_record.Commit_pending
         | Wal.Log_record.Prepared | Wal.Log_record.Committed
         | Wal.Log_record.Aborted | Wal.Log_record.End | Wal.Log_record.Agent
@@ -357,45 +373,40 @@ let replay_bindings records ~node =
         | Wal.Log_record.Certificate ->
             ())
     records;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) store []
+  Keys.fold (fun k v acc -> (k, v) :: acc) store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let recover t =
-  Hashtbl.reset t.store;
-  Hashtbl.reset t.wsets;
+  Keys.reset t.store;
+  Ids.Tbl.reset t.wsets;
   t.in_doubt_txns <- [];
-  Hashtbl.reset t.lost_txns;
-  let pending : (string, op list ref) Hashtbl.t = Hashtbl.create 8 in
-  let prepared : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  Ids.Tbl.reset t.lost_txns;
+  (* keyed by name: recovery walks [prepared] in table order, and that
+     order (the in-doubt list, lock re-acquisition) reaches the output *)
+  let pending : op list ref Keys.t = Keys.create 8 in
+  let prepared : unit Keys.t = Keys.create 8 in
   let scan (r : Wal.Log_record.t) =
     if r.node = t.rm_name then
       match r.kind with
       | Wal.Log_record.Checkpoint ->
           (* a checkpoint resets the store to its snapshot; later records
              replay on top *)
-          Hashtbl.reset t.store;
-          List.iter (fun (k, v) -> Hashtbl.replace t.store k v)
+          Keys.reset t.store;
+          List.iter (fun (k, v) -> Keys.replace t.store k v)
             (decode_snapshot r.payload)
       | Wal.Log_record.Rm_update ->
-          let ops =
-            match Hashtbl.find_opt pending r.txn with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace pending r.txn l;
-                l
-          in
+          let ops = pending_ops pending r.txn in
           ops := decode_op r.payload :: !ops
-      | Wal.Log_record.Rm_prepared -> Hashtbl.replace prepared r.txn ()
+      | Wal.Log_record.Rm_prepared -> Keys.replace prepared r.txn ()
       | Wal.Log_record.Rm_committed ->
-          (match Hashtbl.find_opt pending r.txn with
+          (match Keys.find_opt pending r.txn with
           | Some ops -> apply_to t.store !ops
           | None -> ());
-          Hashtbl.remove pending r.txn;
-          Hashtbl.remove prepared r.txn
+          Keys.remove pending r.txn;
+          Keys.remove prepared r.txn
       | Wal.Log_record.Rm_aborted ->
-          Hashtbl.remove pending r.txn;
-          Hashtbl.remove prepared r.txn
+          Keys.remove pending r.txn;
+          Keys.remove prepared r.txn
       | Wal.Log_record.Commit_pending | Wal.Log_record.Prepared
       | Wal.Log_record.Committed | Wal.Log_record.Aborted | Wal.Log_record.End
       | Wal.Log_record.Agent | Wal.Log_record.Heuristic_commit
@@ -407,15 +418,15 @@ let recover t =
      and their exclusive locks are re-acquired so new work cannot read or
      overwrite data whose fate is still unknown (the paper's blocking
      window) *)
-  Hashtbl.iter
+  Keys.iter
     (fun txn () ->
       t.in_doubt_txns <- txn :: t.in_doubt_txns;
       let ops =
-        match Hashtbl.find_opt pending txn with
+        match Keys.find_opt pending txn with
         | Some ops -> ops
         | None -> ref []
       in
-      Hashtbl.replace t.wsets txn ops;
+      Ids.Tbl.replace t.wsets (Ids.intern t.ids txn) ops;
       List.iter
         (fun op ->
           let key = match op with Put (k, _) -> k | Delete k -> k in
@@ -426,7 +437,8 @@ let recover t =
   (* updates logged but never prepared: the in-memory write set died with
      the crash, so a retransmitted Prepare must not mistake this for a
      read-only transaction *)
-  Hashtbl.iter
+  Keys.iter
     (fun txn _ops ->
-      if not (Hashtbl.mem prepared txn) then Hashtbl.replace t.lost_txns txn ())
+      if not (Keys.mem prepared txn) then
+        Ids.Tbl.replace t.lost_txns (Ids.intern t.ids txn) ())
     pending

@@ -11,7 +11,13 @@
     Crash/recovery: [crash] wipes volatile state (committed cache and write
     sets); [recover] rebuilds from the durable log - committed transactions
     are redone, transactions with a durable [Rm_prepared] but no outcome
-    record become {e in-doubt} and await their TM's instruction. *)
+    record become {e in-doubt} and await their TM's instruction.
+
+    Callers name transactions by string.  Inside, write sets and the
+    transactions a crash cost their work are keyed by the name's id in the
+    engine's name table ({!Simkernel.Engine.ids}); the committed store
+    stays keyed by key, and iterates in the order a generic [Hashtbl]
+    would, so checkpoint payloads are unchanged. *)
 
 type t
 
@@ -20,7 +26,8 @@ type vote = Vote_yes | Vote_read_only | Vote_no
 val create :
   Simkernel.Engine.t -> name:string -> wal:Wal.Log.t -> ?reliable:bool -> unit -> t
 (** Each store has a private lock table in which a lock is named by its
-    key.  [reliable] (default [false]) is the Vote-Reliable declaration. *)
+    key; both draw transaction ids from [engine]'s name table.  [reliable]
+    (default [false]) is the Vote-Reliable declaration. *)
 
 val name : t -> string
 val wal : t -> Wal.Log.t

@@ -6,21 +6,28 @@ type hold_stats = {
   max_hold_time : float;
 }
 
-type grant = { g_txn : string; mutable g_mode : mode; g_since : float }
-type wait = { w_txn : string; w_mode : mode; w_granted : unit -> unit }
+module Ids = Simkernel.Ids
+module Keys = Hashtbl.Make (String)
+
+(* Grants and waits carry the transaction's id in the engine's name
+   table; only the public views turn it back into a name. *)
+type grant = { g_txn : int; mutable g_mode : mode; g_since : float }
+type wait = { w_txn : int; w_mode : mode; w_granted : unit -> unit }
 
 type entry = { mutable grants : grant list; mutable queue : wait list (* FIFO, head first *) }
 
-(* Released hold time.  All-float records are stored flat, so adding to
-   them allocates nothing. *)
-type tally = { mutable held : float }  (* one transaction's *)
+(* Released hold time over all transactions.  All-float records are stored
+   flat, so adding to them allocates nothing. *)
 type totals = { mutable total : float; mutable longest : float }
 
 type t = {
   engine : Simkernel.Engine.t;
-  table : (string, entry) Hashtbl.t;
-  txn_keys : (string, string list ref) Hashtbl.t; (* txn -> keys it holds *)
-  txn_time : (string, tally) Hashtbl.t; (* accumulated released hold time *)
+  ids : Ids.t;
+  table : entry Keys.t;
+  txn_keys : string list ref Ids.Tbl.t; (* txn id -> keys it holds *)
+  mutable held : float array;
+      (* txn id -> its released hold time: a finished fact, so a flat
+         array rather than a table entry per transaction *)
   mutable acquisitions : int;
   hold : totals;
   mutable nwaiting : int;
@@ -29,9 +36,10 @@ type t = {
 let create engine =
   {
     engine;
-    table = Hashtbl.create 64;
-    txn_keys = Hashtbl.create 16;
-    txn_time = Hashtbl.create 16;
+    ids = Simkernel.Engine.ids engine;
+    table = Keys.create 64;
+    txn_keys = Ids.Tbl.create 16;
+    held = [||];
     acquisitions = 0;
     hold = { total = 0.0; longest = 0.0 };
     nwaiting = 0;
@@ -43,7 +51,7 @@ let create engine =
    allocate nor raise: [grant_of] answers a sentinel, and a table lookup
    that usually misses uses [find_opt], whose [None] is free. *)
 
-let no_grant = { g_txn = ""; g_mode = Shared; g_since = 0.0 }
+let no_grant = { g_txn = -1; g_mode = Shared; g_since = 0.0 }
 
 (* [txn]'s grant in [grants], else [no_grant]; a transaction holds at most
    one grant per key *)
@@ -64,17 +72,17 @@ let rec without g = function
   | x :: rest -> if x == g then rest else x :: without g rest
 
 let entry t key =
-  match Hashtbl.find_opt t.table key with
+  match Keys.find_opt t.table key with
   | Some e -> e
   | None ->
       let e = { grants = []; queue = [] } in
-      Hashtbl.replace t.table key e;
+      Keys.replace t.table key e;
       e
 
 let note_key t ~txn ~key =
-  match Hashtbl.find_opt t.txn_keys txn with
+  match Ids.Tbl.find_opt t.txn_keys txn with
   | Some keys -> if not (List.mem key !keys) then keys := key :: !keys
-  | None -> Hashtbl.replace t.txn_keys txn (ref [ key ])
+  | None -> Ids.Tbl.replace t.txn_keys txn (ref [ key ])
 
 let grant_now t e ~txn ~key mode =
   let g = grant_of txn e.grants in
@@ -99,7 +107,7 @@ let can_grant e ~txn mode =
     | Shared, _ | Exclusive, Exclusive -> true
     | Exclusive, Shared -> compatible Exclusive txn e.grants
 
-let try_acquire t ~txn ~key mode =
+let try_acquire_id t ~txn ~key mode =
   let e = entry t key in
   (* respect FIFO fairness: a free-but-queued lock is not barged *)
   if e.queue <> [] && grant_of txn e.grants == no_grant then false
@@ -109,8 +117,12 @@ let try_acquire t ~txn ~key mode =
   end
   else false
 
+let try_acquire t ~txn ~key mode =
+  try_acquire_id t ~txn:(Ids.intern t.ids txn) ~key mode
+
 let acquire t ~txn ~key mode ~granted =
-  if try_acquire t ~txn ~key mode then granted ()
+  let txn = Ids.intern t.ids txn in
+  if try_acquire_id t ~txn ~key mode then granted ()
   else begin
     let e = entry t key in
     e.queue <- e.queue @ [ { w_txn = txn; w_mode = mode; w_granted = granted } ];
@@ -130,8 +142,10 @@ let rec pump t key e =
         pump t key e
       end
 
-let release_key t ~txn ~now tally key =
-  match Hashtbl.find t.table key with
+(* [t.held] is read afresh at each release: a grant callback may run a
+   nested [release_all] that grows the array. *)
+let release_key t ~txn ~now key =
+  match Keys.find t.table key with
   | exception Not_found -> ()
   | e ->
       let g = grant_of txn e.grants in
@@ -139,7 +153,7 @@ let release_key t ~txn ~now tally key =
         e.grants <- without g e.grants;
         let held = now -. g.g_since in
         t.hold.total <- t.hold.total +. held;
-        tally.held <- tally.held +. held;
+        t.held.(txn) <- t.held.(txn) +. held;
         if held > t.hold.longest then t.hold.longest <- held
       end;
       pump t key e;
@@ -148,71 +162,75 @@ let release_key t ~txn ~now tally key =
          have dropped it (or re-created the key) re-entrantly, hence the
          identity check. *)
       if e.grants = [] && e.queue = [] then
-        match Hashtbl.find t.table key with
-        | e' when e' == e -> Hashtbl.remove t.table key
+        match Keys.find t.table key with
+        | e' when e' == e -> Keys.remove t.table key
         | _ | (exception Not_found) -> ()
 
-let rec release_keys t ~txn ~now tally = function
+let rec release_keys t ~txn ~now = function
   | [] -> ()
   | key :: rest ->
-      release_key t ~txn ~now tally key;
-      release_keys t ~txn ~now tally rest
+      release_key t ~txn ~now key;
+      release_keys t ~txn ~now rest
+
+(* Room for [txn]'s hold time, doubling so growth is amortized. *)
+let ensure_held t txn =
+  let n = Array.length t.held in
+  if txn >= n then begin
+    let bigger = Array.make (max (txn + 1) (2 * n)) 0.0 in
+    Array.blit t.held 0 bigger 0 n;
+    t.held <- bigger
+  end
 
 let release_all t ~txn =
-  match Hashtbl.find t.txn_keys txn with
+  let txn = Ids.find t.ids txn in
+  match Ids.Tbl.find t.txn_keys txn with
   | exception Not_found -> ()
   | keys ->
-      Hashtbl.remove t.txn_keys txn;
-      let tally =
-        match Hashtbl.find_opt t.txn_time txn with
-        | Some r -> r
-        | None ->
-            let r = { held = 0.0 } in
-            Hashtbl.replace t.txn_time txn r;
-            r
-      in
-      release_keys t ~txn ~now:(Simkernel.Engine.now t.engine) tally !keys
+      Ids.Tbl.remove t.txn_keys txn;
+      ensure_held t txn;
+      release_keys t ~txn ~now:(Simkernel.Engine.now t.engine) !keys
 
 let holding_txns t =
-  Hashtbl.fold (fun txn _keys acc -> txn :: acc) t.txn_keys []
+  Ids.Tbl.fold (fun txn _keys acc -> Ids.name t.ids txn :: acc) t.txn_keys []
   |> List.sort_uniq compare
 
-let holds_any t ~txn = Hashtbl.mem t.txn_keys txn
+let holds_any t ~txn = Ids.Tbl.mem t.txn_keys (Ids.find t.ids txn)
 
 let clear t =
   (* Crash reclamation: the node lost its volatile state, so every grant and
      every queued request vanishes without waking continuations (the waiters
      died with the node).  Hold-time statistics for already-released locks
      survive; in-flight holds are simply forgotten. *)
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.txn_keys;
+  Keys.reset t.table;
+  Ids.Tbl.reset t.txn_keys;
   t.nwaiting <- 0
 
 let holds t ~txn ~key =
-  match Hashtbl.find_opt t.table key with
+  match Keys.find_opt t.table key with
   | None -> None
   | Some e ->
-      let g = grant_of txn e.grants in
+      let g = grant_of (Ids.find t.ids txn) e.grants in
       if g == no_grant then None else Some g.g_mode
 
 let holders t ~key =
-  match Hashtbl.find_opt t.table key with
+  match Keys.find_opt t.table key with
   | None -> []
-  | Some e -> List.map (fun g -> (g.g_txn, g.g_mode)) e.grants
+  | Some e -> List.map (fun g -> (Ids.name t.ids g.g_txn, g.g_mode)) e.grants
 
 let waiting t = t.nwaiting
 
 let wait_for_cycles t =
   (* edges: waiter -> each current holder of the key it waits on *)
   let edges = Hashtbl.create 16 in
-  Hashtbl.iter
+  let name = Ids.name t.ids in
+  Keys.iter
     (fun _key e ->
       List.iter
         (fun w ->
           List.iter
             (fun g ->
               if g.g_txn <> w.w_txn then
-                Hashtbl.replace edges (w.w_txn, g.g_txn) ())
+                Hashtbl.replace edges (name w.w_txn, name g.g_txn) ())
             e.grants)
         e.queue)
     t.table;
@@ -265,12 +283,11 @@ let stats t =
   }
 
 let txn_lock_time t ~txn =
-  match Hashtbl.find t.txn_time txn with
-  | r -> r.held
-  | exception Not_found -> 0.0
+  let txn = Ids.find t.ids txn in
+  if txn >= 0 && txn < Array.length t.held then t.held.(txn) else 0.0
 
 let reset_stats t =
   t.acquisitions <- 0;
   t.hold.total <- 0.0;
   t.hold.longest <- 0.0;
-  Hashtbl.reset t.txn_time
+  t.held <- [||]

@@ -4,7 +4,13 @@
     The paper's third evaluation axis is {e resource lock time}: how long an
     optimization keeps locks held at each participant.  The lock manager
     timestamps acquisition and release on the virtual clock so runs can
-    report exact lock hold times per transaction. *)
+    report exact lock hold times per transaction.
+
+    Callers name transactions by string; inside, each name becomes its id
+    in the engine's name table ({!Simkernel.Engine.ids}), and grants, wait
+    queues and the transaction-to-keys table are keyed by that id.  The
+    lock table itself stays keyed by key.  Released hold time is a
+    finished fact, kept in a flat array indexed by id. *)
 
 type mode = Shared | Exclusive
 
@@ -17,6 +23,7 @@ type hold_stats = {
 }
 
 val create : Simkernel.Engine.t -> t
+(** A lock table drawing transaction ids from the engine's name table. *)
 
 val try_acquire : t -> txn:string -> key:string -> mode -> bool
 (** Immediate attempt; never queues.  Re-acquiring a held lock (same or

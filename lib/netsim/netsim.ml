@@ -1,3 +1,6 @@
+module Names = Hashtbl.Make (String)
+module Links = Hashtbl.Make (Int)
+
 module Make (P : sig
   type t
 end) =
@@ -15,17 +18,18 @@ struct
   type t = {
     engine : Simkernel.Engine.t;
     default_latency : float;
-    nodes : (string, int) Hashtbl.t; (* name -> index into node_arr *)
+    nodes : int Names.t; (* name -> index into node_arr *)
     mutable node_arr : node_state array;
     mutable n_nodes : int;
     (* Per-link state is keyed by [link] over node indexes, so the send
        path looks it up without building a key; a symmetric (unordered)
-       pair is keyed by its lower index first. *)
-    latencies : (int, float) Hashtbl.t;
-    directed_latencies : (int, float) Hashtbl.t;
-    partitions : (int, unit) Hashtbl.t;
-    directed_sent : (int, int ref) Hashtbl.t;
-    drops : (int, int list ref) Hashtbl.t;
+       pair is keyed by its lower index first.  The send path skips the
+       override, partition and drop tables while they are empty. *)
+    latencies : float Links.t;
+    directed_latencies : float Links.t;
+    partitions : unit Links.t;
+    directed_sent : int ref Links.t;
+    drops : int list ref Links.t;
     mutable jitter : (src:string -> dst:string -> float) option;
     mutable mutator : (src:string -> dst:string -> P.t list -> P.t list) option;
     mutable total_flows : int;
@@ -73,14 +77,14 @@ struct
       {
         engine;
         default_latency;
-        nodes = Hashtbl.create 16;
+        nodes = Names.create 16;
         node_arr = Array.make 8 no_node;
         n_nodes = 0;
-        latencies = Hashtbl.create 16;
-        directed_latencies = Hashtbl.create 4;
-        partitions = Hashtbl.create 4;
-        directed_sent = Hashtbl.create 16;
-        drops = Hashtbl.create 4;
+        latencies = Links.create 16;
+        directed_latencies = Links.create 4;
+        partitions = Links.create 4;
+        directed_sent = Links.create 16;
+        drops = Links.create 4;
         jitter = None;
         mutator = None;
         total_flows = 0;
@@ -113,7 +117,7 @@ struct
     s
 
   let node_index t name =
-    match Hashtbl.find t.nodes name with
+    match Names.find t.nodes name with
     | i -> i
     | exception Not_found ->
         invalid_arg (Printf.sprintf "netsim: unknown node %S" name)
@@ -128,7 +132,7 @@ struct
   let node_state t name = t.node_arr.(node_index t name)
 
   let add_node t name handler =
-    if Hashtbl.mem t.nodes name then
+    if Names.mem t.nodes name then
       invalid_arg (Printf.sprintf "netsim: duplicate node %S" name);
     if t.n_nodes = max_nodes then invalid_arg "netsim: too many nodes";
     if t.n_nodes = Array.length t.node_arr then begin
@@ -137,31 +141,33 @@ struct
       t.node_arr <- bigger
     end;
     t.node_arr.(t.n_nodes) <- { name; handler; up = true; sent = 0; received = 0 };
-    Hashtbl.replace t.nodes name t.n_nodes;
+    Names.replace t.nodes name t.n_nodes;
     t.n_nodes <- t.n_nodes + 1
 
   let set_handler t name handler = (node_state t name).handler <- handler
 
   let set_latency t a b l =
-    Hashtbl.replace t.latencies (pair_link (node_index t a) (node_index t b)) l
+    Links.replace t.latencies (pair_link (node_index t a) (node_index t b)) l
 
   let set_latency_directed t ~src ~dst l =
-    Hashtbl.replace t.directed_latencies
+    Links.replace t.directed_latencies
       (link (node_index t src) (node_index t dst))
       l
 
+  (* [tbl]'s entry for [link], else [default]; an empty table (no override
+     was ever set) answers without hashing *)
+  let override tbl link default =
+    if Links.length tbl = 0 then default
+    else match Links.find tbl link with l -> l | exception Not_found -> default
+
   let link_latency t si di =
-    match Hashtbl.find t.directed_latencies (link si di) with
-    | l -> l
-    | exception Not_found -> (
-        match Hashtbl.find t.latencies (pair_link si di) with
-        | l -> l
-        | exception Not_found -> t.default_latency)
+    override t.directed_latencies (link si di)
+      (override t.latencies (pair_link si di) t.default_latency)
 
   (* An unregistered name has no override: overrides need both ends
      registered. *)
   let latency t a b =
-    match (Hashtbl.find_opt t.nodes a, Hashtbl.find_opt t.nodes b) with
+    match (Names.find_opt t.nodes a, Names.find_opt t.nodes b) with
     | Some si, Some di -> link_latency t si di
     | _ -> t.default_latency
 
@@ -169,22 +175,25 @@ struct
   let set_mutator t f = t.mutator <- f
 
   let partition t a b =
-    Hashtbl.replace t.partitions (pair_link (node_index t a) (node_index t b)) ()
+    Links.replace t.partitions (pair_link (node_index t a) (node_index t b)) ()
 
   let heal t a b =
-    Hashtbl.remove t.partitions (pair_link (node_index t a) (node_index t b))
+    Links.remove t.partitions (pair_link (node_index t a) (node_index t b))
+
+  let cut t si di =
+    Links.length t.partitions > 0 && Links.mem t.partitions (pair_link si di)
 
   let partitioned t a b =
-    match (Hashtbl.find_opt t.nodes a, Hashtbl.find_opt t.nodes b) with
-    | Some si, Some di -> Hashtbl.mem t.partitions (pair_link si di)
+    match (Names.find_opt t.nodes a, Names.find_opt t.nodes b) with
+    | Some si, Some di -> cut t si di
     | _ -> false
 
   let cell tbl key init =
-    match Hashtbl.find tbl key with
+    match Links.find tbl key with
     | r -> r
     | exception Not_found ->
         let r = ref init in
-        Hashtbl.replace tbl key r;
+        Links.replace tbl key r;
         r
 
   let drop_nth t ~src ~dst ~nth =
@@ -202,7 +211,7 @@ struct
     let si = node_index t src in
     let di = node_index t dst in
     let s = t.node_arr.(si) in
-    if (not s.up) || Hashtbl.mem t.partitions (pair_link si di) then false
+    if (not s.up) || cut t si di then false
     else begin
       (* The message left the source: it is a flow whether or not it arrives. *)
       t.total_flows <- t.total_flows + 1;
@@ -211,7 +220,9 @@ struct
       let seq = cell t.directed_sent ln 0 in
       incr seq;
       let lost =
-        match Hashtbl.find t.drops ln with
+        Links.length t.drops > 0
+        &&
+        match Links.find t.drops ln with
         | drops when List.mem !seq !drops ->
             drops := List.filter (fun n -> n <> !seq) !drops;
             true
@@ -248,7 +259,7 @@ struct
   let inject t ~src ~dst payloads =
     let di = node_index t dst in
     let l = latency t src dst in
-    match Hashtbl.find_opt t.nodes src with
+    match Names.find_opt t.nodes src with
     | Some si ->
         let slot = inflight_alloc t payloads in
         ignore

@@ -5,53 +5,55 @@
     and the driver snapshots it after the run.  All operations find-or-
     create, so recording a metric never needs prior declaration. *)
 
+module Names = Hashtbl.Make (String)
+
 type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  histograms : (string, Histogram.t) Hashtbl.t;
+  counters : int ref Names.t;
+  gauges : float ref Names.t;
+  histograms : Histogram.t Names.t;
 }
 
 let create () =
   {
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 16;
+    counters = Names.create 16;
+    gauges = Names.create 16;
+    histograms = Names.create 16;
   }
 
 let incr t ?(by = 1) name =
-  match Hashtbl.find_opt t.counters name with
+  match Names.find_opt t.counters name with
   | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
+  | None -> Names.replace t.counters name (ref by)
 
 let set_gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
+  match Names.find_opt t.gauges name with
   | Some r -> r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
+  | None -> Names.replace t.gauges name (ref v)
 
 let max_gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
+  match Names.find_opt t.gauges name with
   | Some r -> if v > !r then r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
+  | None -> Names.replace t.gauges name (ref v)
 
 let histogram t ?buckets_per_decade name =
-  match Hashtbl.find t.histograms name with
+  match Names.find t.histograms name with
   | h -> h
   | exception Not_found ->
       let h = Histogram.create ?buckets_per_decade () in
-      Hashtbl.replace t.histograms name h;
+      Names.replace t.histograms name h;
       h
 
 let observe t ?buckets_per_decade name v =
   Histogram.record (histogram t ?buckets_per_decade name) v
 
 let counter_value t name =
-  Option.value ~default:0 (Option.map ( ! ) (Hashtbl.find_opt t.counters name))
+  Option.value ~default:0 (Option.map ( ! ) (Names.find_opt t.counters name))
 
-let gauge_value t name = Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
-let find_histogram t name = Hashtbl.find_opt t.histograms name
+let gauge_value t name = Option.map ( ! ) (Names.find_opt t.gauges name)
+let find_histogram t name = Names.find_opt t.histograms name
 
 let sorted_bindings tbl f =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [])
+  List.sort compare (Names.fold (fun k v acc -> (k, f v) :: acc) tbl [])
 
 let counters t = sorted_bindings t.counters ( ! )
 let gauges t = sorted_bindings t.gauges ( ! )
@@ -67,6 +69,6 @@ let merge ~into src =
     (histograms src)
 
 let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms
+  Names.reset t.counters;
+  Names.reset t.gauges;
+  Names.reset t.histograms

@@ -105,6 +105,7 @@ type t = {
   mutable cancelled : int;
   mutable queue_hwm : int;
   mutable wall : float;
+  ids : Ids.t; (* the world's interned names; cleared by [reset] *)
 }
 
 let default_agenda =
@@ -159,6 +160,7 @@ let create ?agenda () =
     cancelled = 0;
     queue_hwm = 0;
     wall = 0.0;
+    ids = Ids.create ();
   }
 
 let agenda t = match t.impl with Wheel -> `Wheel | Heap -> `Heap
@@ -644,6 +646,7 @@ let reset t =
   t.queue_hwm <- 0;
   t.wall <- 0.0;
   t.n_kinds <- 1;
+  Ids.clear t.ids;
   for s = 0 to t.cap - 1 do
     t.ev_kind.(s) <- k_free;
     t.ev_thunk.(s) <- no_thunk;
@@ -659,3 +662,5 @@ let reset t =
   t.wh_cur_pos <- 0;
   t.wh_cur_len <- 0;
   t.ovf_len <- 0
+
+let ids t = t.ids

@@ -29,7 +29,8 @@ val create : ?agenda:[ `Wheel | `Heap ] -> unit -> t
 
 val reset : t -> unit
 (** Return the engine to the fresh-create state — clock zero, empty
-    agenda, zeroed counters, no registered kinds — while keeping every
+    agenda, zeroed counters, no registered kinds, no interned names
+    ({!ids}) — while keeping every
     internal array at its high-water capacity.  Lets a driver recycle one
     engine across many small simulation worlds without re-paying
     allocation warm-up; a world built on a reset engine is byte-identical
@@ -38,6 +39,12 @@ val reset : t -> unit
 
 val now : t -> float
 (** Current virtual time. *)
+
+val ids : t -> Ids.t
+(** The world's name interner.  The engine is the one per-world object
+    every layer holds, so the lock manager, the stores, the participants
+    and the workload driver all draw transaction ids from this one table
+    and key their per-transaction state by them.  {!reset} clears it. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> event
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be

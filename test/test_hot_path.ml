@@ -134,11 +134,11 @@ let test_predicates_agree () =
    transactions), with the fault watchdog armed by an empty plan as in the
    ledger.  [run_full] includes the end-of-run aggregation and audit, so
    they are gated too.  The count is deterministic for one compiler
-   version; on OCaml 5.1, the version CI pins, PA allocates 3,687 words and
-   BFT (f=1) 9,654.  Each ceiling sits about 5% above its figure, so an
+   version; on OCaml 5.1, the version CI pins, PA allocates 3,555 words and
+   BFT (f=1) 4,749.  Each ceiling sits about 5% above its figure, so an
    allocation regression on the commit path - PA's or the certificate
    path's - or in the audit fails here before it reaches the benchmark. *)
-let alloc_ceilings = [ ("pa", Presumed_abort, 3870.0); ("bft", bft, 10140.0) ]
+let alloc_ceilings = [ ("pa", Presumed_abort, 3730.0); ("bft", bft, 4990.0) ]
 
 let test_alloc_ceiling (protocol, ceiling) () =
   (* bft runs at the default f=1, as in the ledger *)

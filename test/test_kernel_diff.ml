@@ -268,7 +268,9 @@ let test_reused_engine_byte_identical agenda =
   Alcotest.(check bool) "fresh engine agrees too" true (fresh2 = first)
 
 (* A full simulation world on a recycled engine produces the identical
-   aggregate JSON line and engine counters. *)
+   aggregate JSON line and engine counters.  The engine's first world names
+   more transactions than the second, and other ones, so ids the second
+   world draws would clash with stale names had the reset kept any. *)
 let test_reused_world_byte_identical () =
   let tree = Workload.mixer_tree ~n:3 ~opts:[] () in
   let cfg = { Tpc.Mixer.default_cfg with Tpc.Mixer.txns = 25 } in
@@ -282,11 +284,22 @@ let test_reused_world_byte_identical () =
   in
   let agg1, w1 = Tpc.Mixer.run cfg tree in
   let fresh = line w1 agg1 in
-  (* recycle the first world's engine for a second, identical world *)
-  let agg2, w2 = Tpc.Mixer.run ~scratch:w1.Tpc.Run.engine cfg tree in
+  (* a first world of forty sequential commits under other names *)
+  let w0 = Tpc.Run.setup tree in
+  for i = 1 to 40 do
+    ignore (Tpc.Run.commit ~txn:("warm-" ^ string_of_int i) w0)
+  done;
+  let ids = Simkernel.Engine.ids w0.Tpc.Run.engine in
+  check "the first world interned its names" 40 (Simkernel.Ids.count ids);
+  (* recycle its engine for the mixer world, then that one's again *)
+  let agg2, w2 = Tpc.Mixer.run ~scratch:w0.Tpc.Run.engine cfg tree in
   let reused = line w2 agg2 in
   Alcotest.(check bool)
-    "world on recycled engine is byte-identical to fresh" true (fresh = reused)
+    "world on recycled engine is byte-identical to fresh" true (fresh = reused);
+  check "the second world interned only its own" 25 (Simkernel.Ids.count ids);
+  let agg3, w3 = Tpc.Mixer.run ~scratch:w2.Tpc.Run.engine cfg tree in
+  Alcotest.(check bool)
+    "and so is the next world on it" true (fresh = line w3 agg3)
 
 let suite =
   [

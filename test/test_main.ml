@@ -4,11 +4,13 @@ let () =
       ("engine", Test_engine.suite);
       ("kernel-diff", Test_kernel_diff.suite);
       ("types-msg", Test_types_msg.suite);
+      ("signing", Test_signing.suite);
       ("rng", Test_rng.suite);
       ("wal", Test_wal.suite);
       ("netsim", Test_netsim.suite);
       ("lockmgr", Test_lockmgr.suite);
       ("kvstore", Test_kvstore.suite);
+      ("id-keyed", Test_idkeyed.suite);
       ("cost-model", Test_cost_model.suite);
       ("trace", Test_trace.suite);
       ("protocol", Test_protocol.suite);
