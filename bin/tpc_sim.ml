@@ -177,6 +177,17 @@ let pick_cost_opt opts =
   else if on `Wait_for_outcome then Some Tpc.Cost_model.Wait_for_outcome_opt
   else None
 
+(* A mixer run needs at least one transaction and one concurrent slot:
+   zero transactions makes the mixer raise, and zero concurrency divides
+   chaos's fault horizon by zero, planning every fault at infinity. *)
+let require_mixer_counts cmd ~txns ~concurrency =
+  if txns < 1 then (
+    Printf.eprintf "tpc_sim %s: --txns must be at least 1\n" cmd;
+    exit 2);
+  if concurrency < 1 then (
+    Printf.eprintf "tpc_sim %s: -c must be at least 1\n" cmd;
+    exit 2)
+
 let run_cmd protocol opt_names n m f shape seed latency show_trace show_diagram
     trace_out events_out =
   if n < 1 then (
@@ -484,6 +495,7 @@ let explain_cmd protocol opt_names n txns concurrency seed txn_id =
   if n < 2 then (
     Printf.eprintf "tpc_sim explain: -n must be at least 2\n";
     exit 2);
+  require_mixer_counts "explain" ~txns ~concurrency;
   let opts = build_opts opt_names in
   let config =
     default_config |> with_protocol protocol |> with_opts opts
@@ -580,6 +592,7 @@ let stats_cmd protocol opt_names n txns concurrency seed =
   if n < 2 then (
     Printf.eprintf "tpc_sim stats: -n must be at least 2\n";
     exit 2);
+  require_mixer_counts "stats" ~txns ~concurrency;
   let opts = build_opts opt_names in
   let config = default_config |> with_protocol protocol |> with_opts opts in
   let cfg = { Tpc.Mixer.default_cfg with txns; concurrency; seed } in
@@ -746,6 +759,7 @@ let chaos_cmd protocol opt_names n f seeds seed0 txns concurrency crashes
   if seeds < 1 then (
     Printf.eprintf "tpc_sim chaos: --seeds must be at least 1\n";
     exit 2);
+  require_mixer_counts "chaos" ~txns ~concurrency;
   if f < 0 then (
     Printf.eprintf "tpc_sim chaos: --f must be non-negative\n";
     exit 2);

@@ -306,9 +306,12 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       crecord ~terminal:true x
         (if x.x_timed_out then Obs.Causal.Lock_wait else Obs.Causal.Compute)
         (fun x ->
-          Printf.sprintf "application notified: %s%s"
-            (outcome_to_string (Option.get x.x_outcome))
-            (if x.x_timed_out then " (lock-wait timeout)" else ""))
+          String.concat ""
+            [
+              "application notified: ";
+              outcome_to_string (Option.get x.x_outcome);
+              (if x.x_timed_out then " (lock-wait timeout)" else "");
+            ])
         x;
       (match (outcome, x.x_commit_started) with
       | Committed, Some s -> Obs.Histogram.record h_commit (E.now engine -. s)
@@ -492,7 +495,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
                   match it.it_op with
                   | Op_update { key } | Op_read { key } -> key
                 in
-                Printf.sprintf "lock granted: %s@%s" key it.it_node)
+                String.concat "" [ "lock granted: "; key; "@"; it.it_node ])
               it;
             if x.x_timed_out then
               (* granted after we gave up: let it go again *)

@@ -244,4 +244,6 @@ let payload_label = function
   | Inquiry_reply { outcome = Some o; _ } ->
       "Outcome " ^ Types.outcome_to_string o
 
-let bundle_label payloads = String.concat " + " (List.map payload_label payloads)
+let bundle_label = function
+  | [ p ] -> payload_label p
+  | payloads -> String.concat " + " (List.map payload_label payloads)

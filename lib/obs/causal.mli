@@ -23,7 +23,22 @@
     O(1) no-op that allocates nothing: harnesses that only need aggregate
     counters (chaos, sweeps) pay nothing and stay byte-identical.  The
     recorder is pure observation — nothing in the simulation ever reads
-    the graph back. *)
+    the graph back.
+
+    {b Cost.}  Transaction and member names are interned to dense ids
+    ({!Simkernel.Ids}), and a node is one row of eight columns kept in
+    chunks of 4,096 rows: 64 bytes per node on a 64-bit host, plus the
+    label string the caller passed.  Recording an event is a few array
+    writes.  It allocates a six-word in-flight entry per send, a copy of
+    the in-flight entries newer than the send a delivery matches, and now
+    and then a table entry for a new name, a new chunk or a bigger
+    per-transaction array.  A send or delivery keeps the bundle label
+    and the peer, and its text (["send L -> dst"]) is built only when a
+    query reads it.  {!create} allocates no column: storage appears with
+    the first recorded event, so a recorder that stays [Off] is one
+    small record.  Queries build {!node} records from the columns;
+    {!txn_nodes} scans every row, {!critical_path} only the rows on the
+    path. *)
 
 (** Wait class of the interval that ended at an event. *)
 type seg =
