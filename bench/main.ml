@@ -108,22 +108,13 @@ let table3 ?(n = 11) ?(m = 4) () =
        n m);
   Format.printf "%-24s %-26s %-26s %s@." "2PC type" "simulated (f,w,fw)"
     "paper formula (f,w,fw)" "";
-  let basic_sim, _ = Tpc.Run.commit_tree (Workload.flat ~n ()) in
-  let basic_model = C.basic ~n in
-  Format.printf "%-24s %-26s %-26s %s@." "Basic 2PC"
-    (Format.asprintf "%a" C.pp_counts (Tpc.Metrics.counts basic_sim))
-    (Format.asprintf "%a" C.pp_counts basic_model)
-    (check_mark (Tpc.Metrics.counts basic_sim = basic_model));
   List.iter
-    (fun opt ->
-      let sim = Workload.run_table3 opt ~n ~m in
-      let model = C.with_optimization opt ~n ~m in
-      Format.printf "%-24s %-26s %-26s %s@."
-        ("PA & " ^ C.optimization_to_string opt)
-        (Format.asprintf "%a" C.pp_counts sim)
-        (Format.asprintf "%a" C.pp_counts model)
-        (check_mark (sim = model)))
-    C.all_optimizations
+    (fun (row : Workload.row) ->
+      Format.printf "%-24s %-26s %-26s %s@." row.label
+        (Format.asprintf "%a" C.pp_counts row.simulated)
+        (Format.asprintf "%a" C.pp_counts row.paper)
+        (check_mark (row.simulated = row.paper)))
+    (Workload.table3_rows ~n ~m)
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: long locks over r = 12 chained transactions                *)
@@ -135,28 +126,17 @@ let table4 ?(r = 12) () =
        "Table 4. Logging and Message Costs for Long-Locks (r = %d chained \
         transactions, 2 members)"
        r);
-  let model = C.table4 ~r in
   Format.printf "%-36s %-26s %-26s %-14s %-10s %s@." "2PC type"
     "simulated (f,w,fw)" "paper (f,w,fw)" "lock-time/txn" "txn/100t" "";
-  let row label mode model_label =
-    let res = Tpc.Stream.run_chain mode ~r in
-    let m = List.assoc model_label model in
-    let sim =
-      { C.flows = res.Tpc.Stream.flows; writes = res.Tpc.Stream.writes;
-        forced = res.Tpc.Stream.forced }
-    in
-    Format.printf "%-36s %-26s %-26s %-14.1f %-10.1f %s@." label
-      (Format.asprintf "%a" C.pp_counts sim)
-      (Format.asprintf "%a" C.pp_counts m)
-      res.Tpc.Stream.mean_coordinator_lock_time
-      (100.0 *. float_of_int r /. res.Tpc.Stream.duration)
-      (check_mark (sim = m))
-  in
-  row "Basic 2PC" Tpc.Stream.Chain_basic "Basic 2PC";
-  row "PA & Long Locks (not last agent)" Tpc.Stream.Chain_long_locks
-    "PA & Long Locks (not last agent)";
-  row "PA & Long Locks (last agent)" Tpc.Stream.Chain_long_locks_last_agent
-    "PA & Long Locks (last agent)"
+  List.iter
+    (fun ((row : Workload.row), (res : Tpc.Run.chain_result)) ->
+      Format.printf "%-36s %-26s %-26s %-14.1f %-10.1f %s@." row.label
+        (Format.asprintf "%a" C.pp_counts row.simulated)
+        (Format.asprintf "%a" C.pp_counts row.paper)
+        res.mean_coordinator_lock_time
+        (100.0 *. float_of_int r /. res.duration)
+        (check_mark (row.simulated = row.paper)))
+    (Workload.table4_rows ~r)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1-8                                                         *)
@@ -181,11 +161,11 @@ let group_commit ?(n = 96) () =
     "force I/Os" "saved I/Os" "paper 3n/2m" "mean commit latency";
   List.iter
     (fun m ->
-      let r = Tpc.Stream.run_group_commit ~n ~group_size:m () in
+      let r = Tpc.Run.group_commit ~n ~group_size:m () in
       Format.printf "%-10d %-14d %-12d %-12d %-18.1f %.2f@." m
-        r.Tpc.Stream.gc_force_requests r.Tpc.Stream.gc_force_ios
-        r.Tpc.Stream.gc_saved_ios r.Tpc.Stream.gc_paper_saving
-        r.Tpc.Stream.gc_mean_commit_latency)
+        r.Tpc.Run.gc_force_requests r.Tpc.Run.gc_force_ios
+        r.Tpc.Run.gc_saved_ios r.Tpc.Run.gc_paper_saving
+        r.Tpc.Run.gc_mean_commit_latency)
     [ 1; 2; 4; 8; 16; 32 ];
   Format.printf
     "@.Shape check: saved I/Os grow with the group size while individual \
@@ -429,12 +409,12 @@ let bechamel_suite () =
                ignore (Workload.run_table3 C.Read_only_opt ~n:11 ~m:4)));
         Test.make ~name:"table4-chain-r12"
           (Staged.stage (fun () ->
-               ignore (Tpc.Stream.run_chain Tpc.Stream.Chain_long_locks ~r:12)));
+               ignore (Tpc.Run.chain Tpc.Run.Chain_long_locks ~r:12)));
         Test.make ~name:"figure3-pn-trace"
           (Staged.stage (fun () -> ignore (Tpc.Scenarios.figure3 ())));
         Test.make ~name:"group-commit-n96"
           (Staged.stage (fun () ->
-               ignore (Tpc.Stream.run_group_commit ~n:96 ~group_size:8 ())));
+               ignore (Tpc.Run.group_commit ~n:96 ~group_size:8 ())));
         Test.make ~name:"commit-11-members"
           (Staged.stage (fun () ->
                ignore (Tpc.Run.commit_tree (Workload.flat ~n:11 ()))));

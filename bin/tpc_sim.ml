@@ -225,24 +225,37 @@ let run_term =
 (* --- tables ------------------------------------------------------------ *)
 
 let tables_cmd n m f r =
+  if n < 1 then (
+    Printf.eprintf "tpc_sim tables: -n must be at least 1\n";
+    exit 2);
+  if m < 0 || m >= n then (
+    Printf.eprintf "tpc_sim tables: -m must satisfy 0 <= m < n\n";
+    exit 2);
+  if f < 0 then (
+    Printf.eprintf "tpc_sim tables: -f must be non-negative\n";
+    exit 2);
+  if r < 1 then (
+    Printf.eprintf "tpc_sim tables: -r must be at least 1\n";
+    exit 2);
+  let pp = Tpc.Cost_model.pp_counts in
+  let table3 = Workload.table3_rows ~n ~m in
   Format.printf "Table 3 (n=%d, m=%d): simulated = paper formula@.@." n m;
   List.iter
-    (fun (label, counts) ->
-      Format.printf "  %-28s %a@." label Tpc.Cost_model.pp_counts counts)
-    (Tpc.Cost_model.table3 ~n ~m);
+    (fun (row : Workload.row) ->
+      Format.printf "  %-28s %a@." row.label pp row.paper)
+    table3;
+  (* the optimizations' simulated rows; the bench prints the baseline's *)
   Format.printf "@.Simulated:@.";
   List.iter
-    (fun opt ->
-      Format.printf "  PA & %-24s %a@."
-        (Tpc.Cost_model.optimization_to_string opt)
-        Tpc.Cost_model.pp_counts
-        (Workload.run_table3 opt ~n ~m))
-    Tpc.Cost_model.all_optimizations;
+    (fun (row : Workload.row) ->
+      Format.printf "  %-29s %a@." row.label pp row.simulated)
+    (List.tl table3);
+  (* the closed form; the bench prints the simulated column beside it *)
   Format.printf "@.Table 4 (r=%d):@." r;
   List.iter
-    (fun (label, counts) ->
-      Format.printf "  %-36s %a@." label Tpc.Cost_model.pp_counts counts)
-    (Tpc.Cost_model.table4 ~r);
+    (fun ((row : Workload.row), _) ->
+      Format.printf "  %-36s %a@." row.label pp row.paper)
+    (Workload.table4_rows ~r);
   (* the resilience-vs-cost frontier: what certified (Byzantine-tolerant)
      commit adds on top of the same tree, closed form next to simulation *)
   Format.printf "@.Byzantine tolerance (n=%d): simulated = paper formula@." n;
@@ -297,18 +310,29 @@ let figures_term =
 let chain_cmd mode r latency =
   let mode =
     match mode with
-    | "basic" -> Tpc.Stream.Chain_basic
-    | "long-locks" -> Tpc.Stream.Chain_long_locks
-    | _ -> Tpc.Stream.Chain_long_locks_last_agent
+    | "basic" -> Tpc.Run.Chain_basic
+    | "long-locks" -> Tpc.Run.Chain_long_locks
+    | "long-locks-last-agent" -> Tpc.Run.Chain_long_locks_last_agent
+    | other ->
+        Printf.eprintf
+          "tpc_sim chain: unknown mode %S (basic, long-locks or \
+           long-locks-last-agent)\n"
+          other;
+        exit 2
   in
-  let res = Tpc.Stream.run_chain ~latency mode ~r in
+  if r < 1 then (
+    Printf.eprintf "tpc_sim chain: -r must be at least 1\n";
+    exit 2);
+  let res, _world =
+    Tpc.Run.chain ~config:(default_config |> with_latency latency) mode ~r
+  in
   Format.printf
     "%s: r=%d  flows=%d (+%d data)  writes=%d  forced=%d  duration=%.1f  \
      lock-time/txn=%.1f@."
-    (Tpc.Stream.mode_to_string mode)
-    r res.Tpc.Stream.flows res.Tpc.Stream.data_flows res.Tpc.Stream.writes
-    res.Tpc.Stream.forced res.Tpc.Stream.duration
-    res.Tpc.Stream.mean_coordinator_lock_time
+    (Tpc.Run.chain_mode_to_string mode)
+    r res.Tpc.Run.flows res.Tpc.Run.data_flows res.Tpc.Run.writes
+    res.Tpc.Run.forced res.Tpc.Run.duration
+    res.Tpc.Run.mean_coordinator_lock_time
 
 let chain_term =
   let mode =
@@ -322,14 +346,20 @@ let chain_term =
 (* --- group commit --------------------------------------------------------- *)
 
 let group_cmd n sizes =
+  if n < 1 then (
+    Printf.eprintf "tpc_sim group: -n must be at least 1\n";
+    exit 2);
+  if List.exists (fun m -> m < 1) sizes then (
+    Printf.eprintf "tpc_sim group: every group size must be at least 1\n";
+    exit 2);
   Format.printf "%-8s %-12s %-12s %-10s %-14s@." "group" "requests" "I/Os"
     "saved" "paper 3n/2m";
   List.iter
     (fun m ->
-      let r = Tpc.Stream.run_group_commit ~n ~group_size:m () in
+      let r = Tpc.Run.group_commit ~n ~group_size:m () in
       Format.printf "%-8d %-12d %-12d %-10d %-14.1f@." m
-        r.Tpc.Stream.gc_force_requests r.Tpc.Stream.gc_force_ios
-        r.Tpc.Stream.gc_saved_ios r.Tpc.Stream.gc_paper_saving)
+        r.Tpc.Run.gc_force_requests r.Tpc.Run.gc_force_ios
+        r.Tpc.Run.gc_saved_ios r.Tpc.Run.gc_paper_saving)
     sizes
 
 let group_term =

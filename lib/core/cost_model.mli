@@ -88,16 +88,11 @@ val table3 : n:int -> m:int -> (string * counts) list
     "PA & <opt>" for each optimization with [m] followers. *)
 
 val table4 : r:int -> (string * counts) list
-(** [r] chained two-member transactions under long locks. *)
-
-val long_locks_flows : r:int -> int
-(** Chained long-locks transactions without the last-agent optimization:
-    per transaction, Prepare / Vote / Decision, with the Ack riding the next
-    transaction's opening data message. *)
-
-val long_locks_last_agent_flows : r:int -> int
-(** Figure 7 / Table 4: long locks combined with last agent commits two
-    transactions in three flows. *)
+(** [r] chained two-member transactions: basic 2PC ([4r] flows), long
+    locks ([3r]: the Ack rides the next transaction's data) and long locks
+    with last agent (Figure 7's two transactions in three flows, so
+    [3(r/2)], plus two for an odd tail transaction).  Every row writes
+    [5r] records, [3r] of them forced. *)
 
 (** {2 Group commit (Section 4, "Group Commits")} *)
 

@@ -64,6 +64,7 @@ type payload =
   | Prepare of {
       txn : string;
       long_locks : bool;  (** coordinator requests deferred acknowledgment *)
+      upward : bool;  (** to the sender's static parent, which it engaged *)
     }
   | Vote_msg of {
       txn : string;

@@ -73,6 +73,10 @@ let rec names_member name = function
   | [] -> false
   | (p : profile) :: rest -> String.equal p.p_name name || names_member name rest
 
+let rec has_child name = function
+  | [] -> false
+  | ch :: rest -> String.equal ch.ch_profile.p_name name || has_child name rest
+
 type txn_state = {
   txn : string;
   tid : int;  (* [txn]'s id in the engine's name table *)
@@ -108,14 +112,15 @@ type txn_state = {
          arrives: feeds the "blocking/heur_exposure" window histogram *)
 }
 
-(* An acknowledgment (or last-agent implied ack) waiting to piggyback on the
-   next transaction's data exchange.  A concurrent workload driver flushes
-   these when a genuinely-next transaction arrives; a fallback timer at
-   [implied_ack_delay] simulates the think-time data message when nothing
-   else does (the single-transaction behaviour). *)
+(* A payload bundle owed to [d_dst]: a long-locks ack or implied ack
+   waiting for the next transaction's data, or a held last-agent decision.
+   [flush_piggybacks] (a concurrent driver's next real arrival) sends it
+   early; otherwise a timer at [implied_ack_delay] simulates the think-time
+   data message, reproducing the single-transaction behaviour. *)
 type deferred = {
   d_dst : string;
   d_payloads : Msg.payload list;
+  d_rides : bool;  (* leads the next bundle to [d_dst] (see [rides]) *)
   mutable d_sent : bool;
 }
 
@@ -133,7 +138,7 @@ type t = {
   log : Wal.Log.t;
   kv : Kvstore.t;
   trace : Trace.t;
-  parent_name : string option;
+  parent : profile option;  (* static parent *)
   child_profiles : profile list;  (* static immediate children *)
   ids : Ids.t;  (* the engine's name table: transactions are keyed by id *)
   txns : txn_state Ids.Tbl.t;  (* live transactions, by id *)
@@ -145,6 +150,8 @@ type t = {
   mutable crashed : bool;
   mutable epoch : int;
   mutable on_root_complete : (txn:string -> outcome -> pending:bool -> unit) option;
+  mutable on_agent_decision : (txn:string -> outcome -> unit) option;
+  mutable opened : int;  (* id of the transaction last begun here *)
   mutable on_crash : (unit -> unit) option;
       (* workload-driver hook fired after volatile state is wiped *)
   mutable registry : Obs.Registry.t option;
@@ -229,7 +236,7 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     log = wal;
     kv;
     trace;
-    parent_name = parent;
+    parent;
     child_profiles;
     ids = Simkernel.Engine.ids engine;
     txns = Ids.Tbl.create 4;
@@ -239,6 +246,8 @@ let create ~engine ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles
     crashed = false;
     epoch = 0;
     on_root_complete = None;
+    on_agent_decision = None;
+    opened = -1;
     on_crash = None;
     registry = None;
     hists = Array.make (Array.length hist_names) None;
@@ -259,6 +268,7 @@ let kv t = t.kv
 let log t = t.log
 let is_crashed t = t.crashed
 let set_on_root_complete t f = t.on_root_complete <- Some f
+let set_on_agent_decision t f = t.on_agent_decision <- Some f
 let set_on_crash t f = t.on_crash <- Some f
 let set_registry t reg =
   t.registry <- Some reg;
@@ -422,10 +432,33 @@ let set_phase t st ph =
 (* Messaging                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A bundle containing application [Data] is a data flow: anything
-   piggybacked on it travels free (implied acks, long-locks acks). *)
-let bundle_is_protocol payloads =
-  not (List.exists (function Msg.Data _ -> true | _ -> false) payloads)
+(* Application [Data], with at most [Ack]s riding it, is a data flow;
+   anything else makes the bundle a protocol flow. *)
+let rec data_only seen = function
+  | [] -> seen
+  | Msg.Data _ :: rest -> data_only true rest
+  | Msg.Ack_msg _ :: rest -> data_only seen rest
+  | _ -> false
+
+let bundle_is_protocol payloads = not (data_only false payloads)
+
+let is_parent t name =
+  match t.parent with Some p -> String.equal p.p_name name | None -> false
+
+(* Whether a delegator's and its last agent's debts to each other ride the
+   next flow to the partner, or wait for data. *)
+let rides t = t.cfg.opts.long_locks && t.profile.p_long_locks
+
+(* Prefix the owed payloads for [dst], oldest first; [deferred] is newest
+   first. *)
+let rec ride_owed ~dst payloads = function
+  | [] -> payloads
+  | d :: older ->
+      if d.d_rides && (not d.d_sent) && String.equal d.d_dst dst then begin
+        d.d_sent <- true;
+        ride_owed ~dst (d.d_payloads @ payloads) older
+      end
+      else ride_owed ~dst payloads older
 
 (* The one producer of send events: every send, real or charged by
    [op_charge], is an event when the trace keeps events and a counter bump
@@ -438,6 +471,11 @@ let trace_send t ~dst ~label ~protocol =
 (* The bundle label is built at most once, and only when the event trace
    or the causal recorder will keep it. *)
 let send t ~dst payloads =
+  let payloads =
+    match t.deferred with
+    | [] -> payloads
+    | deferred -> ride_owed ~dst payloads deferred
+  in
   let protocol = bundle_is_protocol payloads in
   let causal = causal_sink t in
   let label =
@@ -478,6 +516,7 @@ let send_prepare t st ~only_silent =
               {
                 txn = st.txn;
                 long_locks = t.cfg.opts.long_locks && ch.ch_profile.p_long_locks;
+                upward = is_parent t ch.ch_profile.p_name;
               };
           ])
     st.children
@@ -686,13 +725,21 @@ and participating_children t ~txn =
       else Some (make_child p ~vote:None ~implied_ack:false))
     t.child_profiles
 
+(* The static children a Prepare or delegation from [src] engages, minus
+   [src] if the transaction was re-rooted at it. *)
+and engaged_children t ~txn ~src ~rerooted =
+  let children = participating_children t ~txn in
+  if rerooted then
+    List.filter (fun ch -> not (String.equal ch.ch_profile.p_name src)) children
+  else children
+
 (* State rebuilt from the log at restart.  The votes were lost with
    volatile state: assume every static child voted YES, so the outcome is
    re-propagated to each of them and acknowledgments are re-collected. *)
 and resumed_txn_state t ~txn phase =
   let st = new_txn_state t txn in
   set_phase t st phase;
-  st.parent <- t.parent_name;
+  st.parent <- Option.map (fun p -> p.p_name) t.parent;
   st.children <-
     List.map
       (fun p ->
@@ -706,11 +753,17 @@ and resumed_txn_state t ~txn phase =
 (* Voting phase                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Entry point at the root coordinator. *)
+(* Entry point at the root coordinator; below the static root the static
+   parent joins as the last child (re-rooting). *)
 and begin_commit t ~txn =
   let st = get_or_new_txn t txn in
   set_phase t st Ph_voting;
   st.children <- participating_children t ~txn;
+  (match t.parent with
+  | Some p ->
+      st.children <- st.children @ [ make_child p ~vote:None ~implied_ack:false ]
+  | None -> ());
+  t.opened <- st.tid;
   t.proto.p_begin_commit (ops_of t) ~txn ~root:true
     ~has_children:(st.children <> [])
     ~k:(fun () -> start_phase1 t st)
@@ -947,9 +1000,9 @@ and vote_yes_up t st parent =
 (* Unsolicited vote (leaf server that knows it is finished): prepare
    spontaneously and send YES without waiting for Prepare. *)
 and begin_unsolicited t ~txn =
-  match t.parent_name with
+  match t.parent with
   | None -> invalid_arg "unsolicited vote requires a parent"
-  | Some parent ->
+  | Some { p_name = parent; _ } ->
       let st = get_or_new_txn t txn in
       st.parent <- Some parent;
       set_phase t st Ph_voting;
@@ -1019,11 +1072,26 @@ and after_decision_durable t st =
   apply_local t st outcome (fun () ->
       propagate_decision t st outcome;
       (match st.delegator with
-      | Some up ->
-          send_decision t ~dst:up ~txn:st.txn outcome;
-          st.awaiting_implied_ack <- true
+      | Some up -> report_to_delegator t st ~up outcome
       | None -> ());
       maybe_finished t st)
+
+(* The agent's application hears first; if it opens a transaction toward
+   the delegator, the decision rides its first flow (Figure 7's
+   Commit(t1) + Vote(t2, you decide)). *)
+and report_to_delegator t st ~up outcome =
+  let opened = t.opened in
+  Option.iter (fun f -> f ~txn:st.txn outcome) t.on_agent_decision;
+  if t.opened <> opened && rides t && opened_toward t up then
+    defer_piggyback t ~rides:true ~dst:up
+      [ t.evidence.ev_decision ~txn:st.txn outcome ]
+  else send_decision t ~dst:up ~txn:st.txn outcome;
+  st.awaiting_implied_ack <- true
+
+and opened_toward t dst =
+  match Ids.Tbl.find t.txns t.opened with
+  | st -> has_child dst st.children
+  | exception Not_found -> false
 
 and apply_local t st outcome k =
   let released () =
@@ -1207,13 +1275,8 @@ and send_ack_up t st =
           [ Msg.Ack_msg { txn = st.txn; damage = st.damage; pending = st.pending } ]
       end
 
-(* Register a payload bundle that wants to ride the next transaction's data
-   exchange.  [flush_piggybacks] (called by a concurrent workload driver when
-   a genuinely-next transaction arrives) sends it early; otherwise the
-   fallback timer fires after the configured think time, reproducing the
-   single-transaction behaviour exactly. *)
-and defer_piggyback t ~dst payloads =
-  let d = { d_dst = dst; d_payloads = payloads; d_sent = false } in
+and defer_piggyback t ~rides ~dst payloads =
+  let d = { d_dst = dst; d_payloads = payloads; d_rides = rides; d_sent = false } in
   t.deferred <- d :: List.filter (fun x -> not x.d_sent) t.deferred;
   sched_ t ~delay:t.cfg.implied_ack_delay (fun () -> fire_deferred t d)
 
@@ -1224,16 +1287,13 @@ and fire_deferred t d =
   end
 
 and defer_ack_long_locks t st =
-  (* Long locks: hold the acknowledgment and piggyback it on the data
-     message that begins the next transaction (Figure 7).  In a
-     single-transaction run that data message is simulated after a think
-     time; under the concurrent Mixer the next real arrival sends it
-     ([flush_piggybacks]). *)
+  (* Long locks: the acknowledgment waits for the data message that begins
+     the next transaction (Figure 7) *)
   if not st.acked_up then begin
     st.acked_up <- true;
     note t "long locks: ack deferred to next-transaction data";
     let parent = Option.get st.parent in
-    defer_piggyback t ~dst:parent
+    defer_piggyback t ~rides:false ~dst:parent
       [
         Msg.Data { txn = st.txn; info = "next-txn" };
         Msg.Ack_msg { txn = st.txn; damage = st.damage; pending = st.pending };
@@ -1272,7 +1332,7 @@ and finish_with_end t st =
   List.iter
     (fun ch ->
       if ch.ch_last_agent && Option.get st.outcome = Committed then
-        defer_piggyback t ~dst:ch.ch_profile.p_name
+        defer_piggyback t ~rides:(rides t) ~dst:ch.ch_profile.p_name
           [ Msg.Data { txn = st.txn; info = "next-txn" } ])
     st.children;
   end_txn t st (Option.get st.outcome)
@@ -1349,8 +1409,8 @@ and start_indoubt_timer ?(attempt = 0) t st =
      forces Prepared): the outcome lives at a child, so inquire all of
      them - only positive knowledge resolves. *)
   let targets =
-    match t.parent_name with
-    | Some parent -> [ parent ]
+    match t.parent with
+    | Some parent -> [ parent.p_name ]
     | None -> (
         match st.parent with
         | Some claimed -> [ claimed ]
@@ -1379,7 +1439,7 @@ and start_indoubt_timer ?(attempt = 0) t st =
 (* Message handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-and handle_prepare t ~src ~txn ~long_locks =
+and handle_prepare t ~src ~txn ~long_locks ~upward =
   if is_ended t ~txn then
     (* duplicate from a recovering coordinator: repeat our forgotten state *)
     send_vote t ~dst:src ~txn ~delegation:false ~unsolicited:false
@@ -1402,7 +1462,7 @@ and handle_prepare t ~src ~txn ~long_locks =
             with
             | Some e -> e
             | None -> ch)
-          (participating_children t ~txn);
+          (engaged_children t ~txn ~src ~rerooted:upward);
       if maybe_crash t Cp_on_prepare then ()
       else
         (* a cascaded coordinator runs the protocol's pre-voting logging
@@ -1478,7 +1538,8 @@ and handle_delegation t ~src ~txn vote =
           if st.phase = Ph_idle then begin
             st.delegator <- Some src;
             set_phase t st Ph_voting;
-            st.children <- participating_children t ~txn;
+            st.children <-
+              engaged_children t ~txn ~src ~rerooted:(not (is_parent t src));
             start_phase1 t st
           end)
 
@@ -1671,7 +1732,8 @@ and handle_inquiry_reply t ~txn outcome =
       end
 
 and handle_payload t ~src = function
-  | Msg.Prepare { txn; long_locks } -> handle_prepare t ~src ~txn ~long_locks
+  | Msg.Prepare { txn; long_locks; upward } ->
+      handle_prepare t ~src ~txn ~long_locks ~upward
   | Msg.Vote_msg { txn; vote; delegation; implied_ack; _ } ->
       handle_vote t ~src ~txn vote ~delegation ~implied_ack
   | Msg.Decision_msg { txn; outcome; _ } -> handle_decision t ~src ~txn outcome
@@ -1689,11 +1751,11 @@ and handle_payload t ~src = function
    caught. *)
 and admissible t ~src payload =
   let role =
-    match t.parent_name with
-    | Some parent when String.equal parent src -> Protocol_intf.From_parent
-    | _ ->
-        if names_member src t.child_profiles then Protocol_intf.From_child
-        else Protocol_intf.From_stranger
+    if is_parent t src then
+      if engaged_as_child t ~src payload then Protocol_intf.From_child
+      else Protocol_intf.From_parent
+    else if names_member src t.child_profiles then Protocol_intf.From_child
+    else Protocol_intf.From_stranger
   in
   let txn = Msg.payload_txn payload in
   let known =
@@ -1707,6 +1769,16 @@ and admissible t ~src payload =
   match t.evidence.ev_check ~src payload with
   | None -> t.proto.p_admissible ~src ~role ~known payload
   | refusal -> refusal
+
+(* A transaction re-rooted here engaged the static parent as a child: its
+   plain votes and acks, refused from a parent otherwise, come from below. *)
+and engaged_as_child t ~src payload =
+  match payload with
+  | Msg.Vote_msg { delegation = false; txn; _ } | Msg.Ack_msg { txn; _ } -> (
+      match find_txn t txn with
+      | st -> has_child src st.children
+      | exception Not_found -> false)
+  | _ -> false
 
 (* Act on each payload of a delivered bundle that the protocol admits. *)
 and deliver_payloads t ~src = function
@@ -1829,8 +1901,8 @@ and resume_in_doubt t ~txn =
      retrying).  Whether anyone is actually asked is the protocol's call
      (PN waits for its coordinator). *)
   let targets =
-    match t.parent_name with
-    | Some parent -> [ parent ]
+    match t.parent with
+    | Some parent -> [ parent.p_name ]
     | None -> List.map (fun ch -> ch.ch_profile.p_name) st.children
   in
   t.proto.p_indoubt_restart (ops_of t) ~txn ~targets;
@@ -1879,17 +1951,11 @@ let is_in_doubt t ~txn =
   | st -> blocked st
   | exception Not_found -> false
 
-(* The concurrent workload driver calls this when a genuinely-next
-   transaction arrives (or at the end of the run): every acknowledgment
-   still waiting for its think-time timer rides the real data exchange
-   instead. *)
 let flush_piggybacks t =
   if not t.crashed then begin
     List.iter (fun d -> fire_deferred t d) (List.rev t.deferred);
     t.deferred <- []
   end
-
-let has_piggybacks t = List.exists (fun d -> not d.d_sent) t.deferred
 
 (* Adversarial injection: resolve an in-doubt transaction heuristically
    right now, as if an impatient operator overrode the protocol at this

@@ -8,7 +8,27 @@
 
     Most users drive participants through {!Run}; the functions here are
     the building blocks for custom topologies (see {!Scenarios.figure5}
-    for a hand-wired example). *)
+    for a hand-wired example).
+
+    {b Re-rooting.}  Any member may initiate: {!begin_commit} below the
+    static root engages the static parent as the last child (so under last
+    agent the parent is delegated to).  A member receiving a delegation
+    from a static child, or an upward Prepare, engages its static children
+    minus the sender, never its own static parent.  An in-doubt member
+    asks its static parent (for a re-rooted initiator, the partner it
+    delegated to), else whoever sent it Prepare, else its static children.
+
+    {b Riding the next flow.}  When the sender is a long-locks member
+    ([long_locks] on and [p_long_locks] set), what a delegator and its last
+    agent owe each other leads the next bundle sent to that partner: the
+    delegator's implied acknowledgment ([Data] naming its transaction),
+    and the agent's decision when its application has just opened a
+    transaction toward the delegator ({!set_on_agent_decision}).  The
+    [implied_ack_delay] timer still sends them alone if no flow comes.
+    Figure 7 commits two transactions in three flows this way:
+    Vote(t1, you decide); Commit(t1) + Vote(t2, you decide);
+    Data(t1) + Commit(t2).  A bundle is a data flow only if it carries
+    [Data] and nothing but [Data] and [Ack]. *)
 
 type t
 
@@ -18,14 +38,15 @@ val create :
   trace:Trace.t ->
   cfg:Types.config ->
   profile:Types.profile ->
-  parent:string option ->
+  parent:Types.profile option ->
   child_profiles:Types.profile list ->
   wal:Wal.Log.t ->
   kv:Kvstore.t ->
   t
-(** Build a participant.  [parent] is the statically expected coordinator
-    (used by subordinate-initiated recovery); [child_profiles] are the
-    immediate children in the commit tree. *)
+(** Build a participant.  [parent] is the profile of the statically
+    expected coordinator (used by subordinate-initiated recovery, and
+    engaged as a child when this member initiates); [child_profiles] are
+    the immediate children in the commit tree. *)
 
 val attach : t -> unit
 (** Register the participant's message handler with the network.  Must be
@@ -41,6 +62,11 @@ val set_on_root_complete :
 (** Callback fired when this participant, acting as root coordinator,
     reports the outcome of [txn] to its application ([pending] is the
     wait-for-outcome "recovery still in progress" indication). *)
+
+val set_on_agent_decision : t -> (txn:string -> Types.outcome -> unit) -> unit
+(** Callback fired when this participant, as a last agent, has made its
+    decision on [txn] durable, just before the decision leaves for the
+    delegator: when its application learns the outcome. *)
 
 val set_on_crash : t -> (unit -> unit) -> unit
 (** Callback fired at the end of every crash (fault-injected or forced),
@@ -67,7 +93,8 @@ val set_causal : t -> Obs.Causal.t -> unit
 val begin_commit : t -> txn:string -> unit
 (** Initiate commit processing for [txn] with this participant as the
     (root) coordinator.  Under Presumed Nothing this forces the
-    commit-pending record before any Prepare flows. *)
+    commit-pending record before any Prepare flows.  Below the static root
+    it re-roots the tree here. *)
 
 val begin_unsolicited : t -> txn:string -> unit
 (** Unsolicited-vote entry point: the participant prepares itself and
@@ -93,9 +120,6 @@ val flush_piggybacks : t -> unit
     the piggyback rides real data instead of the synthetic
     [implied_ack_delay] think-time timer; left alone, the timer preserves
     the single-transaction behaviour.  No-op while crashed. *)
-
-val has_piggybacks : t -> bool
-(** True when at least one deferred acknowledgment has not yet been sent. *)
 
 val force_crash : t -> unit
 (** Crash the node immediately: volatile log tail, resource-manager cache

@@ -38,9 +38,6 @@ let all_wals w =
        (fun acc (_, n) -> if List.memq n.wal acc then acc else n.wal :: acc)
        [] w.nodes)
 
-(** Build the simulated complex: one participant, WAL and resource manager
-    per tree member.  A member with [p_shares_parent_log] reuses its
-    parent's WAL (the shared-log optimization). *)
 let setup ?(config = default_config) ?scratch tree =
   let engine =
     match scratch with
@@ -75,7 +72,7 @@ let setup ?(config = default_config) ?scratch tree =
     Participant.set_registry participant registry;
     Participant.set_causal participant causal;
     ((p.p_name, { participant; wal; kv; profile = p }) :: [])
-    @ List.concat_map (build (Some p.p_name) (Some wal)) children
+    @ List.concat_map (build (Some p) (Some wal)) children
   in
   let nodes = build None None tree in
   let by_name = Names.create 16 in
@@ -103,10 +100,6 @@ let setup ?(config = default_config) ?scratch tree =
       w.pending <- pending);
   w
 
-(** Give every member work to do under its declared profile: updated
-    members write one record (exclusive lock held until the 2PC releases
-    it), read-only members read one (shared lock), left-out members stay
-    suspended and touch nothing. *)
 let perform_work w ~txn =
   List.iter
     (fun (name, n) ->
@@ -118,7 +111,6 @@ let perform_work w ~txn =
       else ignore (Kvstore.get n.kv ~txn ("acct-" ^ name)))
     w.nodes
 
-(** Run one distributed commit to quiescence. *)
 let commit ?(txn = "txn-1") w =
   perform_work w ~txn;
   (* unsolicited voters prepare themselves spontaneously *)
@@ -138,18 +130,12 @@ let commit ?(txn = "txn-1") w =
     ~outcome:w.outcome ~pending:w.pending
     ~quiesce_time:(Simkernel.Engine.now w.engine)
 
-(** Convenience: set up and commit in one step. *)
 let commit_tree ?config ?txn tree =
   let w = setup ?config tree in
   (commit ?txn w, w)
 
-(** What one member does during one transaction of a sequence. *)
 type work = Work_update | Work_read | Work_none
 
-(** Tell each parent which child subtrees did no work in [txn] ([idle]
-    judges one member), returning the marked [(parent, child)] pairs so the
-    caller can clear each parent's marks once [txn] finishes.  The marks
-    only matter under leave-out, so without it nothing is marked. *)
 let mark_idle_subtrees w ~txn ~idle =
   let rec subtree_idle (Tree (p, children)) =
     idle p.p_name && List.for_all subtree_idle children
@@ -169,15 +155,6 @@ let mark_idle_subtrees w ~txn ~idle =
   if w.cfg.opts.leave_out then mark w.tree;
   !marked
 
-(** Run several transactions through the same complex, with a per-member,
-    per-transaction work assignment.  This is where the dynamic
-    OK-TO-LEAVE-OUT protocol lives: a member whose committed YES vote
-    carried the leave-out flag is suspended, and if the workload gives its
-    whole subtree nothing to do in the next transaction, its parent leaves
-    it out of that commit entirely.
-
-    Returns per-transaction metrics (the shared trace is cleared between
-    transactions so each metrics record covers one commit). *)
 let commit_sequence ?config ~work ~txns tree =
   let w = setup ?config tree in
   let run_one txn =
@@ -221,13 +198,138 @@ let commit_sequence ?config ~work ~txns tree =
   in
   (List.map run_one txns, w)
 
-(** All committed key/value state across live members: used by tests to
-    check atomicity (every member agrees on the outcome's effects). *)
+(* ------------------------------------------------------------------ *)
+(* Two-member streams: Table 4, Figure 7 and group commit              *)
+(* ------------------------------------------------------------------ *)
+
+type chain_mode = Chain_basic | Chain_long_locks | Chain_long_locks_last_agent
+
+let chain_mode_to_string = function
+  | Chain_basic -> "basic"
+  | Chain_long_locks -> "long-locks"
+  | Chain_long_locks_last_agent -> "long-locks+last-agent"
+
+type chain_result = {
+  flows : int;
+  data_flows : int;
+  writes : int;
+  forced : int;
+  duration : float;
+  mean_coordinator_lock_time : float;
+  outcomes : (string * outcome) list;
+}
+
+let stream_world ~config ~long_locks =
+  setup ~config
+    (Tree (member ~long_locks "C", [ Tree (member ~long_locks "S", []) ]))
+
+(* a stream transaction writes the key named after it at both members *)
+let open_stream_txn w p ~txn =
+  List.iter
+    (fun (_, n) -> ignore (Kvstore.put n.kv ~txn ~key:txn ~value:("upd-by-" ^ txn)))
+    w.nodes;
+  Participant.begin_commit p ~txn
+
+let chain ?(config = default_config) mode ~r =
+  if r < 1 then invalid_arg "Run.chain: r must be at least 1";
+  let opts =
+    match mode with
+    | Chain_basic -> []
+    | Chain_long_locks -> [ `Long_locks ]
+    | Chain_long_locks_last_agent -> [ `Long_locks; `Last_agent ]
+  in
+  let pairs = mode = Chain_long_locks_last_agent in
+  let config = config |> with_opts opts |> with_implied_ack_delay 1.0 in
+  let w = stream_world ~config ~long_locks:(opts <> []) in
+  let now () = Simkernel.Engine.now w.engine in
+  (* a step is one transaction, or under last agent one pair *)
+  let began = ref 0.0 and locked = ref 0.0 and steps = ref 0 in
+  let outcomes = ref [] and last = ref 0.0 in
+  let start p i =
+    if (not pairs) || i mod 2 = 1 then began := now ();
+    open_stream_txn w p ~txn:("t" ^ string_of_int i)
+  in
+  let index txn = int_of_string (String.sub txn 1 (String.length txn - 1)) in
+  List.iter
+    (fun (_, { participant = p; _ }) ->
+      Participant.set_on_root_complete p (fun ~txn outcome ~pending:_ ->
+          let i = index txn in
+          outcomes := (txn, outcome) :: !outcomes;
+          last := now ();
+          if (not pairs) || i mod 2 = 0 || i = r then begin
+            locked := !locked +. (now () -. !began);
+            incr steps
+          end;
+          (* the next step opens once this transaction has finished here *)
+          if i < r && ((not pairs) || i mod 2 = 0) then
+            ignore
+              (Simkernel.Engine.schedule w.engine ~delay:0.0 (fun () ->
+                   start p (i + 1))));
+      (* the agent deciding a pair's first transaction opens the second *)
+      Participant.set_on_agent_decision p (fun ~txn _ ->
+          let i = index txn in
+          if pairs && i mod 2 = 1 && i < r then start p (i + 1)))
+    w.nodes;
+  start (root_node w).participant 1;
+  Simkernel.Engine.run w.engine;
+  ( {
+      flows = Trace.flows w.trace;
+      data_flows = Trace.data_flows w.trace;
+      writes = Trace.tm_writes w.trace;
+      forced = Trace.tm_forced_writes w.trace;
+      duration = !last;
+      mean_coordinator_lock_time = !locked /. float_of_int (max 1 !steps);
+      outcomes = List.rev !outcomes;
+    },
+    w )
+
+type group_result = {
+  gc_transactions : int;
+  gc_force_requests : int;
+  gc_force_ios : int;
+  gc_saved_ios : int;
+  gc_paper_saving : float;
+  gc_mean_commit_latency : float;
+}
+
+let group_commit ?(timeout = 5.0) ~n ~group_size () =
+  if n < 1 then invalid_arg "Run.group_commit: n must be at least 1";
+  let config =
+    if group_size <= 1 then default_config
+    else with_group_commit ~size:group_size ~timeout default_config
+  in
+  let w = stream_world ~config ~long_locks:false in
+  let c = (root_node w).participant and now () = Simkernel.Engine.now w.engine in
+  let started = Names.create n and completed = ref 0 and latency = ref 0.0 in
+  Participant.set_on_root_complete c (fun ~txn _ ~pending:_ ->
+      incr completed;
+      latency := !latency +. (now () -. Names.find started txn));
+  for i = 1 to n do
+    let txn = "g" ^ string_of_int i in
+    ignore
+      (Simkernel.Engine.schedule w.engine ~delay:(float_of_int (i - 1) *. 0.1)
+         (fun () ->
+           Names.replace started txn (now ());
+           open_stream_txn w c ~txn))
+  done;
+  Simkernel.Engine.run w.engine;
+  let sum f =
+    List.fold_left (fun acc l -> acc + f (Wal.Log.stats l)) 0 (all_wals w)
+  in
+  let requests = sum (fun s -> s.Wal.Log.forced_writes) in
+  let ios = sum (fun s -> s.Wal.Log.force_ios) in
+  {
+    gc_transactions = !completed;
+    gc_force_requests = requests;
+    gc_force_ios = ios;
+    gc_saved_ios = requests - ios;
+    gc_paper_saving = Cost_model.group_commit_saving ~n ~m:(max 1 group_size);
+    gc_mean_commit_latency = !latency /. float_of_int (max 1 !completed);
+  }
+
 let committed_states w =
   List.map (fun (name, n) -> (name, Kvstore.committed_bindings n.kv)) w.nodes
 
-(** True when every updated member's data reflects [outcome] (commit: the
-    update is visible; abort: it is not). *)
 let consistent w ~txn ~outcome =
   List.for_all
     (fun (name, n) ->

@@ -97,6 +97,61 @@ val commit_sequence :
     of that commit.  The shared trace is cleared between transactions, so
     each returned {!Metrics.t} covers exactly one commit. *)
 
+(** {2 Two-member streams}
+
+    Table 4, Figure 7 and the Section 4 group-commit run, driven through
+    the participants of a C -> S world.  Transaction [t] writes key [t]
+    (value ["upd-by-" ^ t]) at both members, so consecutive transactions
+    never wait for each other's locks. *)
+
+(** Table 4's three schedules, costed by {!Cost_model.table4}; under
+    {!Chain_long_locks_last_agent} (Figure 7) the members swap coordinator
+    and last-agent roles within each pair. *)
+type chain_mode = Chain_basic | Chain_long_locks | Chain_long_locks_last_agent
+
+val chain_mode_to_string : chain_mode -> string
+
+type chain_result = {
+  flows : int;  (** protocol flows *)
+  data_flows : int;  (** application-data flows carrying piggybacked acks *)
+  writes : int;  (** TM log writes at both members *)
+  forced : int;
+  duration : float;  (** when the last outcome reaches an application *)
+  mean_coordinator_lock_time : float;
+      (** mean time from a step's begin to the outcome ending it; a step is
+          a transaction, or under last agent a pair.  The coordinator's own
+          locks come off earlier, at its decision. *)
+  outcomes : (string * Types.outcome) list;
+      (** what each coordinator reported to its application, in order *)
+}
+
+val chain : ?config:Types.config -> chain_mode -> r:int -> chain_result * world
+(** Run [t1 .. tr] in a closed loop: each transaction begins when the
+    application learns the previous outcome.  With last agent the agent
+    deciding a pair's first transaction opens the second at once toward
+    its delegator, and the second's coordinator opens the next pair when it
+    completes.  [config] (default {!Types.default_config}) gives protocol,
+    latencies, retries and faults; [mode] sets the switches (both members
+    long-locks outside {!Chain_basic}), and unridden acknowledgments travel
+    after a think time of 1.0.  Raises [Invalid_argument] if [r < 1]. *)
+
+type group_result = {
+  gc_transactions : int;  (** transactions that completed *)
+  gc_force_requests : int;  (** logical forced writes issued (3 per txn) *)
+  gc_force_ios : int;  (** physical force I/Os after batching *)
+  gc_saved_ios : int;
+  gc_paper_saving : float;  (** the paper's [3n/2m] estimate *)
+  gc_mean_commit_latency : float;
+      (** begin to outcome: group commit's cost (Table 1) *)
+}
+
+val group_commit :
+  ?timeout:float -> n:int -> group_size:int -> unit -> group_result
+(** [g1 .. gn] over C -> S, begun 0.1 apart, each node holding one member
+    of every transaction.  Both logs batch forces up to [group_size] or
+    for [timeout] (default 5.0); a size of 1 disables batching.  Raises
+    [Invalid_argument] if [n < 1]. *)
+
 val committed_states : world -> (string * (string * string) list) list
 (** Committed key/value bindings per member (sorted), for atomicity
     checks. *)

@@ -96,7 +96,7 @@ let figure5 () =
     (p, kv)
   in
   (* Pa sits between two subtrees; Pd and Pe each believe they coordinate *)
-  let pa, kv_a = mk_node ~parent:(Some "Pd") "Pa" in
+  let pa, kv_a = mk_node ~parent:(Some (member "Pd")) "Pa" in
   ignore pa;
   let pd, kv_d = mk_node ~children:[ member "Pa" ] ~parent:None "Pd" in
   let pe, kv_e = mk_node ~children:[ member "Pa" ] ~parent:None "Pe" in
@@ -136,7 +136,7 @@ let figure6 () =
     buffers the commit acknowledgment into the message beginning the next
     transaction. *)
 let figure7 () =
-  let res = Stream.run_chain Stream.Chain_long_locks ~r:2 in
+  let _, w = Run.chain Run.Chain_long_locks ~r:2 in
   {
     sc_id = "figure-7";
     sc_title = "Example of Long Locks committing one transaction";
@@ -146,7 +146,7 @@ let figure7 () =
        transaction, reducing protocol flows from 4 to 3 per transaction at \
        the cost of the coordinator's resources staying locked longer.";
     sc_nodes = [ "C"; "S" ];
-    sc_trace = res.Stream.trace;
+    sc_trace = w.Run.trace;
     sc_metrics = None;
   }
 

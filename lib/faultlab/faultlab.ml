@@ -551,7 +551,8 @@ let inject ?(broken_recovery = false) ?(jitter_seed = 0x5eed) plan
                   match kind with
                   | Forge_prepare ->
                       (* a stale/wrong-txn-id prepare retransmission *)
-                      Tpc.Msg.Prepare { txn = ghost; long_locks = false }
+                      Tpc.Msg.Prepare
+                        { txn = ghost; long_locks = false; upward = false }
                   | Forge_commit | Forge_abort ->
                       (* a forged decision targets whatever the victim is
                          actually blocked on - the adversary reads the

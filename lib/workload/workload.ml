@@ -110,9 +110,6 @@ let table3_opt_variant (opt : Tpc.Cost_model.optimization) : opt =
   | Tpc.Cost_model.Shared_log_opt -> `Shared_log
   | Tpc.Cost_model.Long_locks_opt -> `Long_locks
 
-(** The protocol options that activate one optimization. *)
-let table3_opts opt = opts_of_list [ table3_opt_variant opt ]
-
 (** Run the Table 3 experiment for one optimization and return the
     simulated counts. *)
 let run_table3 ?(protocol = Presumed_abort) opt ~n ~m =
@@ -122,6 +119,31 @@ let run_table3 ?(protocol = Presumed_abort) opt ~n ~m =
   let config = default_config |> with_protocol protocol |> with_opts opts in
   let metrics, _w = Tpc.Run.commit_tree ~config (table3_tree opt ~n ~m) in
   Tpc.Metrics.counts metrics
+
+type row = {
+  label : string;
+  simulated : Tpc.Cost_model.counts;
+  paper : Tpc.Cost_model.counts;
+}
+
+let table3_rows ~n ~m =
+  let basic, _w = Tpc.Run.commit_tree (flat ~n ()) in
+  List.map2
+    (fun (label, paper) simulated -> { label; simulated; paper })
+    (Tpc.Cost_model.table3 ~n ~m)
+    (Tpc.Metrics.counts basic
+    :: List.map (fun opt -> run_table3 opt ~n ~m) Tpc.Cost_model.all_optimizations)
+
+let table4_rows ~r =
+  List.map2
+    (fun (label, paper) mode ->
+      let c, _w = Tpc.Run.chain mode ~r in
+      let simulated : Tpc.Cost_model.counts =
+        { flows = c.flows; writes = c.writes; forced = c.forced }
+      in
+      ({ label; simulated; paper }, c))
+    (Tpc.Cost_model.table4 ~r)
+    Tpc.Run.[ Chain_basic; Chain_long_locks; Chain_long_locks_last_agent ]
 
 (* ------------------------------------------------------------------ *)
 (* Mixer sweeps                                                        *)

@@ -50,12 +50,6 @@ val table3_tree : Tpc.Cost_model.optimization -> n:int -> m:int -> Tpc.Types.tre
 (** The commit tree for one Table 3 row: flat with [m] members following
     the optimization (a delegation chain for the last-agent row). *)
 
-val table3_opt_variant : Tpc.Cost_model.optimization -> Tpc.Types.opt
-(** The {!Tpc.Types.opt} switch for one Table 3 optimization. *)
-
-val table3_opts : Tpc.Cost_model.optimization -> Tpc.Types.opts
-(** The protocol switches that activate one optimization. *)
-
 val run_table3 :
   ?protocol:Tpc.Types.protocol ->
   Tpc.Cost_model.optimization ->
@@ -65,6 +59,21 @@ val run_table3 :
 (** Run the Table 3 experiment for one optimization and return the
     simulated (flows, writes, forced) counts.  With [m = 0] the
     optimization is switched off entirely. *)
+
+(** {2 Rows of Tables 3 and 4}, as [tpc_sim tables] and the bench print
+    them: the paper's label, the simulated counts and the closed form. *)
+
+type row = {
+  label : string;
+  simulated : Tpc.Cost_model.counts;
+  paper : Tpc.Cost_model.counts;
+}
+
+val table3_rows : n:int -> m:int -> row list
+(** Basic 2PC on a flat tree, then {!run_table3} per optimization. *)
+
+val table4_rows : r:int -> (row * Tpc.Run.chain_result) list
+(** One {!Tpc.Run.chain} per row, with its result for timing columns. *)
 
 (** {2 Mixer sweeps} *)
 

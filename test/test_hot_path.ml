@@ -135,8 +135,8 @@ let test_predicates_agree () =
    ledger.  [run_full] includes the end-of-run aggregation and audit, so
    they are gated too.  The count is deterministic for one compiler
    version; on OCaml 5.1, the version CI pins, counter-only PA allocates
-   3,555 words and BFT (f=1) 4,749, and PA with trace events on and the
-   causal graph recording 5,356.  Each ceiling sits about 5% above its
+   3,563 words and BFT (f=1) 4,756, and PA with trace events on and the
+   causal graph recording 5,364.  Each ceiling sits about 5% above its
    figure, so an allocation regression on the commit path - PA's or the
    certificate path's - in the audit or in the observability hooks fails
    here before it reaches the benchmark.  The causal recorder's column

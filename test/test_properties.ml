@@ -206,10 +206,10 @@ let prop_group_commit_never_loses_requests =
          int_range 1 40 >>= fun n ->
          int_range 1 16 >>= fun m -> return (n, m)))
     (fun (n, m) ->
-      let r = Tpc.Stream.run_group_commit ~n ~group_size:m () in
-      r.Tpc.Stream.gc_force_requests = 3 * n
-      && r.Tpc.Stream.gc_force_ios >= 1
-      && r.Tpc.Stream.gc_force_ios <= 3 * n)
+      let r = Tpc.Run.group_commit ~n ~group_size:m () in
+      r.Tpc.Run.gc_force_requests = 3 * n
+      && r.Tpc.Run.gc_force_ios >= 1
+      && r.Tpc.Run.gc_force_ios <= 3 * n)
 
 (* Any subset of optimization switches, over a flat tree whose members mix
    every profile flag: the commit must succeed and remain atomic. *)
@@ -294,16 +294,36 @@ let prop_optimization_subsets_abort_safe =
       metrics.Tpc.Metrics.outcome = Some Aborted
       && Tpc.Run.consistent w ~txn:"txn-1" ~outcome:Aborted)
 
+(* Every Table 4 chain, run through the participants, costs exactly the
+   closed form, carries the expected data flows, applies every transaction
+   at both members and leaves nothing unresolved. *)
 let prop_chain_flows_formulas =
+  let module R = Tpc.Run in
   Q.Test.make ~name:"chain flow formulas hold for all r" ~count:30
-    (Q.make ~print:string_of_int Q.Gen.(int_range 1 30))
+    (Q.make ~print:string_of_int Q.Gen.(int_range 1 40))
     (fun r ->
-      (Tpc.Stream.run_chain Tpc.Stream.Chain_basic ~r).Tpc.Stream.flows = 4 * r
-      && (Tpc.Stream.run_chain Tpc.Stream.Chain_long_locks ~r).Tpc.Stream.flows
-         = 3 * r
-      && (Tpc.Stream.run_chain Tpc.Stream.Chain_long_locks_last_agent ~r)
-           .Tpc.Stream.flows
-         = (3 * (r / 2)) + (if r mod 2 = 1 then 2 else 0))
+      List.for_all2
+        (fun (_, (model : C.counts)) (mode, data_flows) ->
+          let res, w = R.chain mode ~r in
+          (res.R.flows, res.R.writes, res.R.forced)
+          = (model.C.flows, model.C.writes, model.C.forced)
+          && res.R.data_flows = data_flows
+          && List.for_all
+               (fun (_, (n : R.node)) ->
+                 Tpc.Participant.unresolved_txns n.R.participant = []
+                 && List.for_all
+                      (fun i ->
+                        let txn = Printf.sprintf "t%d" i in
+                        Kvstore.committed_value n.R.kv txn
+                        = Some ("upd-by-" ^ txn))
+                      (List.init r (fun i -> i + 1)))
+               w.R.nodes)
+        (C.table4 ~r)
+        [
+          (R.Chain_basic, 0);
+          (R.Chain_long_locks, r);
+          (R.Chain_long_locks_last_agent, 1);
+        ])
 
 let suite =
   List.map qtest

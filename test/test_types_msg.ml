@@ -40,7 +40,7 @@ let test_to_string_helpers () =
 let test_payload_txn () =
   let payloads =
     [
-      Tpc.Msg.Prepare { txn = "t"; long_locks = false };
+      Tpc.Msg.Prepare { txn = "t"; long_locks = false; upward = false };
       Tpc.Msg.Decision_msg { txn = "t"; outcome = Committed; cert = None };
       Tpc.Msg.Ack_msg { txn = "t"; damage = []; pending = false };
       Tpc.Msg.Data { txn = "t"; info = "" };
@@ -55,9 +55,9 @@ let test_payload_txn () =
 let test_payload_labels () =
   let lbl p = Tpc.Msg.payload_label p in
   Alcotest.(check string) "prepare" "Prepare"
-    (lbl (Tpc.Msg.Prepare { txn = "t"; long_locks = false }));
+    (lbl (Tpc.Msg.Prepare { txn = "t"; long_locks = false; upward = false }));
   Alcotest.(check string) "prepare long-locks" "Prepare(long-locks)"
-    (lbl (Tpc.Msg.Prepare { txn = "t"; long_locks = true }));
+    (lbl (Tpc.Msg.Prepare { txn = "t"; long_locks = true; upward = false }));
   Alcotest.(check string) "commit" "Commit"
     (lbl (Tpc.Msg.Decision_msg { txn = "t"; outcome = Committed; cert = None }));
   Alcotest.(check string) "abort" "Abort"
