@@ -188,8 +188,20 @@ let require_mixer_counts cmd ~txns ~concurrency =
     Printf.eprintf "tpc_sim %s: -c must be at least 1\n" cmd;
     exit 2)
 
+(* A delay is a finite, non-negative number of time units: the engine
+   refuses a negative one, and nan or inf would run nonsense. *)
+let require_delay cmd flag d =
+  if not (Float.is_finite d && d >= 0.0) then (
+    Printf.eprintf "tpc_sim %s: %s must be finite and >= 0\n" cmd flag;
+    exit 2)
+
 let run_cmd protocol opt_names n m f shape seed latency show_trace show_diagram
     trace_out events_out =
+  if not (List.mem shape [ "flat"; "chain"; "random" ]) then (
+    Printf.eprintf "tpc_sim run: unknown --shape %S (flat, chain or random)\n"
+      shape;
+    exit 2);
+  require_delay "run" "--latency" latency;
   if n < 1 then (
     Printf.eprintf "tpc_sim: -n must be at least 1\n";
     exit 2);
@@ -323,6 +335,7 @@ let chain_cmd mode r latency =
   if r < 1 then (
     Printf.eprintf "tpc_sim chain: -r must be at least 1\n";
     exit 2);
+  require_delay "chain" "--latency" latency;
   let res, _world =
     Tpc.Run.chain ~config:(default_config |> with_latency latency) mode ~r
   in
@@ -737,6 +750,7 @@ let check_crash_recovery ~restarted (world : Tpc.Run.world) =
   !failures
 
 let crash_cmd protocol node point restart trace_out events_out =
+  Option.iter (require_delay "crash" "--restart-after") restart;
   if not (List.mem node [ "coord"; "c1"; "c2" ]) then (
     Printf.eprintf
       "tpc_sim: --node must be one of coord, c1, c2 (the three-member chain)\n";
