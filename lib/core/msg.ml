@@ -248,3 +248,42 @@ let payload_label = function
 let bundle_label = function
   | [ p ] -> payload_label p
   | payloads -> String.concat " + " (List.map payload_label payloads)
+
+(* One code per [payload_label] text, 1..127, or -1 for a label carrying
+   free text (a damage count, data info). *)
+let payload_code = function
+  | Prepare { long_locks; _ } -> if long_locks then 2 else 1
+  | Vote_msg { vote; delegation; unsolicited; implied_ack; _ } ->
+      let v =
+        match vote with
+        | Types.Vote_yes { reliable = false; leave_out_ok = false } -> 0
+        | Vote_yes { reliable = true; leave_out_ok = false } -> 1
+        | Vote_yes { reliable = false; leave_out_ok = true } -> 2
+        | Vote_yes { reliable = true; leave_out_ok = true } -> 3
+        | Vote_read_only -> 4
+        | Vote_no -> 5
+      in
+      3 + (8 * v)
+      + (if delegation then 1 else 0)
+      + (if unsolicited then 2 else 0)
+      + if implied_ack then 4 else 0
+  | Decision_msg { outcome = Types.Committed; _ } -> 51
+  | Decision_msg { outcome = Types.Aborted; _ } -> 52
+  | Ack_msg { damage = []; pending = false; _ } -> 53
+  | Ack_msg { damage = []; pending = true; _ } -> 54
+  | Ack_msg _ -> -1
+  | Data { info = ""; _ } -> 55
+  | Data _ -> -1
+  | Inquiry _ -> 56
+  | Inquiry_reply { outcome = None; _ } -> 57
+  | Inquiry_reply { outcome = Some Types.Committed; _ } -> 58
+  | Inquiry_reply { outcome = Some Types.Aborted; _ } -> 59
+
+(* Seven bits per payload, first payload highest, up to eight payloads. *)
+let rec bundle_code_from code n = function
+  | [] -> code
+  | p :: rest ->
+      let c = payload_code p in
+      if c < 0 || n = 8 then -1 else bundle_code_from ((code lsl 7) lor c) (n + 1) rest
+
+let bundle_code payloads = bundle_code_from 0 0 payloads

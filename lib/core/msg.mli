@@ -113,3 +113,10 @@ val payload_label : payload -> string
 
 val bundle_label : payload list -> string
 (** Labels of a piggybacked bundle joined with [" + "]. *)
+
+val bundle_code : payload list -> int
+(** A code that determines {!bundle_label}: equal codes, equal labels.
+    [-1] when a label carries free text (a damage count, data info) or
+    the bundle has more than eight payloads.  Event logs key their label
+    table by it ({!Obs.Events.coded_label}), so a label is built once per
+    distinct bundle, not once per message. *)

@@ -24,9 +24,11 @@ type world = {
           histograms ("phase/voting", ...), blocking-window histograms
           ("blocking/..."), plus whatever the driver adds *)
   causal : Obs.Causal.t;
-      (** causal event recorder shared by every member; created with mode
-          [Off] — flip it with {!Obs.Causal.set_mode} before committing to
-          collect the per-transaction event graph *)
+      (** causal event graph shared by every member: the graph view of
+          [trace]'s log ({!Trace.log}), so each event is recorded once for
+          both.  Created with mode [Off] — flip it with
+          {!Obs.Causal.set_mode} before committing to collect the
+          per-transaction event graph *)
   cfg : Types.config;
   tree : Types.tree;
   nodes : (string * node) list;  (** tree order, root first *)

@@ -8,10 +8,12 @@
     Span derivation is anchor-based and total: any node that appears in
     the trace gets all five phase spans ([prepare], [voting],
     [decision], [phase-two], [ack]); phases the run skipped come out
-    with zero duration.  Because trace events carry no transaction id,
-    spans are meaningful for single-transaction runs (the [run]
-    subcommand); concurrent mixes get per-phase latencies from the
-    registry histograms instead. *)
+    with zero duration.  The rows of the event log behind a trace
+    ({!Trace.log}) carry a transaction id, but a {!Trace.event} still
+    does not, and neither does the JSONL schema; so spans are
+    meaningful for single-transaction runs (the [run] subcommand), and
+    concurrent mixes get per-phase latencies from the registry
+    histograms instead. *)
 
 val phase_names : string list
 (** The five span names, in protocol order:

@@ -362,6 +362,102 @@ let prop_matches_reference_across_chunks =
     ~name:"column store answers like the string-keyed recorder past a chunk"
     (arb_ops ~min:9_000 ~max:10_000) agrees_with_reference
 
+(* -- writing by id against the string entry points ------------------ *)
+
+(* The participants and the mixer write graph rows by id and kind code,
+   in a log whose trace view records too; the string entry points intern
+   names and write free text.  The same random ops go both ways and the
+   graphs must answer alike.  The id side interns every name up front (so
+   its ids differ from the string side's), writes the three event labels
+   as the kinds that render them when it can, puts sends and deliveries in
+   the trace view as well, and adds a trace-only row after each send,
+   which the graph's node ids must skip. *)
+
+module Ev = Obs.Events
+
+let apply_by_id log op =
+  let txn x = Ev.txn log txn_names.(x) and member m = Ev.member log member_names.(m) in
+  let label text = Ev.label log text in
+  let both = Ev.trace_view lor Ev.graph_view in
+  match op with
+  | Record { txn = x; who; time; seg; label = l; link; terminal } ->
+      let time = float_of_int time in
+      let flags = if terminal then Ev.terminal else 0 in
+      let row kind ~peer ~label ~flags =
+        Ev.emit_at log ~views:Ev.graph_view kind ~time ~txn:(txn x) ~who:(member who)
+          ~peer ~label ~flags
+      in
+      if seg = 0 && link = No_link then
+        match l with
+        | 0 -> row Ev.Arrival ~peer:(-1) ~label:(-1) ~flags
+        | 1 ->
+            row Ev.Log_write ~peer:(-1) ~label:(-1)
+              ~flags:(flags lor Ev.forced lor Ev.record Wal.Log_record.Prepared)
+        | _ -> row Ev.Decide ~peer:(-1) ~label:(-1) ~flags
+      else
+        let peer =
+          match link with
+          | No_link | Chainless -> -1
+          | Self -> member who
+          | Member m -> member m
+        in
+        row Ev.Text ~peer ~label:(label event_labels.(l)) ~flags:(flags lor Ev.seg seg)
+  | Send { txn = x; src; dst; time; label = l } ->
+      let time = float_of_int time in
+      Ev.emit_at log ~views:both Ev.Send ~time ~txn:(txn x) ~who:(member src)
+        ~peer:(member dst) ~label:(label msg_labels.(l)) ~flags:Ev.protocol;
+      Ev.emit_at log ~views:both Ev.Note ~time ~txn:(-1) ~who:(member src)
+        ~peer:(-1) ~label:(label "trace only") ~flags:0
+  | Deliver { txn = x; src; dst; time; label = l } ->
+      Ev.emit_at log ~views:both Ev.Deliver ~time:(float_of_int time) ~txn:(txn x)
+        ~who:(member dst) ~peer:(member src) ~label:(label msg_labels.(l)) ~flags:0
+
+let by_id_agrees ops =
+  let c = C.create ~mode:C.Graph () and log = Ev.create () in
+  Ev.set_tracing log true;
+  Ev.set_graphing log true;
+  Array.iter (fun n -> ignore (Ev.member log n)) member_names;
+  Array.iter (fun n -> ignore (Ev.txn log n)) txn_names;
+  List.iter
+    (fun op ->
+      apply_by_id log op;
+      match op with
+      | Record { txn; who; time; seg; label; link; terminal } ->
+          let link_from =
+            match link with
+            | No_link -> None
+            | Self -> Some member_names.(who)
+            | Chainless -> Some "sub9"
+            | Member m -> Some member_names.(m)
+          in
+          C.record ~terminal ?link_from c ~txn:txn_names.(txn)
+            ~who:member_names.(who) ~time:(float_of_int time) ~seg:segs.(seg)
+            event_labels.(label)
+      | Send { txn; src; dst; time; label } ->
+          C.send c ~txn:txn_names.(txn) ~src:member_names.(src)
+            ~dst:member_names.(dst) ~time:(float_of_int time)
+            ~label:msg_labels.(label)
+      | Deliver { txn; src; dst; time; label } ->
+          C.deliver c ~txn:txn_names.(txn) ~src:member_names.(src)
+            ~dst:member_names.(dst) ~time:(float_of_int time)
+            ~label:msg_labels.(label))
+    ops;
+  C.node_count c = C.node_count log
+  && List.for_all
+       (fun txn ->
+         C.txn_nodes c ~txn = C.txn_nodes log ~txn
+         && C.critical_path c ~txn = C.critical_path log ~txn)
+       ("mx-404" :: Array.to_list txn_names)
+
+let prop_by_id_matches_strings =
+  Q.Test.make ~count:500 ~name:"rows written by id answer like the string API"
+    (arb_ops ~min:0 ~max:120) by_id_agrees
+
+let prop_by_id_matches_strings_across_chunks =
+  Q.Test.make ~count:3
+    ~name:"rows written by id answer like the string API past a chunk"
+    (arb_ops ~min:6_000 ~max:8_000) by_id_agrees
+
 let suite =
   [
     Alcotest.test_case "off mode records nothing" `Quick test_off_records_nothing;
@@ -389,4 +485,6 @@ let suite =
       test_mixer_off_mode_records_nothing;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_matches_reference_across_chunks;
+    QCheck_alcotest.to_alcotest prop_by_id_matches_strings;
+    QCheck_alcotest.to_alcotest prop_by_id_matches_strings_across_chunks;
   ]
