@@ -109,6 +109,62 @@ let test_metrics_pp_smoke () =
     in
     contains 0)
 
+(* An event log interns a bundle's label once per code, so a code must
+   stand for one label: over every label-distinct payload, alone and in
+   pairs, equal codes give equal labels.  Free-text labels get no code. *)
+let test_bundle_code () =
+  let module M = Tpc.Msg in
+  let txn = "t" in
+  let votes =
+    [ Vote_yes { reliable = false; leave_out_ok = false };
+      Vote_yes { reliable = true; leave_out_ok = false };
+      Vote_yes { reliable = false; leave_out_ok = true };
+      Vote_yes { reliable = true; leave_out_ok = true };
+      Vote_read_only; Vote_no ]
+  in
+  let bools = [ false; true ] in
+  let payloads =
+    List.map (fun long_locks -> M.Prepare { txn; long_locks; upward = false }) bools
+    @ List.concat_map
+        (fun vote ->
+          List.concat_map
+            (fun delegation ->
+              List.concat_map
+                (fun unsolicited ->
+                  List.map
+                    (fun implied_ack ->
+                      M.Vote_msg
+                        { txn; vote; delegation; unsolicited; implied_ack; tag = "" })
+                    bools)
+                bools)
+            bools)
+        votes
+    @ List.map (fun outcome -> M.Decision_msg { txn; outcome; cert = None }) [ Committed; Aborted ]
+    @ List.map (fun pending -> M.Ack_msg { txn; damage = []; pending }) bools
+    @ [ M.Data { txn; info = "" }; M.Inquiry { txn };
+        M.Inquiry_reply { txn; outcome = None; cert = None };
+        M.Inquiry_reply { txn; outcome = Some Committed; cert = None };
+        M.Inquiry_reply { txn; outcome = Some Aborted; cert = None } ]
+  in
+  let bundles =
+    ([] :: List.map (fun p -> [ p ]) payloads)
+    @ List.concat_map (fun a -> List.map (fun b -> [ a; b ]) payloads) payloads
+  in
+  let seen = Hashtbl.create 1024 in
+  List.iter
+    (fun b ->
+      let code = M.bundle_code b and label = M.bundle_label b in
+      Alcotest.(check bool) ("coded: " ^ label) true (code >= 0);
+      match Hashtbl.find_opt seen code with
+      | Some l -> Alcotest.(check string) "one label per code" l label
+      | None -> Hashtbl.add seen code label)
+    bundles;
+  Alcotest.(check int) "every label-distinct bundle its own code"
+    (List.length (List.sort_uniq compare (List.map M.bundle_label bundles)))
+    (Hashtbl.length seen);
+  Alcotest.(check int) "free text has no code" (-1)
+    (M.bundle_code [ M.Data { txn; info = "next-txn" } ])
+
 let suite =
   [
     Alcotest.test_case "tree size" `Quick test_tree_size;
@@ -120,4 +176,5 @@ let suite =
     Alcotest.test_case "bundle label" `Quick test_bundle_label;
     Alcotest.test_case "damage ack label" `Quick test_damage_ack_label;
     Alcotest.test_case "metrics pretty-print" `Quick test_metrics_pp_smoke;
+    Alcotest.test_case "bundle code stands for one label" `Quick test_bundle_code;
   ]
