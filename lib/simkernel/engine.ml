@@ -91,7 +91,8 @@ type t = {
   mutable hp_len : int;
   (* wheel agenda *)
   wh_buckets : int array; (* ring: head slot of chain, -1 = empty *)
-  wh_occ : int array; (* occupancy bitmap over ring indices *)
+  wh_occ : int array; (* occupancy bitmap over ring indices: a bit is set
+                         exactly while its bucket holds a chain *)
   mutable wh_mat : int; (* highest materialized absolute bucket *)
   mutable wh_cur : int array; (* sorted imminent run *)
   mutable wh_cur_pos : int;
@@ -656,8 +657,17 @@ let reset t =
   t.ev_next.(t.cap - 1) <- -1;
   t.free_head <- 0;
   t.hp_len <- 0;
-  Array.fill t.wh_buckets 0 wheel_nb (-1);
-  Array.fill t.wh_occ 0 occ_words 0;
+  (* only an occupied bucket holds a chain, so clear those rather than
+     the whole ring: a small world leaves few *)
+  for w = 0 to occ_words - 1 do
+    let v = t.wh_occ.(w) in
+    if v <> 0 then begin
+      for b = 0 to 31 do
+        if v land (1 lsl b) <> 0 then t.wh_buckets.((w lsl 5) lor b) <- -1
+      done;
+      t.wh_occ.(w) <- 0
+    end
+  done;
   t.wh_mat <- -1;
   t.wh_cur_pos <- 0;
   t.wh_cur_len <- 0;

@@ -227,6 +227,27 @@ let test_reset_defuses_old_handles agenda =
   E.run e;
   check "post-reset events unaffected by stale handles" 1 !hits
 
+(* Events still pending at a reset must not come back: the next life
+   schedules into the same buckets and sees only its own events. *)
+let test_reset_drops_pending_events agenda =
+  let e = E.create ~agenda () in
+  let delays = [ 1.0; 2.5; 7.0; 40.0; 4000.0 ] in
+  List.iter
+    (fun d ->
+      ignore (E.schedule e ~delay:d (fun () -> Alcotest.fail "stale event fired")))
+    delays;
+  E.reset e;
+  let fired = ref [] in
+  let at d = ignore (E.schedule e ~delay:d (fun () -> fired := d :: !fired)) in
+  (* takes the slot of the first pending event *)
+  at 90.0;
+  List.iter at delays;
+  E.run e;
+  Alcotest.(check (list (float 0.0)))
+    "only this life's events fire, in time order"
+    [ 1.0; 2.5; 7.0; 40.0; 90.0; 4000.0 ]
+    (List.rev !fired)
+
 (* A run on a recycled engine must be byte-identical to a run on a fresh
    one: same event order, same clocks, same stats.  This is the driver's
    per-domain world-recycling guarantee (Run.setup ~scratch). *)
@@ -325,4 +346,6 @@ let suite =
       (on_both test_reused_engine_byte_identical);
     Alcotest.test_case "recycled world byte-identical" `Quick
       test_reused_world_byte_identical;
+    Alcotest.test_case "reset drops pending events (both agendas)" `Quick
+      (on_both test_reset_drops_pending_events);
   ]
