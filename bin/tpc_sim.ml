@@ -405,6 +405,21 @@ let sweep_cmd protocol opt_sets concurrencies n f txns keyspace update_prob
   if List.exists (fun c -> c < 1) concurrencies then (
     Printf.eprintf "tpc_sim sweep: concurrency must be >= 1\n";
     exit 2);
+  if keyspace < 1 then (
+    Printf.eprintf "tpc_sim sweep: --keyspace must be at least 1\n";
+    exit 2);
+  require_delay "sweep" "--lock-timeout" lock_timeout;
+  require_delay "sweep" "--interarrival" interarrival;
+  let require_prob flag p =
+    if not (p >= 0.0 && p <= 1.0) then (
+      Printf.eprintf "tpc_sim sweep: %s must lie in [0, 1]\n" flag;
+      exit 2)
+  in
+  require_prob "--update-prob" update_prob;
+  require_prob "--read-prob" read_prob;
+  if update_prob +. read_prob > 1.0 then (
+    Printf.eprintf "tpc_sim sweep: --update-prob and --read-prob must sum to at most 1\n";
+    exit 2);
   let parse_set s =
     String.split_on_char ',' s
     |> List.filter (fun x -> x <> "")

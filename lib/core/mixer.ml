@@ -117,59 +117,91 @@ module Audit = struct
 
   let total b = b.committed_missing + b.aborted_applied + b.bad_value
 
-  (* What the driver and the logs say about one transaction. *)
-  type entry = {
-    e_summary : txn_summary option;  (** [None]: only the logs name it *)
-    mutable e_commits : bool;  (** some record commits it *)
-    mutable e_aborts : bool;  (** some record aborts it *)
-    mutable e_applied : string list;
-        (** resource managers with an [Rm_committed] record for it *)
+  (* What the driver and the logs say about the transactions, indexed by
+     id in the engine's name table. *)
+  type evidence = {
+    ev_world : Run.world;
+    ev_ids : Simkernel.Ids.t;
+    ev_summaries : txn_summary array;
+        (** by id; [no_summary] where only the logs name it *)
+    ev_flags : Bytes.t;  (** by id: [commits] and [aborts] bits *)
+    ev_applied : string list array;
+        (** by id: resource managers with an [Rm_committed] record for it *)
   }
 
-  type evidence = { ev_world : Run.world; ev_txns : entry Names.t }
+  let commits = 1
+  let aborts = 2
 
-  let fresh e_summary =
-    { e_summary; e_commits = false; e_aborts = false; e_applied = [] }
+  let no_summary =
+    {
+      ts_txn = "";
+      ts_items = [];
+      ts_outcome = None;
+      ts_commit_started = false;
+      ts_timed_out = false;
+      ts_arrival = 0.0;
+      ts_completed = None;
+    }
 
-  (* One entry per summary, then one pass over each physical log's record
-     arena: scanning per transaction would be quadratic in the run length,
-     and copying the logs into lists would cost more than the checks. *)
+  let[@inline] flag ev id f =
+    Char.code (Bytes.unsafe_get ev.ev_flags id) land f <> 0
+
+  let mark flags id f =
+    Bytes.unsafe_set flags id
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get flags id) lor f))
+
+  (* One slot per id, then one pass over each physical log's rows:
+     scanning per transaction would be quadratic in the run length, and
+     rebuilding records would cost more than the checks.  A transaction
+     no layer named (every member it needed was down) is named here, so
+     every summary has a slot. *)
   let scan w summaries =
-    let txns = Names.create (max 16 (List.length summaries)) in
-    List.iter (fun x -> Names.replace txns x.ts_txn (fresh (Some x))) summaries;
-    let entry txn =
-      match Names.find txns txn with
-      | e -> e
-      | exception Not_found ->
-          let e = fresh None in
-          Names.add txns txn e;
-          e
-    in
+    let ids = Simkernel.Engine.ids w.Run.engine in
+    List.iter
+      (fun x ->
+        if Simkernel.Ids.find ids x.ts_txn < 0 then
+          ignore (Simkernel.Ids.intern ids x.ts_txn))
+      summaries;
+    let n = Simkernel.Ids.count ids in
+    let by_id = Array.make n no_summary in
+    List.iter (fun x -> by_id.(Simkernel.Ids.find ids x.ts_txn) <- x) summaries;
+    let flags = Bytes.make n '\000' in
+    let applied = Array.make n [] in
     List.iter
       (fun wal ->
-        Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
-            match r.kind with
-            | Wal.Log_record.Rm_committed ->
-                let e = entry r.txn in
-                e.e_commits <- true;
-                e.e_applied <- r.node :: e.e_applied
-            | Wal.Log_record.Committed | Wal.Log_record.Heuristic_commit ->
-                (entry r.txn).e_commits <- true
-            | Wal.Log_record.Rm_aborted | Wal.Log_record.Aborted
-            | Wal.Log_record.Heuristic_abort ->
-                (entry r.txn).e_aborts <- true
-            | Wal.Log_record.Rm_update | Wal.Log_record.Rm_prepared
-            | Wal.Log_record.Checkpoint | Wal.Log_record.Commit_pending
-            | Wal.Log_record.Prepared | Wal.Log_record.End
-            | Wal.Log_record.Agent | Wal.Log_record.Certificate ->
-                ()))
+        for i = 0 to Wal.Log.rows wal - 1 do
+          match Wal.Log.row_kind wal i with
+          | Wal.Log_record.Rm_committed ->
+              let id = Wal.Log.row_txn wal i in
+              mark flags id commits;
+              applied.(id) <-
+                Wal.Log.writer_name wal (Wal.Log.row_writer wal i) :: applied.(id)
+          | Wal.Log_record.Committed | Wal.Log_record.Heuristic_commit ->
+              mark flags (Wal.Log.row_txn wal i) commits
+          | Wal.Log_record.Rm_aborted | Wal.Log_record.Aborted
+          | Wal.Log_record.Heuristic_abort ->
+              mark flags (Wal.Log.row_txn wal i) aborts
+          | Wal.Log_record.Rm_update | Wal.Log_record.Rm_prepared
+          | Wal.Log_record.Checkpoint | Wal.Log_record.Commit_pending
+          | Wal.Log_record.Prepared | Wal.Log_record.End
+          | Wal.Log_record.Agent | Wal.Log_record.Certificate ->
+              ()
+        done)
       (Run.all_wals w);
-    { ev_world = w; ev_txns = txns }
+    {
+      ev_world = w;
+      ev_ids = ids;
+      ev_summaries = by_id;
+      ev_flags = flags;
+      ev_applied = applied;
+    }
 
   let divergence ev =
-    Names.fold
-      (fun _ e acc -> if e.e_commits && e.e_aborts then acc + 1 else acc)
-      ev.ev_txns 0
+    let n = ref 0 in
+    for id = 0 to Bytes.length ev.ev_flags - 1 do
+      if flag ev id commits && flag ev id aborts then incr n
+    done;
+    !n
 
   let rec updates ~node ~key = function
     | [] -> false
@@ -180,11 +212,11 @@ module Audit = struct
 
   (* ground truth: the root's report when there is one, else the durable
      record is the decision *)
-  let committed x e =
+  let committed ev x id =
     match x.ts_outcome with
     | Some Committed -> true
     | Some Aborted -> false
-    | None -> e.e_commits
+    | None -> flag ev id commits
 
   (* A member is excused from having applied an outcome while the
      transaction is in doubt there: blocked awaiting its coordinator
@@ -199,38 +231,38 @@ module Audit = struct
     let committed_missing = ref 0 in
     let aborted_applied = ref 0 in
     let bad_value = ref 0 in
-    Names.iter
-      (fun _ e ->
-        match e.e_summary with
-        | None -> ()
-        | Some x ->
-            let committed = committed x e in
-            List.iter
-              (fun it ->
-                match it.it_op with
-                | Op_read _ -> ()
-                | Op_update { key } ->
-                    let n = Run.node w it.it_node in
-                    let applied = List.mem (Kvstore.name n.Run.kv) e.e_applied in
-                    if committed then begin
-                      (* every member the txn updated must have applied it,
-                         unless it is down or still legitimately blocked *)
-                      if
-                        (not applied)
-                        && Net.is_up w.Run.net it.it_node
-                        && not (in_doubt_at n x.ts_txn)
-                      then incr committed_missing
-                    end
-                    else begin
-                      (* no member may have applied any part of it *)
-                      if applied then incr aborted_applied;
-                      if
-                        Kvstore.committed_value n.Run.kv key
-                        = Some (txn_value x.ts_txn)
-                      then incr aborted_applied
-                    end)
-              x.ts_items)
-      ev.ev_txns;
+    let check_txn id x =
+      let committed = committed ev x id in
+      let applied = ev.ev_applied.(id) in
+      List.iter
+        (fun it ->
+          match it.it_op with
+          | Op_read _ -> ()
+          | Op_update { key } ->
+              let n = Run.node w it.it_node in
+              let applied = List.mem (Kvstore.name n.Run.kv) applied in
+              if committed then begin
+                (* every member the txn updated must have applied it,
+                   unless it is down or still legitimately blocked *)
+                if
+                  (not applied)
+                  && Net.is_up w.Run.net it.it_node
+                  && not (in_doubt_at n x.ts_txn)
+                then incr committed_missing
+              end
+              else begin
+                (* no member may have applied any part of it *)
+                if applied then incr aborted_applied;
+                if
+                  Kvstore.committed_value n.Run.kv key
+                  = Some (txn_value x.ts_txn)
+                then incr aborted_applied
+              end)
+        x.ts_items
+    in
+    Array.iteri
+      (fun id x -> if x != no_summary then check_txn id x)
+      ev.ev_summaries;
     (* every committed binding must belong to a committed transaction that
        actually wrote it there *)
     List.iter
@@ -239,11 +271,17 @@ module Audit = struct
             match value_owner v with
             | None -> ()  (* pre-loaded or foreign value *)
             | Some owner -> (
-                match Names.find ev.ev_txns owner with
-                | { e_summary = Some x; _ } as e
-                  when committed x e && updates ~node:name ~key x.ts_items ->
-                    ()
-                | _ | (exception Not_found) -> incr bad_value)))
+                let id = Simkernel.Ids.find ev.ev_ids owner in
+                let x =
+                  if id >= 0 && id < Array.length ev.ev_summaries then
+                    ev.ev_summaries.(id)
+                  else no_summary
+                in
+                if
+                  not
+                    (x != no_summary && committed ev x id
+                    && updates ~node:name ~key x.ts_items)
+                then incr bad_value)))
       w.Run.nodes;
     {
       committed_missing = !committed_missing;
@@ -258,9 +296,23 @@ end
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let validate cfg =
+  let fail what = invalid_arg ("Mixer.run: " ^ what) in
+  let delay x = Float.is_finite x && x >= 0.0 in
+  let prob p = p >= 0.0 && p <= 1.0 in
+  if cfg.txns <= 0 then fail "txns must be positive";
+  if cfg.keyspace < 1 then fail "keyspace must be at least 1";
+  if not (delay cfg.lock_timeout) then fail "lock_timeout must be finite and >= 0";
+  if not (delay cfg.base_interarrival) then
+    fail "base_interarrival must be finite and >= 0";
+  if not (prob cfg.update_prob && prob cfg.read_prob) then
+    fail "update_prob and read_prob must lie in [0, 1]";
+  if cfg.update_prob +. cfg.read_prob > 1.0 then
+    fail "update_prob and read_prob must sum to at most 1"
+
 let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     ?scratch cfg tree =
-  if cfg.txns <= 0 then invalid_arg "Mixer.run: txns must be positive";
+  validate cfg;
   let w = Run.setup ~config ?scratch tree in
   let engine = w.Run.engine in
   let reg = w.Run.registry in

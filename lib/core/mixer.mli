@@ -60,11 +60,14 @@ val value_owner : string -> string option
     obligation only while down or legitimately in doubt.  On a fault-free
     run this reduces exactly to the strict audit the mixer always ran.
 
-    The audit makes one pass over each physical log's record arena
-    ({!Wal.Log.iter}) and keeps one evidence entry per transaction: whether
-    any record commits it, whether any aborts it, and which resource
-    managers (by {!Kvstore.name}) applied it.  It builds no list of
-    records, and the bad-value check walks each committed store directly. *)
+    The audit makes one pass over each physical log's rows
+    ({!Wal.Log.row_kind}, ...) and keeps its evidence in arrays indexed
+    by transaction id ({!Simkernel.Engine.ids}): whether any record
+    commits each transaction, whether any aborts it, and which resource
+    managers (by {!Kvstore.name}) applied it.  It rebuilds no record, and
+    the bad-value check walks each committed store directly.  [scan]
+    names a summarized transaction that no layer named, so every
+    summary has an id. *)
 module Audit : sig
   type breakdown = {
     committed_missing : int;
@@ -91,6 +94,13 @@ module Audit : sig
   val breakdown : Run.world -> txn_summary list -> breakdown
   (** [check (scan w summaries)]. *)
 end
+
+val validate : cfg -> unit
+(** Raise [Invalid_argument] on a workload no run can have: fewer than
+    one transaction or key, a [lock_timeout] or [base_interarrival] that
+    is negative, nan or infinite, an [update_prob] or [read_prob]
+    outside [0, 1], or the two summing above 1.  {!run_full} checks its
+    [cfg] with it first. *)
 
 val run_full :
   ?config:Types.config ->

@@ -136,6 +136,7 @@ type t = {
   engine : Simkernel.Engine.t;
   net : Net.t;
   log : Wal.Log.t;
+  wid : int;  (* this transaction manager's writer id in [log] *)
   kv : Kvstore.t;
   trace : Trace.t;
   parent : profile option;  (* static parent *)
@@ -241,6 +242,7 @@ let create ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles ~wal ~kv
     engine;
     net;
     log = wal;
+    wid = Wal.Log.writer wal profile.p_name;
     kv;
     trace;
     parent;
@@ -538,13 +540,13 @@ let report_damage t ~txn reports =
 (* ------------------------------------------------------------------ *)
 
 (* Note that [txn] logged a TM record here, and answer its id for the
-   log's rows. *)
+   log's rows (interning a name no live state holds). *)
 let mark_logged t ~txn =
   match find_txn t txn with
   | st ->
       st.logged_tm <- true;
       st.tid
-  | exception Not_found -> if recording t then row_txn t txn else -1
+  | exception Not_found -> Ids.intern t.ids txn
 
 (* The one producer of TM log-write events, as [send] is of sends. *)
 let log_write t ~tid kind ~forced ~shared =
@@ -555,16 +557,15 @@ let log_write t ~tid kind ~forced ~shared =
    forcing: durability rides on the parent TM's forces. *)
 let tm_force t ~txn kind k =
   let tid = mark_logged t ~txn in
-  let record = Wal.Log_record.make ~txn ~node:t.name kind in
   if t.cfg.opts.shared_log && t.profile.p_shares_parent_log then begin
     log_write t ~tid kind ~forced:false ~shared:true;
-    Wal.Log.append t.log record;
+    Wal.Log.append_row t.log ~txn:tid ~writer:t.wid kind;
     k ()
   end
   else begin
     log_write t ~tid kind ~forced:true ~shared:false;
     let ep = t.epoch in
-    Wal.Log.force t.log record (fun () ->
+    Wal.Log.force_row t.log ~txn:tid ~writer:t.wid kind (fun () ->
         if (not t.crashed) && t.epoch = ep then begin
           if Obs.Events.graphing t.events then
             Obs.Events.emit t.events Obs.Events.Durable ~txn:tid ~who:(me t)
@@ -576,7 +577,36 @@ let tm_force t ~txn kind k =
 let tm_append ?payload t ~txn kind =
   let tid = mark_logged t ~txn in
   log_write t ~tid kind ~forced:false ~shared:false;
-  Wal.Log.append t.log (Wal.Log_record.make ~txn ~node:t.name ?payload kind)
+  match payload with
+  | None -> Wal.Log.append_row t.log ~txn:tid ~writer:t.wid kind
+  | Some p ->
+      Wal.Log.append_payload t.log ~txn:tid ~writer:t.wid kind
+        (Bytes.unsafe_of_string p) (String.length p)
+
+(* Whether any of rows [0 .. i] of [log] is a TM record of transaction
+   [tid] by writer [w]. *)
+let rec logged_tm log ~tid ~w i =
+  i >= 0
+  && ((Wal.Log.row_txn log i = tid
+      && Wal.Log.row_writer log i = w
+      && Wal.Log_record.is_tm_kind (Wal.Log.row_kind log i))
+     || logged_tm log ~tid ~w (i - 1))
+
+(* The outcome this node durably logged for [tid]: [Committed] if any
+   durable [Committed] record of its own says so, else [Aborted] if one
+   says that, else none. *)
+let durable_outcome t ~tid =
+  let log = t.log in
+  let aborted = ref false and committed = ref false in
+  if tid >= 0 then
+    for i = 0 to Wal.Log.durable_rows log - 1 do
+      if Wal.Log.row_txn log i = tid && Wal.Log.row_writer log i = t.wid then
+        match Wal.Log.row_kind log i with
+        | Wal.Log_record.Committed -> committed := true
+        | Wal.Log_record.Aborted -> aborted := true
+        | _ -> ()
+    done;
+  if !committed then Some Committed else if !aborted then Some Aborted else None
 
 (* Force a protocol-prescribed record sequence in order, then continue:
    how [p_voter_log] and [p_delegation_log] reach the disk. *)
@@ -1316,10 +1346,7 @@ and finish_with_end t st =
      rebuilt by crash recovery, where the bit was lost with the state *)
   let logged_anything =
     st.logged_tm
-    || List.exists
-         (fun (r : Wal.Log_record.t) ->
-           r.txn = st.txn && r.node = t.name && Wal.Log_record.is_tm_record r)
-         (Wal.Log.all_records t.log)
+    || logged_tm t.log ~tid:st.tid ~w:t.wid (Wal.Log.rows t.log - 1)
   in
   if logged_anything then tm_append t ~txn:st.txn Wal.Log_record.End;
   (* anyone who delegated the decision owes the last agent an implied
@@ -1686,18 +1713,11 @@ and handle_inquiry t ~src ~txn =
       match ended_outcome t ~txn with
       | Some _ as known -> reply known
       | None -> (
-          (* consult the durable log *)
-          let records = Wal.Log.records_for t.log ~txn in
-          let has k =
-            List.exists (fun (r : Wal.Log_record.t) -> r.kind = k && r.node = t.name) records
-          in
-          if has Wal.Log_record.Committed then reply (Some Committed)
-          else if has Wal.Log_record.Aborted then reply (Some Aborted)
-          else
-            (* no information: PA presumes abort; basic 2PC's recovery answer
-               for an unlogged coordinator is abort as well; PN aborts too
-               because an interrupted commit-pending coordinator aborts *)
-            reply None))
+          (* consult the durable log; no information: PA presumes abort;
+             basic 2PC's recovery answer for an unlogged coordinator is
+             abort as well; PN aborts too because an interrupted
+             commit-pending coordinator aborts *)
+          reply (durable_outcome t ~tid:(Ids.find t.ids txn))))
 
 and handle_inquiry_reply t ~txn outcome =
   match find_txn t txn with
@@ -1801,23 +1821,22 @@ and restart t =
   if tracing t then Trace.restart t.trace ~who:(me t);
   Net.restart_node t.net t.name;
   Kvstore.recover t.kv;
-  (* Reconstruct protocol obligations from the durable log. *)
-  let mine =
-    List.filter
-      (fun (r : Wal.Log_record.t) -> r.node = t.name && Wal.Log_record.is_tm_record r)
-      (Wal.Log.durable t.log)
-  in
-  (* keyed by name: recovery walks the table in its order, and that order
+  (* Reconstruct protocol obligations from this node's durable TM rows,
+     keyed by name: recovery walks the table in its order, and that order
      reaches the output *)
+  let log = t.log in
   let by_txn = Names.create 8 in
-  List.iter
-    (fun (r : Wal.Log_record.t) ->
-      let l = try Names.find by_txn r.txn with Not_found -> [] in
-      Names.replace by_txn r.txn (r.kind :: l))
-    mine;
+  for i = 0 to Wal.Log.durable_rows log - 1 do
+    let kind = Wal.Log.row_kind log i in
+    if Wal.Log.row_writer log i = t.wid && Wal.Log_record.is_tm_kind kind then begin
+      let txn = Wal.Log.txn_name log (Wal.Log.row_txn log i) in
+      let l = try Names.find by_txn txn with Not_found -> [] in
+      Names.replace by_txn txn (kind :: l)
+    end
+  done;
   (* the protocol restores (and re-validates) the evidence it logged
      first, so decisions recovery re-drives carry it *)
-  t.evidence.ev_restart (ops_of t) mine;
+  t.evidence.ev_restart (ops_of t) log ~writer:t.wid;
   Names.iter (fun txn kinds -> recover_txn t ~txn ~kinds) by_txn
 
 and recover_txn t ~txn ~kinds =
@@ -1864,15 +1883,14 @@ and resume_in_doubt t ~txn =
      crashed.  (This also keeps the restarted heuristic timer from firing
      a second decision: [take_heuristic] is a no-op once an action is
      recorded.) *)
-  List.iter
-    (fun (r : Wal.Log_record.t) ->
-      if r.node = t.name then
-        match r.kind with
-        | Wal.Log_record.Heuristic_commit ->
-            st.heuristic_action <- Some Committed
-        | Wal.Log_record.Heuristic_abort -> st.heuristic_action <- Some Aborted
-        | _ -> ())
-    (Wal.Log.records_for t.log ~txn);
+  let log = t.log in
+  for i = 0 to Wal.Log.durable_rows log - 1 do
+    if Wal.Log.row_txn log i = st.tid && Wal.Log.row_writer log i = t.wid then
+      match Wal.Log.row_kind log i with
+      | Wal.Log_record.Heuristic_commit -> st.heuristic_action <- Some Committed
+      | Wal.Log_record.Heuristic_abort -> st.heuristic_action <- Some Aborted
+      | _ -> ()
+  done;
   note t "recovery: in doubt after restart";
   (* Who can resolve our doubt?  A subordinate asks its parent.  A
      parentless node with a durable Prepared record delegated its decision

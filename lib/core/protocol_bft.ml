@@ -25,7 +25,7 @@ open Types
    maker and on first sight of an admitted certified payload elsewhere;
    each new certificate is appended to the WAL so the next force hardens
    certificate and outcome together.  The cache dies with the node and
-   restart restores it from the durable [Certificate] records, re-validating
+   restart restores it from the durable [Certificate] rows, re-validating
    each.  On top of the topology check every protocol runs, decisions and
    outcome-bearing inquiry replies must carry a valid certificate and votes
    a matching signature; those refusals, and invalid durable certificates
@@ -118,21 +118,23 @@ let evidence cfg =
         | _ -> ());
     ev_crash = (fun () -> Hashtbl.reset certs);
     ev_restart =
-      (fun ops records ->
-        List.iter
-          (fun (r : Wal.Log_record.t) ->
-            if r.kind = Wal.Log_record.Certificate then
-              match Msg.cert_of_string r.payload with
-              | Some ({ Msg.c_endorsements = e :: _ } as c)
-                when valid ~txn:r.txn ~outcome:e.Msg.e_outcome c ->
-                  Hashtbl.replace certs r.txn c
-              | _ ->
-                  incr refusals;
-                  ops.op_note
-                    (Printf.sprintf
-                       "recovery refuses invalid durable certificate for %s"
-                       r.txn))
-          records);
+      (fun ops log ~writer ->
+        for i = 0 to Wal.Log.durable_rows log - 1 do
+          if
+            Wal.Log.row_writer log i = writer
+            && Wal.Log.row_kind log i = Wal.Log_record.Certificate
+          then
+            let txn = Wal.Log.txn_name log (Wal.Log.row_txn log i) in
+            match Msg.cert_of_string (Wal.Log.row_payload log i) with
+            | Some ({ Msg.c_endorsements = e :: _ } as c)
+              when valid ~txn ~outcome:e.Msg.e_outcome c ->
+                Hashtbl.replace certs txn c
+            | _ ->
+                incr refusals;
+                ops.op_note
+                  (Printf.sprintf
+                     "recovery refuses invalid durable certificate for %s" txn)
+        done);
     ev_refusals = (fun () -> !refusals);
   }
 

@@ -86,7 +86,7 @@ type evidence = {
   ev_check : src:string -> Msg.payload -> string option;
   ev_admitted : ops -> Msg.payload -> unit;
   ev_crash : unit -> unit;
-  ev_restart : ops -> Wal.Log_record.t list -> unit;
+  ev_restart : ops -> Wal.Log.t -> writer:int -> unit;
   ev_refusals : unit -> int;
 }
 
@@ -164,7 +164,7 @@ let no_evidence (_ : config) =
     ev_check = (fun ~src:_ _ -> None);
     ev_admitted = (fun _ _ -> ());
     ev_crash = ignore;
-    ev_restart = (fun _ _ -> ());
+    ev_restart = (fun _ _ ~writer:_ -> ());
     ev_refusals = (fun () -> 0);
   }
 

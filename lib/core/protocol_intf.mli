@@ -94,9 +94,10 @@ type evidence = {
       (** sees every admitted payload before the node acts on it (BFT
           caches and logs the first certificate it sees per transaction) *)
   ev_crash : unit -> unit;  (** the node crashed: drop volatile state *)
-  ev_restart : ops -> Wal.Log_record.t list -> unit;
-      (** the node restarted; the list is its own durable TM records.
-          Runs before log-driven recovery re-drives anything, so re-driven
+  ev_restart : ops -> Wal.Log.t -> writer:int -> unit;
+      (** the node restarted; its own durable TM records are the log's
+          durable rows ({!Wal.Log.durable_rows}) written by [writer].  Runs
+          before log-driven recovery re-drives anything, so re-driven
           decisions carry whatever this restores (BFT re-validates every
           durable certificate and counts the invalid ones as refusals). *)
   ev_refusals : unit -> int;

@@ -665,9 +665,7 @@ let audit (w : Tpc.Run.world) summaries =
            of this member's records (catches recoveries that forget durable
            decisions, e.g. force_restart_amnesia) *)
         let expected =
-          Kvstore.replay_bindings
-            (Wal.Log.all_records n.Tpc.Run.wal)
-            ~node:(Kvstore.name kv)
+          Kvstore.replay_bindings n.Tpc.Run.wal ~node:(Kvstore.name kv)
         in
         if Kvstore.committed_bindings kv <> expected then incr wal_divergence;
         (* lock hygiene: a grant still held here is legitimate only while
@@ -763,15 +761,19 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
   let heur : (string * string, Tpc.Types.outcome) Hashtbl.t =
     Hashtbl.create 16
   in
+  (* a row's writer and transaction names: the logs' own strings *)
+  let node_of wal i = Wal.Log.writer_name wal (Wal.Log.row_writer wal i) in
+  let txn_of wal i = Wal.Log.txn_name wal (Wal.Log.row_txn wal i) in
   List.iter
     (fun wal ->
-      Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
-          match r.kind with
-          | Wal.Log_record.Heuristic_commit ->
-              Hashtbl.replace heur (r.node, r.txn) Tpc.Types.Committed
-          | Wal.Log_record.Heuristic_abort ->
-              Hashtbl.replace heur (r.node, r.txn) Tpc.Types.Aborted
-          | _ -> ()))
+      for i = 0 to Wal.Log.rows wal - 1 do
+        match Wal.Log.row_kind wal i with
+        | Wal.Log_record.Heuristic_commit ->
+            Hashtbl.replace heur (node_of wal i, txn_of wal i) Tpc.Types.Committed
+        | Wal.Log_record.Heuristic_abort ->
+            Hashtbl.replace heur (node_of wal i, txn_of wal i) Tpc.Types.Aborted
+        | _ -> ()
+      done)
     wals;
   (* pass 2: per-transaction "strong" (non-heuristic) evidence.  A TM
      outcome record is always honest knowledge (resolve_heuristic appends
@@ -787,25 +789,30 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
   in
   List.iter
     (fun wal ->
-      Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
-          match r.kind with
-          | Wal.Log_record.Committed ->
-              Hashtbl.replace told (r.node, r.txn) Tpc.Types.Committed;
-              Hashtbl.replace commit_strong r.txn ()
-          | Wal.Log_record.Aborted ->
-              Hashtbl.replace told (r.node, r.txn) Tpc.Types.Aborted;
-              Hashtbl.replace abort_strong r.txn ()
-          | Wal.Log_record.Rm_committed ->
-              if
-                Hashtbl.find_opt heur (strip_rm r.node, r.txn)
-                <> Some Tpc.Types.Committed
-              then Hashtbl.replace commit_strong r.txn ()
-          | Wal.Log_record.Rm_aborted ->
-              if
-                Hashtbl.find_opt heur (strip_rm r.node, r.txn)
-                <> Some Tpc.Types.Aborted
-              then Hashtbl.replace abort_strong r.txn ()
-          | _ -> ()))
+      for i = 0 to Wal.Log.rows wal - 1 do
+        match Wal.Log.row_kind wal i with
+        | Wal.Log_record.Committed ->
+            let txn = txn_of wal i in
+            Hashtbl.replace told (node_of wal i, txn) Tpc.Types.Committed;
+            Hashtbl.replace commit_strong txn ()
+        | Wal.Log_record.Aborted ->
+            let txn = txn_of wal i in
+            Hashtbl.replace told (node_of wal i, txn) Tpc.Types.Aborted;
+            Hashtbl.replace abort_strong txn ()
+        | Wal.Log_record.Rm_committed ->
+            let txn = txn_of wal i in
+            if
+              Hashtbl.find_opt heur (strip_rm (node_of wal i), txn)
+              <> Some Tpc.Types.Committed
+            then Hashtbl.replace commit_strong txn ()
+        | Wal.Log_record.Rm_aborted ->
+            let txn = txn_of wal i in
+            if
+              Hashtbl.find_opt heur (strip_rm (node_of wal i), txn)
+              <> Some Tpc.Types.Aborted
+            then Hashtbl.replace abort_strong txn ()
+        | _ -> ()
+      done)
     wals;
   (* which damage reports reached an operator console (the damaged member
      records its own detection; ack-borne copies land at coordinators) *)

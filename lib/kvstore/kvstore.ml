@@ -10,6 +10,8 @@ type t = {
   ids : Ids.t;  (* the engine's name table: transactions are keyed by id *)
   rm_name : string;
   log : Wal.Log.t;
+  writer : int;  (* [rm_name]'s writer id in [log] *)
+  mutable scratch : Bytes.t;  (* an undo/redo payload being encoded *)
   lock_table : Lockmgr.t;  (* private to this store: a lock is named by its key *)
   reliable : bool;
   store : string Keys.t; (* committed values *)
@@ -26,6 +28,8 @@ let create engine ~name ~wal ?(reliable = false) () =
     ids = Simkernel.Engine.ids engine;
     rm_name = name;
     log = wal;
+    writer = Wal.Log.writer wal name;
+    scratch = Bytes.empty;
     lock_table = Lockmgr.create engine;
     reliable;
     store = Keys.create 64;
@@ -60,42 +64,50 @@ let put_field b pos s =
   Bytes.blit_string s 0 b (pos + d + 1) len;
   pos + d + 1 + len
 
-let encode_op op =
-  let b =
+(* encode [op] into the store's scratch buffer; answers its length *)
+let encode_op t op =
+  let n =
     match op with
-    | Put (k, v) ->
-        let b = Bytes.create (1 + field_size k + field_size v) in
-        Bytes.set b 0 'P';
-        ignore (put_field b (put_field b 1 k) v);
-        b
-    | Delete k ->
-        let b = Bytes.create (1 + field_size k) in
-        Bytes.set b 0 'D';
-        ignore (put_field b 1 k);
-        b
+    | Put (k, v) -> 1 + field_size k + field_size v
+    | Delete k -> 1 + field_size k
   in
-  Bytes.unsafe_to_string b
+  if n > Bytes.length t.scratch then
+    t.scratch <- Bytes.create (max (max 32 n) (2 * Bytes.length t.scratch));
+  let b = t.scratch in
+  (match op with
+  | Put (k, v) ->
+      Bytes.set b 0 'P';
+      ignore (put_field b (put_field b 1 k) v)
+  | Delete k ->
+      Bytes.set b 0 'D';
+      ignore (put_field b 1 k));
+  n
 
-let decode_field s pos =
-  let colon = String.index_from s pos ':' in
-  let len = int_of_string (String.sub s pos (colon - pos)) in
-  (String.sub s (colon + 1) len, colon + 1 + len)
+(* A field read in place from a log row's payload bytes: the decimal
+   length is parsed by hand, so only the field's own string is built. *)
+let rec field_len b pos n =
+  match Bytes.get b pos with
+  | ':' -> (n, pos + 1)
+  | c -> field_len b (pos + 1) ((n * 10) + Char.code c - Char.code '0')
 
-let decode_op s =
-  match s.[0] with
+let decode_field b pos =
+  let len, start = field_len b pos 0 in
+  (Bytes.sub_string b start len, start + len)
+
+let decode_op b pos =
+  match Bytes.get b pos with
   | 'P' ->
-      let k, pos = decode_field s 1 in
-      let v, _ = decode_field s pos in
+      let k, pos = decode_field b (pos + 1) in
+      let v, _ = decode_field b pos in
       Put (k, v)
   | 'D' ->
-      let k, _ = decode_field s 1 in
+      let k, _ = decode_field b (pos + 1) in
       Delete k
   | _ -> invalid_arg "kvstore: corrupt rm-update payload"
 
 (* --- transaction-time operations ----------------------------------------- *)
 
-let wset t txn =
-  let id = Ids.intern t.ids txn in
+let wset t id =
   match Ids.Tbl.find_opt t.wsets id with
   | Some r -> r
   | None ->
@@ -144,17 +156,19 @@ let get t ~txn key =
   if not (Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Shared) then None
   else visible t ~txn key
 
-let log_update t ~txn op =
-  Wal.Log.append t.log
-    (Wal.Log_record.make ~txn ~node:t.rm_name ~payload:(encode_op op) Wal.Log_record.Rm_update)
+(* buffer [op] in [txn]'s write set and log its undo/redo record *)
+let update t ~txn op =
+  let id = Ids.intern t.ids txn in
+  let ws = wset t id in
+  ws := op :: !ws;
+  let n = encode_op t op in
+  Wal.Log.append_payload t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_update
+    t.scratch n
 
 let put t ~txn ~key ~value =
   if Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Exclusive
   then begin
-    let ws = wset t txn in
-    let op = Put (key, value) in
-    ws := op :: !ws;
-    log_update t ~txn op;
+    update t ~txn (Put (key, value));
     true
   end
   else false
@@ -162,10 +176,7 @@ let put t ~txn ~key ~value =
 let delete t ~txn ~key =
   if Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Exclusive
   then begin
-    let ws = wset t txn in
-    let op = Delete key in
-    ws := op :: !ws;
-    log_update t ~txn op;
+    update t ~txn (Delete key);
     true
   end
   else false
@@ -173,10 +184,7 @@ let delete t ~txn ~key =
 let put_async t ~txn ~key ~value ~granted =
   Lockmgr.acquire t.lock_table ~txn ~key Lockmgr.Exclusive
     ~granted:(fun () ->
-      let ws = wset t txn in
-      let op = Put (key, value) in
-      ws := op :: !ws;
-      log_update t ~txn op;
+      update t ~txn (Put (key, value));
       granted ())
 
 let get_async t ~txn ~key ~granted =
@@ -221,35 +229,43 @@ let prepare t ~txn ~force k =
     k Vote_read_only
   end
   else begin
-    let record = Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_prepared in
-    if force then Wal.Log.force t.log record (fun () -> k Vote_yes)
+    let id = Ids.intern t.ids txn in
+    if force then
+      Wal.Log.force_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_prepared
+        (fun () -> k Vote_yes)
     else begin
       (* shared-log optimization: buffered; hardens with the TM's force *)
-      Wal.Log.append t.log record;
+      Wal.Log.append_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_prepared;
       k Vote_yes
     end
   end
 
 let commit t ~txn ~force k =
   apply_to t.store (ops_of t ~txn);
-  let record = Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_committed in
+  let id = Ids.intern t.ids txn in
   let continue () =
     finish t ~txn;
     k ()
   in
-  if force then Wal.Log.force t.log record continue
+  if force then
+    Wal.Log.force_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_committed
+      continue
   else begin
-    Wal.Log.append t.log record;
+    Wal.Log.append_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_committed;
     continue ()
   end
 
+let log_abort t ~txn =
+  Wal.Log.append_row t.log ~txn:(Ids.intern t.ids txn) ~writer:t.writer
+    Wal.Log_record.Rm_aborted
+
 let abort t ~txn k =
-  Wal.Log.append t.log (Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_aborted);
+  log_abort t ~txn;
   finish t ~txn;
   k ()
 
 let abandon t ~txn k =
-  Wal.Log.append t.log (Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_aborted);
+  log_abort t ~txn;
   finish t ~txn;
   (* remember the unilateral abort: a Prepare that straggles in afterwards
      (delayed, or retransmitted by a recovering coordinator) must draw
@@ -295,16 +311,22 @@ let encode_snapshot t =
     (Keys.fold (fun k v pos -> put_field b (put_field b pos k) v) t.store 0);
   Bytes.unsafe_to_string b
 
-let decode_snapshot s =
-  let bindings = ref [] in
-  let pos = ref 0 in
-  while !pos < String.length s do
-    let k, p = decode_field s !pos in
-    let v, p = decode_field s p in
-    bindings := (k, v) :: !bindings;
-    pos := p
-  done;
-  !bindings
+(* Load the snapshot of checkpoint row [i] into [store].  Its last pair
+   is bound first: a table iterates in an order that depends on insertion
+   order, and that order is the next checkpoint's bytes. *)
+let load_snapshot store log i =
+  let b = Wal.Log.row_payload_bytes log i in
+  let start = Wal.Log.row_payload_offset log i in
+  let stop = start + Wal.Log.row_payload_length log i in
+  let rec decode pos acc =
+    if pos >= stop then acc
+    else
+      let k, p = decode_field b pos in
+      let v, p = decode_field b p in
+      decode p ((k, v) :: acc)
+  in
+  Keys.reset store;
+  List.iter (fun (k, v) -> Keys.replace store k v) (decode start [])
 
 let checkpoint t k =
   let record =
@@ -312,32 +334,29 @@ let checkpoint t k =
       ~payload:(encode_snapshot t) Wal.Log_record.Checkpoint
   in
   Wal.Log.force t.log record (fun () ->
-      (* compact: drop this RM's records older than the checkpoint, except
-         those of transactions still holding a write set (in flight or in
-         doubt) *)
-      let live txn = Ids.Tbl.mem t.wsets (Ids.find t.ids txn) in
-      (* find the newest durable checkpoint of this RM: everything of ours
-         before it is superseded, unless it belongs to a live transaction *)
-      let newest =
-        List.fold_left
-          (fun acc (r : Wal.Log_record.t) ->
-            if r.node = t.rm_name && r.kind = Wal.Log_record.Checkpoint then
-              Some r
-            else acc)
-          None (Wal.Log.durable t.log)
-      in
-      let past_newest = ref false in
+      (* compact: drop this RM's records older than its newest durable
+         checkpoint, except those of transactions still holding a write
+         set (in flight or in doubt) *)
+      let log = t.log in
+      let newest = ref (-1) in
+      for i = 0 to Wal.Log.durable_rows log - 1 do
+        if
+          Wal.Log.row_writer log i = t.writer
+          && Wal.Log.row_kind log i = Wal.Log_record.Checkpoint
+        then newest := i
+      done;
+      let newest = !newest in
       ignore
-      @@ Wal.Log.compact t.log ~keep:(fun (r : Wal.Log_record.t) ->
-             if (match newest with Some c -> r == c | None -> false) then begin
-               past_newest := true;
-               true
-             end
-             else if r.node <> t.rm_name then true
-             else !past_newest || live r.txn);
+      @@ Wal.Log.compact_rows log ~keep:(fun i ->
+             Wal.Log.row_writer log i <> t.writer
+             || (newest >= 0 && i >= newest)
+             || Ids.Tbl.mem t.wsets (Wal.Log.row_txn log i));
       k ())
 
-(* the write set [pending] accumulates for [txn] during a log replay *)
+(* The write set [pending] accumulates for [txn] during a log replay.
+   Replays key transactions by name: recovery walks its tables in their
+   order, and that order (the in-doubt list, lock re-acquisition)
+   reaches the output. *)
 let pending_ops pending txn =
   match Keys.find_opt pending txn with
   | Some l -> l
@@ -346,33 +365,36 @@ let pending_ops pending txn =
       Keys.replace pending txn l;
       l
 
-let replay_bindings records ~node =
+let replay_update pending log i =
+  let ops = pending_ops pending (Wal.Log.txn_name log (Wal.Log.row_txn log i)) in
+  ops :=
+    decode_op (Wal.Log.row_payload_bytes log i) (Wal.Log.row_payload_offset log i)
+    :: !ops
+
+let replay_bindings log ~node =
   let store : string Keys.t = Keys.create 64 in
   let pending : op list ref Keys.t = Keys.create 8 in
-  List.iter
-    (fun (r : Wal.Log_record.t) ->
-      if r.node = node then
-        match r.kind with
-        | Wal.Log_record.Checkpoint ->
-            Keys.reset store;
-            List.iter (fun (k, v) -> Keys.replace store k v)
-              (decode_snapshot r.payload)
-        | Wal.Log_record.Rm_update ->
-            let ops = pending_ops pending r.txn in
-            ops := decode_op r.payload :: !ops
-        | Wal.Log_record.Rm_committed ->
-            (match Keys.find_opt pending r.txn with
-            | Some ops -> apply_to store !ops
-            | None -> ());
-            Keys.remove pending r.txn
-        | Wal.Log_record.Rm_aborted -> Keys.remove pending r.txn
-        | Wal.Log_record.Rm_prepared | Wal.Log_record.Commit_pending
-        | Wal.Log_record.Prepared | Wal.Log_record.Committed
-        | Wal.Log_record.Aborted | Wal.Log_record.End | Wal.Log_record.Agent
-        | Wal.Log_record.Heuristic_commit | Wal.Log_record.Heuristic_abort
-        | Wal.Log_record.Certificate ->
-            ())
-    records;
+  let me = Wal.Log.find_writer log node in
+  for i = 0 to Wal.Log.rows log - 1 do
+    if Wal.Log.row_writer log i = me then
+      match Wal.Log.row_kind log i with
+      | Wal.Log_record.Checkpoint -> load_snapshot store log i
+      | Wal.Log_record.Rm_update -> replay_update pending log i
+      | Wal.Log_record.Rm_committed ->
+          let txn = Wal.Log.txn_name log (Wal.Log.row_txn log i) in
+          (match Keys.find_opt pending txn with
+          | Some ops -> apply_to store !ops
+          | None -> ());
+          Keys.remove pending txn
+      | Wal.Log_record.Rm_aborted ->
+          Keys.remove pending (Wal.Log.txn_name log (Wal.Log.row_txn log i))
+      | Wal.Log_record.Rm_prepared | Wal.Log_record.Commit_pending
+      | Wal.Log_record.Prepared | Wal.Log_record.Committed
+      | Wal.Log_record.Aborted | Wal.Log_record.End | Wal.Log_record.Agent
+      | Wal.Log_record.Heuristic_commit | Wal.Log_record.Heuristic_abort
+      | Wal.Log_record.Certificate ->
+          ()
+  done;
   Keys.fold (fun k v acc -> (k, v) :: acc) store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -381,39 +403,36 @@ let recover t =
   Ids.Tbl.reset t.wsets;
   t.in_doubt_txns <- [];
   Ids.Tbl.reset t.lost_txns;
-  (* keyed by name: recovery walks [prepared] in table order, and that
-     order (the in-doubt list, lock re-acquisition) reaches the output *)
   let pending : op list ref Keys.t = Keys.create 8 in
   let prepared : unit Keys.t = Keys.create 8 in
-  let scan (r : Wal.Log_record.t) =
-    if r.node = t.rm_name then
-      match r.kind with
+  let log = t.log in
+  for i = 0 to Wal.Log.durable_rows log - 1 do
+    if Wal.Log.row_writer log i = t.writer then
+      match Wal.Log.row_kind log i with
       | Wal.Log_record.Checkpoint ->
           (* a checkpoint resets the store to its snapshot; later records
              replay on top *)
-          Keys.reset t.store;
-          List.iter (fun (k, v) -> Keys.replace t.store k v)
-            (decode_snapshot r.payload)
-      | Wal.Log_record.Rm_update ->
-          let ops = pending_ops pending r.txn in
-          ops := decode_op r.payload :: !ops
-      | Wal.Log_record.Rm_prepared -> Keys.replace prepared r.txn ()
+          load_snapshot t.store log i
+      | Wal.Log_record.Rm_update -> replay_update pending log i
+      | Wal.Log_record.Rm_prepared ->
+          Keys.replace prepared (Wal.Log.txn_name log (Wal.Log.row_txn log i)) ()
       | Wal.Log_record.Rm_committed ->
-          (match Keys.find_opt pending r.txn with
+          let txn = Wal.Log.txn_name log (Wal.Log.row_txn log i) in
+          (match Keys.find_opt pending txn with
           | Some ops -> apply_to t.store !ops
           | None -> ());
-          Keys.remove pending r.txn;
-          Keys.remove prepared r.txn
+          Keys.remove pending txn;
+          Keys.remove prepared txn
       | Wal.Log_record.Rm_aborted ->
-          Keys.remove pending r.txn;
-          Keys.remove prepared r.txn
+          let txn = Wal.Log.txn_name log (Wal.Log.row_txn log i) in
+          Keys.remove pending txn;
+          Keys.remove prepared txn
       | Wal.Log_record.Commit_pending | Wal.Log_record.Prepared
       | Wal.Log_record.Committed | Wal.Log_record.Aborted | Wal.Log_record.End
       | Wal.Log_record.Agent | Wal.Log_record.Heuristic_commit
       | Wal.Log_record.Heuristic_abort | Wal.Log_record.Certificate ->
           ()
-  in
-  List.iter scan (Wal.Log.durable t.log);
+  done;
   (* prepared-but-undecided transactions stay in doubt, write set retained,
      and their exclusive locks are re-acquired so new work cannot read or
      overwrite data whose fate is still unknown (the paper's blocking

@@ -15,7 +15,11 @@
 
     Callers name transactions by string.  Inside, write sets and the
     transactions a crash cost their work are keyed by the name's id in the
-    engine's name table ({!Simkernel.Engine.ids}); the committed store
+    engine's name table ({!Simkernel.Engine.ids}), and the store writes its
+    records into the log by that id and its own writer id
+    ({!Wal.Log.append_row}), encoding an undo/redo payload into a reused
+    buffer the log copies from.  Recovery and {!replay_bindings} read the
+    log's rows and decode payloads in place; the committed store
     stays keyed by key, and iterates in the order a generic [Hashtbl]
     would, so checkpoint payloads are unchanged. *)
 
@@ -125,13 +129,13 @@ val recover : t -> unit
     (retransmitted) Prepare draws [Vote_no] instead of a bogus read-only
     vote. *)
 
-val replay_bindings :
-  Wal.Log_record.t list -> node:string -> (string * string) list
-(** Pure replay: the committed key/value pairs (sorted) that [records]
-    imply for resource manager [node], using the same
-    checkpoint/redo/discard rules as {!recover}.  The chaos audit compares
-    this against {!committed_bindings} to catch recoveries that diverge
-    from their own log. *)
+val replay_bindings : Wal.Log.t -> node:string -> (string * string) list
+(** Pure replay: the committed key/value pairs (sorted) that the log's
+    records, durable and volatile, imply for resource manager [node],
+    using the same checkpoint/redo/discard rules as {!recover}.  It reads
+    the log's rows and decodes payloads in place.  The chaos audit
+    compares this against {!committed_bindings} to catch recoveries that
+    diverge from their own log. *)
 
 val checkpoint : t -> (unit -> unit) -> unit
 (** Write a forced checkpoint record carrying a snapshot of the committed

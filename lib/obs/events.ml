@@ -95,32 +95,7 @@ let terminal = 1 lsl 16
 let record_shift = 17
 let seg_shift = 21
 
-let record_kinds =
-  Wal.Log_record.
-    [|
-      Commit_pending; Prepared; Committed; Aborted; End; Agent;
-      Heuristic_commit; Heuristic_abort; Rm_update; Rm_prepared; Rm_committed;
-      Rm_aborted; Checkpoint; Certificate;
-    |]
-
-let record (k : Wal.Log_record.kind) =
-  (match k with
-  | Commit_pending -> 0
-  | Prepared -> 1
-  | Committed -> 2
-  | Aborted -> 3
-  | End -> 4
-  | Agent -> 5
-  | Heuristic_commit -> 6
-  | Heuristic_abort -> 7
-  | Rm_update -> 8
-  | Rm_prepared -> 9
-  | Rm_committed -> 10
-  | Rm_aborted -> 11
-  | Checkpoint -> 12
-  | Certificate -> 13)
-  lsl record_shift
-
+let record k = Wal.Log_record.code k lsl record_shift
 let seg s = s lsl seg_shift
 
 (* ------------------------------------------------------------------ *)
@@ -367,7 +342,7 @@ let graph_txn t r =
   if get c j f_code land (graph_view lsl views_shift) <> 0 then get c j f_txn
   else -1
 
-let record_kind r = record_kinds.((r.flags lsr record_shift) land 15)
+let record_kind r = Wal.Log_record.of_code ((r.flags lsr record_shift) land 15)
 let seg_of r = (r.flags lsr seg_shift) land 7
 let graph_rows t = match t.store with None -> 0 | Some s -> s.graph_count
 let members t = match t.store with None -> 0 | Some s -> Ids.count s.members

@@ -32,6 +32,11 @@ exception Negative_delay of float
    cancelled, or the slot recycled) is detected by the stamp and cancels
    nothing. *)
 
+(* Memory a dead world frees is kept for the next world rather than
+   handed back to the system and faulted in again; see heap_stubs.c. *)
+external keep_freed_memory : unit -> unit = "tpc_keep_freed_memory"
+
+let () = keep_freed_memory ()
 let no_thunk () = ()
 
 type event = int

@@ -33,8 +33,23 @@ type t = {
 
 val make : txn:string -> node:string -> ?payload:string -> kind -> t
 
+val code : kind -> int
+(** A dense code for a kind, [0 .. codes - 1], in constructor order: the
+    one table by which {!Log} packs a kind into a row and
+    [Obs.Events] into an event's flags. *)
+
+val of_code : int -> kind
+(** [of_code (code k) = k]. *)
+
+val codes : int
+(** The number of kinds. *)
+
 val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit
 
+val is_tm_kind : kind -> bool
+(** True for the kinds a transaction manager writes (not [Rm_*] or
+    [Checkpoint]). *)
+
 val is_tm_record : t -> bool
-(** True for transaction-manager records (not [Rm_*]). *)
+(** [is_tm_kind t.kind]. *)

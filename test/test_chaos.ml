@@ -556,6 +556,91 @@ let test_each_audit_counter_fires () =
       ("leaked_locks", 1, stray_lock);
     ]
 
+(* --- the row-reading audits against the record-list reference --------- *)
+
+(* Mixer.Audit, Faultlab.audit and Faultlab.account read the logs' rows
+   and keep their evidence by transaction id; Audit_ref is the code they
+   replaced, reading record lists keyed by name.  Every verdict must
+   agree: on benign, broken-recovery and adversarial cells of all three
+   protocols, and on the ledger's chaos cell 309, which fails the audit.
+   Answers the reference's verdict and accounting. *)
+let audits_agree ~label ?(broken_recovery = false) config mix tree plan =
+  let _, w, s =
+    M.run_full ~config ~inject:(F.inject ~broken_recovery plan) mix tree
+  in
+  let show fields =
+    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) fields)
+  in
+  let breakdown (b : M.Audit.breakdown) =
+    [
+      ("committed_missing", b.committed_missing);
+      ("aborted_applied", b.aborted_applied);
+      ("bad_value", b.bad_value);
+    ]
+  in
+  let check what a b = Alcotest.(check string) (label ^ ": " ^ what) (show b) (show a) in
+  check "breakdown"
+    (breakdown (M.Audit.breakdown w s))
+    (breakdown (Audit_ref.Mixer_audit.breakdown w s));
+  Alcotest.(check int) (label ^ ": divergence")
+    (Audit_ref.Mixer_audit.divergence (Audit_ref.Mixer_audit.scan w s))
+    (M.Audit.divergence (M.Audit.scan w s));
+  let verdict = Audit_ref.audit w s and accounting = Audit_ref.account w s in
+  check "verdict" (F.verdict_fields (F.audit w s)) (F.verdict_fields verdict);
+  check "accounting"
+    (F.accounting_fields (F.account w s))
+    (F.accounting_fields accounting);
+  (verdict, accounting)
+
+let test_audits_match_reference () =
+  let t = tree () in
+  let nodes = F.tree_nodes t in
+  (* what the cases found, so the comparison is known not to be vacuous *)
+  let failed = ref 0 and diverged = ref 0 and damaged = ref 0 in
+  let tally (v, (a : F.accounting)) =
+    if not (F.ok v) then incr failed;
+    if v.F.v_divergence > 0 then incr diverged;
+    if a.a_heur_reported + a.a_heur_silent > 0 then incr damaged
+  in
+  List.iter
+    (fun protocol ->
+      let config = chaos_config protocol in
+      let name = protocol_to_string protocol in
+      (* seed 229 forges a transaction that only a heuristic commit
+         commits, and that something aborts *)
+      List.iter
+        (fun seed ->
+          let mix = mixer_cfg ~seed () in
+          let label what = Printf.sprintf "%s seed %d %s" name seed what in
+          if seed < 6 then begin
+            let plan = F.gen ~seed ~nodes F.default_gen in
+            tally (audits_agree ~label:(label "benign") config mix t plan);
+            tally
+              (audits_agree ~label:(label "broken recovery")
+                 ~broken_recovery:true config mix t plan)
+          end;
+          tally
+            (audits_agree ~label:(label "adversarial") config mix t
+               (F.gen ~seed ~nodes adversarial_gen)))
+        (List.init 32 Fun.id @ [ 229 ]))
+    [ Basic; Presumed_abort; Presumed_nothing ];
+  (* the ledger's chaos-cells configuration, cell 309 *)
+  let cells_tree = Workload.mixer_tree ~n:4 ~opts:[] () in
+  let config =
+    default_config |> with_trace_events false
+    |> with_retries ~interval:25.0 ~max:8
+    |> with_prepare_retries 2 |> with_retry_backoff 2.0
+  in
+  let plan =
+    F.gen ~seed:309 ~nodes:(F.tree_nodes cells_tree)
+      { F.default_gen with horizon = 300.0 }
+  in
+  let mix = { M.default_cfg with txns = 60; concurrency = 6; seed = 309 } in
+  tally (audits_agree ~label:"chaos cell 309" config mix cells_tree plan);
+  Alcotest.(check bool) "some case fails the audit" true (!failed > 0);
+  Alcotest.(check bool) "some case diverges" true (!diverged > 0);
+  Alcotest.(check bool) "some case has heuristic damage" true (!damaged > 0)
+
 let suite =
   [
     Alcotest.test_case "plan round-trips" `Quick test_plan_round_trip;
@@ -602,4 +687,6 @@ let suite =
       test_bft_sub_threshold_guarantee;
     Alcotest.test_case "bft above-threshold corruption violates" `Quick
       test_bft_above_threshold_violates;
+    Alcotest.test_case "audits agree with the record-list reference" `Quick
+      test_audits_match_reference;
   ]

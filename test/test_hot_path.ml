@@ -1,8 +1,9 @@
 (* The steady-state commit path pays only for what its run reads.  A
    counter-only trace must count exactly what a full trace counts; the
    allocation-free membership predicates must agree with the list-building
-   views they replace at every step of a faulty run; and fixed
-   counter-only PA and BFT worlds must stay under allocation ceilings. *)
+   views they replace at every step of a faulty run; fixed counter-only
+   PA and BFT worlds must stay under allocation ceilings; and the PA
+   world must stay under a retained-heap ceiling. *)
 
 open Tpc.Types
 module E = Simkernel.Engine
@@ -135,20 +136,21 @@ let test_predicates_agree () =
    ledger.  [run_full] includes the end-of-run aggregation and audit, so
    they are gated too.  The count is deterministic for one compiler
    version; on OCaml 5.1, the version CI pins, counter-only PA allocates
-   3,563 words and BFT (f=1) 4,756; PA with trace events on and the
-   causal graph recording 3,564, and with trace events on and the graph
-   off (the path of [tpc_sim run] and [sweep --events]) 3,564.  Each
+   3,320 words and BFT (f=1) 4,474; PA with trace events on and the
+   causal graph recording 3,322, and with trace events on and the graph
+   off (the path of [tpc_sim run] and [sweep --events]) 3,321.  Each
    ceiling sits about 5% above its figure, so an allocation regression on
    the commit path - PA's or the certificate path's - in the audit or in
    the observability hooks fails here before it reaches the benchmark.
-   The event log's chunks are allocated on the major heap, so this counts
-   its per-event cost, not its storage. *)
+   The event log's and the write-ahead logs' full chunks are allocated on
+   the major heap, so this counts their per-row cost, not their storage;
+   the footprint gate below prices the storage. *)
 let alloc_ceilings =
   [
-    ("pa", Presumed_abort, false, false, 3730.0);
-    ("bft", bft, false, false, 4990.0);
-    ("pa with trace and causal graph", Presumed_abort, true, true, 3745.0);
-    ("pa with trace, graph off", Presumed_abort, true, false, 3745.0);
+    ("pa", Presumed_abort, false, false, 3490.0);
+    ("bft", bft, false, false, 4700.0);
+    ("pa with trace and causal graph", Presumed_abort, true, true, 3490.0);
+    ("pa with trace, graph off", Presumed_abort, true, false, 3490.0);
   ]
 
 let test_alloc_ceiling (protocol, trace, graph, ceiling) () =
@@ -174,6 +176,38 @@ let test_alloc_ceiling (protocol, trace, graph, ceiling) () =
     Alcotest.failf "%.1f words per committed transaction exceeds the ceiling %.0f"
       words ceiling
 
+(* Footprint gate: live-heap words per committed transaction that the
+   counter-only PA world of the allocation gate still holds after a full
+   major collection, with the world and its summaries reachable - what
+   the ledger's [retained_bytes_per_txn] measures, on a smaller world.
+   The write-ahead logs' rows, the event log, the name tables and the
+   stores are most of it.  Deterministic for one compiler version: on
+   OCaml 5.1 it is 375.5 words, and the ceiling sits about 5% above. *)
+let retained_ceiling = 395.0
+
+let test_retained_ceiling () =
+  let config = default_config |> with_protocol Presumed_abort |> with_trace_events false in
+  let cfg =
+    { M.default_cfg with M.txns = 500; concurrency = 16; keyspace = 100_000; seed = 1 }
+  in
+  let tree = Workload.flat ~n:8 () in
+  Gc.compact ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let agg, w, summaries =
+    M.run_full ~config ~inject:(Faultlab.inject []) cfg tree
+  in
+  Gc.full_major ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity (w, summaries));
+  let committed = agg.Tpc.Metrics.Agg.committed in
+  let words = float_of_int (live1 - live0) /. float_of_int committed in
+  Printf.printf "live words per committed transaction: %.1f (ceiling %.0f)\n" words
+    retained_ceiling;
+  Alcotest.(check int) "every transaction committed" 500 committed;
+  if words > retained_ceiling then
+    Alcotest.failf "%.1f live words per committed transaction exceed the ceiling %.0f"
+      words retained_ceiling
+
 let suite =
   List.map
     (fun (name, p) ->
@@ -189,3 +223,7 @@ let suite =
         Alcotest.test_case ("allocation ceiling per transaction: " ^ name) `Quick
           (test_alloc_ceiling (protocol, trace, graph, ceiling)))
       alloc_ceilings
+  @ [
+      Alcotest.test_case "retained heap ceiling per transaction: pa" `Quick
+        test_retained_ceiling;
+    ]

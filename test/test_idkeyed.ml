@@ -8,7 +8,13 @@
    each world opens on the transaction the previous one touched last.  The
    names are the same string objects in every world, so a name table that
    kept a stale entry - its one-entry cache, say - across the reset would
-   answer the new world with the old world's id. *)
+   answer the new world with the old world's id.
+
+   The reference store writes to the record-array log kept in wal_ref.ml,
+   as it did when it was written: its checkpoint finds the newest
+   checkpoint record by physical identity across [durable] and
+   [compact]'s predicate, which a log that rebuilds records on read
+   cannot offer. *)
 
 module E = Simkernel.Engine
 module Q = QCheck
@@ -179,7 +185,7 @@ module Ref_kvstore = struct
 
   type t = {
     rm_name : string;
-    log : Wal.Log.t;
+    log : Wal_ref.t;
     lock_table : Ref_lockmgr.t;
     store : (string, string) Hashtbl.t;
     wsets : (string, op list ref) Hashtbl.t;
@@ -245,7 +251,7 @@ module Ref_kvstore = struct
       let ws = wset t txn in
       let op = Put (key, value) in
       ws := op :: !ws;
-      Wal.Log.append t.log (R.make ~txn ~node:t.rm_name ~payload:(encode_op op) R.Rm_update);
+      Wal_ref.append t.log (R.make ~txn ~node:t.rm_name ~payload:(encode_op op) R.Rm_update);
       true
     end
     else false
@@ -270,9 +276,9 @@ module Ref_kvstore = struct
     end
     else
       let record = R.make ~txn ~node:t.rm_name R.Rm_prepared in
-      if force then Wal.Log.force t.log record (fun () -> k Kvstore.Vote_yes)
+      if force then Wal_ref.force t.log record (fun () -> k Kvstore.Vote_yes)
       else begin
-        Wal.Log.append t.log record;
+        Wal_ref.append t.log record;
         k Kvstore.Vote_yes
       end
 
@@ -283,14 +289,14 @@ module Ref_kvstore = struct
       finish t ~txn;
       k ()
     in
-    if force then Wal.Log.force t.log record continue
+    if force then Wal_ref.force t.log record continue
     else begin
-      Wal.Log.append t.log record;
+      Wal_ref.append t.log record;
       continue ()
     end
 
   let abort t ~txn k =
-    Wal.Log.append t.log (R.make ~txn ~node:t.rm_name R.Rm_aborted);
+    Wal_ref.append t.log (R.make ~txn ~node:t.rm_name R.Rm_aborted);
     finish t ~txn;
     k ()
 
@@ -313,15 +319,15 @@ module Ref_kvstore = struct
       String.concat "" (Hashtbl.fold (fun k v acc -> acc @ [ field k ^ field v ]) t.store [])
     in
     let record = R.make ~txn:"(checkpoint)" ~node:t.rm_name ~payload:snapshot R.Checkpoint in
-    Wal.Log.force t.log record (fun () ->
+    Wal_ref.force t.log record (fun () ->
         let newest =
           List.fold_left
             (fun acc (r : R.t) -> if r.node = t.rm_name && r.kind = R.Checkpoint then Some r else acc)
-            None (Wal.Log.durable t.log)
+            None (Wal_ref.durable t.log)
         in
         let past_newest = ref false in
         ignore
-        @@ Wal.Log.compact t.log ~keep:(fun (r : R.t) ->
+        @@ Wal_ref.compact t.log ~keep:(fun (r : R.t) ->
                if (match newest with Some c -> r == c | None -> false) then begin
                  past_newest := true;
                  true
@@ -365,7 +371,7 @@ module Ref_kvstore = struct
               Hashtbl.remove pending r.txn;
               Hashtbl.remove prepared r.txn
           | _ -> ())
-      (Wal.Log.durable t.log);
+      (Wal_ref.durable t.log);
     Hashtbl.iter
       (fun txn () ->
         t.in_doubt_txns <- txn :: t.in_doubt_txns;
@@ -489,10 +495,10 @@ let arb_worlds =
 
 let mode ex = if ex then Lockmgr.Exclusive else Lockmgr.Shared
 
-let records wal =
+let show_records records =
   List.map
     (fun (r : Wal.Log_record.t) -> (r.txn, r.node, Wal.Log_record.kind_to_string r.kind, r.payload))
-    (Wal.Log.all_records wal)
+    records
 
 let show_vote = function
   | Kvstore.Vote_yes -> "yes"
@@ -506,7 +512,7 @@ let run_world e ops =
   E.reset e;
   let r = E.create () in
   let locks = Lockmgr.create e and ref_locks = Ref_lockmgr.create r in
-  let wal = Wal.Log.create e ~node:"n" () and ref_wal = Wal.Log.create r ~node:"n" () in
+  let wal = Wal.Log.create e ~node:"n" () and ref_wal = Wal_ref.create r ~node:"n" () in
   let kv = Kvstore.create e ~name:"n.rm" ~wal () in
   let ref_kv = Ref_kvstore.create r ~name:"n.rm" ~wal:ref_wal in
   let granted = ref [] and ref_granted = ref [] in
@@ -579,7 +585,7 @@ let run_world e ops =
         | S_crash ->
             Wal.Log.crash wal;
             Kvstore.crash kv;
-            Wal.Log.crash ref_wal;
+            Wal_ref.crash ref_wal;
             Ref_kvstore.crash ref_kv;
             ("", "")
         | S_recover ->
@@ -623,10 +629,11 @@ let run_world e ops =
         (Ref_lockmgr.holding_txns ref_kv.Ref_kvstore.lock_table);
       agree step "the log"
         (fun l -> strs (List.map (fun (x, n, k, p) -> String.concat "," [ x; n; k; p ]) l))
-        (records wal) (records ref_wal);
+        (show_records (Wal.Log.all_records wal))
+        (show_records (Wal_ref.all_records ref_wal));
       agree step "the durable prefix" string_of_int
         (List.length (Wal.Log.durable wal))
-        (List.length (Wal.Log.durable ref_wal));
+        (List.length (Wal_ref.durable ref_wal));
       (* the operation's own transaction, looked up last *)
       match txn_of op with
       | None -> ()

@@ -189,6 +189,40 @@ let test_agg_json_round_trips () =
   (* print -> parse -> print is a fixpoint *)
   Alcotest.(check string) "fixpoint" line (Tpc.Json.to_string parsed)
 
+(* A workload no run can have is refused before any world is built. *)
+let test_impossible_workloads_rejected () =
+  let tree = Workload.flat ~n:3 () in
+  let rejects (what, cfg) =
+    match M.run_full cfg tree with
+    | _ -> Alcotest.failf "run_full accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let base = { M.default_cfg with M.txns = 5 } in
+  List.iter rejects
+    [
+      ("no transactions", { base with M.txns = 0 });
+      ("keyspace 0", { base with M.keyspace = 0 });
+      ("keyspace -1", { base with M.keyspace = -1 });
+      ("lock_timeout -1", { base with M.lock_timeout = -1.0 });
+      ("lock_timeout nan", { base with M.lock_timeout = nan });
+      ("base_interarrival -1", { base with M.base_interarrival = -1.0 });
+      ("base_interarrival inf", { base with M.base_interarrival = infinity });
+      ("update_prob -1", { base with M.update_prob = -1.0 });
+      ("update_prob nan", { base with M.update_prob = nan });
+      ("update_prob 2", { base with M.update_prob = 2.0 });
+      ("read_prob nan", { base with M.read_prob = nan });
+      ("probabilities summing to 1.8", { base with M.update_prob = 0.9; read_prob = 0.9 });
+    ];
+  (* the edges stay legal *)
+  let agg, _, _ =
+    M.run_full
+      { base with M.keyspace = 1; lock_timeout = 0.0; base_interarrival = 0.0;
+        update_prob = 0.9; read_prob = 0.1 }
+      tree
+  in
+  Alcotest.(check int) "every transaction decided" 5
+    (agg.Tpc.Metrics.Agg.committed + agg.Tpc.Metrics.Agg.aborted)
+
 let suite =
   [
     Alcotest.test_case "fixed seed: identical aggregates" `Quick
@@ -209,4 +243,6 @@ let suite =
       test_leave_out_under_cascaded_coordinator;
     Alcotest.test_case "aggregate JSON round-trips" `Quick
       test_agg_json_round_trips;
+    Alcotest.test_case "impossible workloads rejected" `Quick
+      test_impossible_workloads_rejected;
   ]

@@ -177,6 +177,189 @@ let test_order_preserved () =
     [ "prepared"; "committed"; "end"; "agent" ]
     (List.map R.kind_to_string (rec_kinds log))
 
+(* --- compaction keeps forces in flight -------------------------------- *)
+
+(* X's force completes at 0.5 and its continuation compacts X away; Y's,
+   issued at 0.1, completes at 0.6.  Z, appended at 0.55 and never
+   forced, must stay volatile: Y's I/O covered the log only up to Y. *)
+let test_compact_keeps_inflight_marks () =
+  let e, log = mk () in
+  L.force log (R.make ~txn:"x" ~node:"n" R.Committed) (fun () ->
+      ignore (L.compact log ~keep:(fun _ -> false)));
+  ignore
+    (E.schedule e ~delay:0.1 (fun () ->
+         L.force log (R.make ~txn:"y" ~node:"n" R.Committed) ignore));
+  ignore
+    (E.schedule e ~delay:0.55 (fun () ->
+         L.append log (R.make ~txn:"z" ~node:"n" ~payload:"undo" R.Rm_update)));
+  E.run e;
+  let txns l = List.map (fun (r : R.t) -> r.txn) l in
+  Alcotest.(check (list string)) "only y is durable" [ "y" ] (txns (L.durable log));
+  L.crash log;
+  Alcotest.(check (list string)) "the unforced z dies in the crash" [ "y" ]
+    (txns (L.all_records log))
+
+(* Compaction drops more records than follow the mark of a force in
+   flight: the force must not harden past the end of the log. *)
+let test_compact_no_phantom_records () =
+  let e, log = mk ~config:(group_config 2 1.0) () in
+  L.force log (R.make ~txn:"x" ~node:"n" R.Committed) ignore;
+  L.force log (R.make ~txn:"x" ~node:"n" R.End) (fun () ->
+      ignore (L.compact log ~keep:(fun _ -> false)));
+  ignore
+    (E.schedule e ~delay:0.1 (fun () ->
+         L.force log (R.make ~txn:"y" ~node:"n" R.Prepared) ignore;
+         L.force log (R.make ~txn:"y" ~node:"n" R.Committed) ignore));
+  E.run e;
+  let durable = L.durable log and all = L.all_records log in
+  Alcotest.(check int) "durable is no longer than the log" (List.length all)
+    (List.length durable);
+  Alcotest.(check (list string)) "no phantom record" [ "y"; "y" ]
+    (List.map (fun (r : R.t) -> r.txn) durable)
+
+(* --- the packed log against the record-array reference ---------------- *)
+
+(* Writes, forces, flushes, I/O ticks, crashes and compactions applied to
+   the packed log and to Wal_ref, each on its own engine: after every step
+   both must show the same records (all, durable, per transaction), the
+   same statistics, and have fired the same continuations in the same
+   order. *)
+type op =
+  | Append of int * int * int * int  (* txn, writer, kind, payload *)
+  | Force of int * int * int * int
+  | Flush
+  | Tick of int  (* tenths of a time unit *)
+  | Crash
+  | Compact of int  (* salt of the keep predicate *)
+
+let txn_names = [| "t0"; "t1"; "t2"; "mx-3" |]
+let writer_names = [| "n"; "n.rm"; "sub"; "sub.rm" |]
+let payloads =
+  [|
+    ""; ""; "P2:k13:v:mx-1"; "x";
+    String.make 40_000 'a'; String.make 30_000 'd';
+    String.make 70_000 'b'; String.make 66_000 'c';
+  |]
+
+let show_op = function
+  | Append (x, w, k, p) -> Printf.sprintf "append %d %d %d %d" x w k p
+  | Force (x, w, k, p) -> Printf.sprintf "force %d %d %d %d" x w k p
+  | Flush -> "flush"
+  | Tick d -> Printf.sprintf "tick %d" d
+  | Crash -> "crash"
+  | Compact s -> Printf.sprintf "compact %d" s
+
+let gen_case =
+  let open QCheck.Gen in
+  let record f =
+    map
+      (fun (x, w, k, p) -> f x w k p)
+      (quad (int_bound 3) (int_bound 3) (int_bound (R.codes - 1))
+         (frequency [ (12, int_bound 3); (2, int_range 4 7) ]))
+  in
+  pair
+    (opt (pair (int_range 1 4) (int_range 1 20)))
+    (list_size (int_range 1 80)
+       (frequency
+          [
+            (6, record (fun x w k p -> Append (x, w, k, p)));
+            (5, record (fun x w k p -> Force (x, w, k, p)));
+            (1, return Flush);
+            (5, map (fun d -> Tick d) (int_range 1 8));
+            (1, return Crash);
+            (2, map (fun s -> Compact s) (int_bound 1000));
+          ]))
+
+let arb_case =
+  QCheck.make
+    ~print:(fun (group, ops) ->
+      (match group with
+      | None -> "no group commit"
+      | Some (size, t) -> Printf.sprintf "group %d/%d" size t)
+      ^ ": " ^ String.concat "; " (List.map show_op ops))
+    gen_case
+
+let show_record (r : R.t) =
+  Printf.sprintf "%s@%s %s %d" r.txn r.node (R.kind_to_string r.kind)
+    (String.length r.payload)
+
+let model_agrees (group, ops) =
+  let config =
+    {
+      L.io_latency = 0.5;
+      group =
+        Option.map
+          (fun (size, t) -> { L.size; timeout = float_of_int t /. 10.0 })
+          group;
+    }
+  in
+  let e = E.create () and e' = E.create () in
+  let log = L.create e ~node:"n" ~config () in
+  let ref_log = Wal_ref.create e' ~node:"n" ~config () in
+  let fired = ref [] and fired' = ref [] in
+  let make x w k p =
+    R.make ~txn:txn_names.(x) ~node:writer_names.(w) ~payload:payloads.(p)
+      (R.of_code k)
+  in
+  let keep salt (r : R.t) =
+    Hashtbl.hash (r.txn, r.node, R.code r.kind, r.payload, salt) land 1 = 0
+  in
+  let check step =
+    let agree what show a b =
+      if a <> b then
+        QCheck.Test.fail_reportf "after %s: %s is %s, the reference says %s"
+          step what (show a) (show b)
+    in
+    let records l = String.concat "; " (List.map show_record l) in
+    agree "all_records" records (L.all_records log) (Wal_ref.all_records ref_log);
+    agree "durable" records (L.durable log) (Wal_ref.durable ref_log);
+    Array.iter
+      (fun txn ->
+        agree ("records_for " ^ txn) records (L.records_for log ~txn)
+          (Wal_ref.records_for ref_log ~txn))
+      txn_names;
+    let stats (s : L.stats) =
+      Printf.sprintf "%d/%d/%d" s.writes s.forced_writes s.force_ios
+    in
+    agree "stats" stats (L.stats log) (Wal_ref.stats ref_log);
+    agree "the continuations fired" (String.concat ",") !fired !fired'
+  in
+  List.iteri
+    (fun i op ->
+      let tag = string_of_int i in
+      (match op with
+      | Append (x, w, k, p) ->
+          L.append log (make x w k p);
+          Wal_ref.append ref_log (make x w k p)
+      | Force (x, w, k, p) ->
+          L.force log (make x w k p) (fun () -> fired := tag :: !fired);
+          Wal_ref.force ref_log (make x w k p) (fun () -> fired' := tag :: !fired')
+      | Flush ->
+          L.flush log (fun () -> fired := tag :: !fired);
+          Wal_ref.flush ref_log (fun () -> fired' := tag :: !fired')
+      | Tick d ->
+          E.run_until e (E.now e +. (float_of_int d /. 10.0));
+          E.run_until e' (E.now e' +. (float_of_int d /. 10.0))
+      | Crash ->
+          L.crash log;
+          Wal_ref.crash ref_log
+      | Compact salt ->
+          let n = L.compact log ~keep:(keep salt) in
+          let n' = Wal_ref.compact ref_log ~keep:(keep salt) in
+          if n <> n' then
+            QCheck.Test.fail_reportf "after %s: compact dropped %d, the reference %d"
+              (show_op op) n n');
+      check (Printf.sprintf "step %d (%s)" i (show_op op)))
+    ops;
+  E.run e;
+  E.run e';
+  check "the final I/Os";
+  true
+
+let test_model =
+  QCheck.Test.make ~count:300 ~name:"packed log agrees with the record-array reference"
+    arb_case model_agrees
+
 let suite =
   [
     Alcotest.test_case "append is volatile" `Quick test_append_is_volatile;
@@ -204,4 +387,9 @@ let suite =
     Alcotest.test_case "group commit delays individual commit" `Quick
       test_group_commit_delays_commit;
     Alcotest.test_case "order preserved" `Quick test_order_preserved;
+    Alcotest.test_case "compaction keeps forces in flight" `Quick
+      test_compact_keeps_inflight_marks;
+    Alcotest.test_case "compaction leaves no phantom record" `Quick
+      test_compact_no_phantom_records;
+    QCheck_alcotest.to_alcotest test_model;
   ]
