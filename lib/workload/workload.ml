@@ -120,11 +120,69 @@ let run_table3 ?(protocol = Presumed_abort) opt ~n ~m =
   let metrics, _w = Tpc.Run.commit_tree ~config (table3_tree opt ~n ~m) in
   Tpc.Metrics.counts metrics
 
-type row = {
-  label : string;
-  simulated : Tpc.Cost_model.counts;
-  paper : Tpc.Cost_model.counts;
-}
+(** Coordinator [C] with one subordinate [S]: Table 2's two members. *)
+let pair ?(c = member "C") ?(s = member "S") () = Tree (c, [ Tree (s, []) ])
+
+type 'a row = { label : string; simulated : 'a; paper : 'a }
+
+(* Each Table 2 row's protocol, switches and member properties, under the
+   label it has in [Tpc.Cost_model.table2]. *)
+let table2_scenarios =
+  [
+    ("Basic 2PC", default_config |> with_protocol Basic, pair ());
+    ("PN", default_config |> with_protocol Presumed_nothing, pair ());
+    ("PA, Commit case", default_config, pair ());
+    ("PA, Abort case", default_config, pair ~s:(member ~vote_no:true "S") ());
+    ( "PA, Read-Only case",
+      default_config |> with_opts [ `Read_only ],
+      pair ~c:(member ~updated:false "C") ~s:(member ~updated:false "S") () );
+    ("PA & Last-Agent", default_config |> with_opts [ `Last_agent ], pair ());
+    ( "PA & Unsolicited Vote",
+      default_config |> with_opts [ `Unsolicited_vote ],
+      pair ~s:(member ~unsolicited:true "S") () );
+    ( "PA & Leave-Out",
+      default_config |> with_opts [ `Leave_out; `Read_only ],
+      pair
+        ~c:(member ~updated:false "C")
+        ~s:(member ~left_out:true ~leave_out_ok:true "S")
+        () );
+    ( "PA & Vote Reliable",
+      default_config |> with_opts [ `Vote_reliable ],
+      pair ~s:(member ~reliable:true "S") () );
+    ( "PA & Wait For Outcome",
+      default_config |> with_opts [ `Wait_for_outcome ],
+      pair () );
+    ( "PA & Shared Logs",
+      default_config |> with_opts [ `Shared_log ],
+      pair ~s:(member ~shares_parent_log:true "S") () );
+    ( "PA & Long Locks",
+      default_config |> with_opts [ `Long_locks ],
+      pair ~s:(member ~long_locks:true "S") () );
+  ]
+
+let table2_rows () =
+  List.map
+    (fun (label, config, tree) ->
+      let _m, w = Tpc.Run.commit_tree ~config tree in
+      let trace = w.Tpc.Run.trace in
+      let side node : Tpc.Cost_model.side =
+        {
+          s_flows = Tpc.Trace.node_flows trace node;
+          s_writes = Tpc.Trace.node_writes trace node;
+          s_forced = Tpc.Trace.node_writes ~forced_only:true trace node;
+        }
+      in
+      let p =
+        List.find
+          (fun (r : Tpc.Cost_model.table2_row) -> r.t2_label = label)
+          Tpc.Cost_model.table2
+      in
+      {
+        label;
+        simulated = (side "C", side "S");
+        paper = (p.coordinator, p.subordinate);
+      })
+    table2_scenarios
 
 let table3_rows ~n ~m =
   let basic, _w = Tpc.Run.commit_tree (flat ~n ()) in
