@@ -14,7 +14,7 @@ let protocol : Protocol_intf.t =
     p_description = "baseline 2PC: forced decisions and acks everywhere";
     (* nothing precedes phase one: the coordinator's first write is the
        decision itself *)
-    p_begin_commit = (fun _ops ~txn:_ ~root:_ ~has_children:_ ~k -> k ());
+    p_coordinator_log = [];
     p_voter_log = [ Wal.Log_record.Prepared ];
     p_delegation_log = [ Wal.Log_record.Prepared ];
     p_decision_log =

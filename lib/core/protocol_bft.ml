@@ -11,8 +11,9 @@
 
     The replica ensemble is not modelled as separate simulation nodes: the
     endorsement round is synthesized at the decision maker, which charges
-    its message flows and forced writes through [op_charge] and its
-    round-trip latency through [op_after], so sweeps and the paper-style
+    its message flows and forced writes through [op_charge] and answers
+    its round-trip latency as the delay the participant waits before
+    logging the outcome, so sweeps and the paper-style
     Tables 2-4 accounting price what tolerance costs.  The adversary's
     power over the ensemble is the chaos plan's [corrupt@] events: the
     injector can only forge endorsements for corrupted replicas, so
@@ -33,6 +34,8 @@ open Types
 let evidence cfg =
   let f = max 0 cfg.bft_f in
   let certs : (string, Msg.certificate) Hashtbl.t = Hashtbl.create 4 in
+  (* certificates gathered, awaiting the endorsement round trip *)
+  let backing : (string, Msg.certificate) Hashtbl.t = Hashtbl.create 4 in
   let refusals = ref 0 in
   let refuse fmt =
     incr refusals;
@@ -57,10 +60,10 @@ let evidence cfg =
        trip overlaps the replica forces, so it adds one round trip plus one
        force of latency. *)
     ev_decide =
-      (fun ops ~txn outcome ~votes ~k ->
-        if Hashtbl.mem certs txn then k ()
+      (fun ops ~txn outcome ->
+        if Hashtbl.mem certs txn then -1.0
         else
-          let votes = Msg.votes_digest (votes ()) in
+          let votes = Msg.votes_digest (ops.op_votes ~txn) in
           let cert =
             {
               Msg.c_endorsements =
@@ -68,17 +71,24 @@ let evidence cfg =
                     Msg.endorse ~replica:r ~txn ~outcome ~votes);
             }
           in
-          let certified () =
+          if f = 0 then begin
             keep ops ~txn cert;
-            k ()
-          in
-          if f = 0 then certified ()
+            -1.0
+          end
           else begin
+            Hashtbl.replace backing txn cert;
             ops.op_note gathering;
             ops.op_charge ~flows:(4 * f) ~forces:(2 * f)
               Wal.Log_record.Certificate;
-            ops.op_after ~delay:((2.0 *. cfg.latency) +. cfg.io_latency) certified
+            (2.0 *. cfg.latency) +. cfg.io_latency
           end);
+    ev_backed =
+      (fun ops ~txn ->
+        match Hashtbl.find_opt backing txn with
+        | Some cert ->
+            Hashtbl.remove backing txn;
+            keep ops ~txn cert
+        | None -> ());
     ev_decision =
       (fun ~txn outcome ->
         Msg.Decision_msg { txn; outcome; cert = Hashtbl.find_opt certs txn });
@@ -116,7 +126,10 @@ let evidence cfg =
         | Msg.Inquiry_reply { txn; cert = Some c; _ } ->
             if not (Hashtbl.mem certs txn) then keep ops ~txn c
         | _ -> ());
-    ev_crash = (fun () -> Hashtbl.reset certs);
+    ev_crash =
+      (fun () ->
+        Hashtbl.reset certs;
+        Hashtbl.reset backing);
     ev_restart =
       (fun ops log ~writer ->
         for i = 0 to Wal.Log.durable_rows log - 1 do
@@ -146,7 +159,7 @@ let protocol : Protocol_intf.t =
     p_description =
       "Byzantine-tolerant 2PC: 2f+1 coordinator replicas, decisions valid \
        only under an f+1 endorsement certificate";
-    p_begin_commit = (fun _ops ~txn:_ ~root:_ ~has_children:_ ~k -> k ());
+    p_coordinator_log = [];
     p_voter_log = [ Wal.Log_record.Prepared ];
     p_delegation_log = [ Wal.Log_record.Prepared ];
     (* no presumption in either direction: both outcomes are forced

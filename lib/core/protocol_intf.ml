@@ -17,25 +17,19 @@ open Types
 (** Capabilities the plumbing hands a protocol hook.  Every effect a hook
     may have on the world goes through one of these, which is what keeps
     implementations runnable under the deterministic simulation, the crash
-    injector and the trace at once. *)
+    injector and the trace at once.  None of them waits: a hook that needs
+    the disk or the clock answers data (records to force, a delay), and
+    the plumbing owns the wait. *)
 type ops = {
   op_send : dst:string -> Msg.payload list -> unit;
       (** send one message (one flow in the paper's accounting) *)
-  op_force : txn:string -> Wal.Log_record.kind -> (unit -> unit) -> unit;
-      (** force a TM record; the continuation runs when it is durable
-          (immediately for shared-log members riding the parent's forces) *)
   op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
       (** write a TM record, carrying [payload] if given, without forcing *)
   op_note : string -> unit;  (** free-form trace note at this node *)
-  op_crash_at : crash_point -> bool;
-      (** fire a configured crash fault at this point; [true] means the
-          node just crashed and the hook must stop *)
   op_now : unit -> float;  (** virtual clock *)
-  op_after : delay:float -> (unit -> unit) -> unit;
-      (** run a continuation after [delay] virtual time units; cancelled
-          (never run) if the node crashes first - protocol hooks use this
-          to model rounds the simulated network does not carry, like the
-          BFT coordinator's endorsement round trip *)
+  op_votes : txn:string -> (string * vote option) list;
+      (** the votes this node decided [txn] over, as (member, vote) pairs,
+          its own first *)
   op_charge : flows:int -> forces:int -> Wal.Log_record.kind -> unit;
       (** charge synthetic protocol cost to this node's trace: [flows]
           message flows and [forces] forced log writes of the given kind
@@ -74,13 +68,8 @@ type sender_role = From_parent | From_child | From_stranger
     documents each hook.  The plumbing calls every hook unconditionally. *)
 type evidence = {
   ev_vote_tag : src:string -> txn:string -> vote -> string;
-  ev_decide :
-    ops ->
-    txn:string ->
-    outcome ->
-    votes:(unit -> (string * vote option) list) ->
-    k:(unit -> unit) ->
-    unit;
+  ev_decide : ops -> txn:string -> outcome -> float;
+  ev_backed : ops -> txn:string -> unit;
   ev_decision : txn:string -> outcome -> Msg.payload;
   ev_reply : txn:string -> outcome option -> Msg.payload;
   ev_check : src:string -> Msg.payload -> string option;
@@ -96,11 +85,9 @@ type t = {
   p_aliases : string list;  (** further accepted spellings *)
   p_description : string;
   (* --- vote phase ------------------------------------------------- *)
-  p_begin_commit :
-    ops -> txn:string -> root:bool -> has_children:bool -> k:(unit -> unit) -> unit;
-      (** called when this node starts acting as a (root or cascaded)
-          coordinator, before any Prepare flows; the protocol performs its
-          pre-voting logging and calls [k] to launch phase one *)
+  p_coordinator_log : Wal.Log_record.kind list;
+      (** records a coordinator forces, in order, before any Prepare flows
+          (PN: commit-pending; others: none) *)
   p_voter_log : Wal.Log_record.kind list;
       (** records a YES voter forces, in order, before its vote may leave
           the node (PN: agent then prepared; others: prepared) *)
@@ -157,7 +144,8 @@ type t = {
 let no_evidence (_ : config) =
   {
     ev_vote_tag = (fun ~src:_ ~txn:_ _ -> "");
-    ev_decide = (fun _ ~txn:_ _ ~votes:_ ~k -> k ());
+    ev_decide = (fun _ ~txn:_ _ -> -1.0);
+    ev_backed = (fun _ ~txn:_ -> ());
     ev_decision =
       (fun ~txn outcome -> Msg.Decision_msg { txn; outcome; cert = None });
     ev_reply = (fun ~txn outcome -> Msg.Inquiry_reply { txn; outcome; cert = None });

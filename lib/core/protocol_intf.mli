@@ -13,23 +13,20 @@
 (** Capabilities the plumbing hands a protocol hook.  Every effect a hook
     may have on the world goes through one of these, which is what keeps
     implementations runnable under the deterministic simulation, the crash
-    injector and the trace at once. *)
+    injector and the trace at once.  None of them takes a continuation:
+    where a protocol needs the disk or the clock, its hook answers data
+    (records to force, a delay) and {!Participant} owns the wait, as a
+    step it can name, order and drop at a crash. *)
 type ops = {
   op_send : dst:string -> Msg.payload list -> unit;
       (** send one message (one flow in the paper's accounting) *)
-  op_force : txn:string -> Wal.Log_record.kind -> (unit -> unit) -> unit;
-      (** force a TM record; the continuation runs when it is durable
-          (immediately for shared-log members riding the parent's forces) *)
   op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
       (** write a TM record, carrying [payload] if given, without forcing *)
   op_note : string -> unit;  (** free-form trace note at this node *)
-  op_crash_at : Types.crash_point -> bool;
-      (** fire a configured crash fault at this point; [true] means the
-          node just crashed and the hook must stop *)
   op_now : unit -> float;  (** virtual clock *)
-  op_after : delay:float -> (unit -> unit) -> unit;
-      (** run a continuation after [delay] virtual time units; cancelled
-          (never run) if the node crashes first *)
+  op_votes : txn:string -> (string * Types.vote option) list;
+      (** the votes this node decided [txn] over, as (member, vote) pairs,
+          its own first *)
   op_charge : flows:int -> forces:int -> Wal.Log_record.kind -> unit;
       (** charge synthetic protocol cost (message flows / forced writes of
           the given kind happening on unmodelled hardware, e.g. the BFT
@@ -68,19 +65,19 @@ type sender_role = From_parent | From_child | From_stranger
 type evidence = {
   ev_vote_tag : src:string -> txn:string -> Types.vote -> string;
       (** the signature a vote from [src] carries; [""] for unsigned *)
-  ev_decide :
-    ops ->
-    txn:string ->
-    Types.outcome ->
-    votes:(unit -> (string * Types.vote option) list) ->
-    k:(unit -> unit) ->
-    unit;
+  ev_decide : ops -> txn:string -> Types.outcome -> float;
       (** called at the decision maker after the outcome is chosen and
-          before it is logged or propagated: back the outcome (BFT gathers
-          its endorsement quorum through [ops] and appends the
-          certificate), then run [k], which logs the outcome, so the
-          outcome force hardens both.  [votes ()] builds the vote set
-          decided over as (member, vote) pairs, this node's own first. *)
+          before it is logged or propagated, to back the outcome: answers
+          how long the backing takes, or a negative number when the
+          outcome may be logged at once.  Otherwise the plumbing waits
+          that long (dropping the wait if the node crashes) and calls
+          {!ev_backed}.  BFT gathers its endorsement quorum here, reading
+          the vote set through [op_votes], and appends the certificate at
+          once ([f = 0] or already certified) or once backed, so the
+          outcome force hardens both. *)
+  ev_backed : ops -> txn:string -> unit;
+      (** the delay {!ev_decide} answered has passed; the outcome is
+          logged next *)
   ev_decision : txn:string -> Types.outcome -> Msg.payload;
       (** the [Decision_msg] this node sends for [txn] *)
   ev_reply : txn:string -> Types.outcome option -> Msg.payload;
@@ -111,11 +108,12 @@ type t = {
   p_flag : string;  (** short CLI spelling, e.g. ["pa"] *)
   p_aliases : string list;  (** further accepted spellings *)
   p_description : string;
-  p_begin_commit :
-    ops -> txn:string -> root:bool -> has_children:bool -> k:(unit -> unit) -> unit;
-      (** called when this node starts acting as a (root or cascaded)
-          coordinator, before any Prepare flows; the protocol performs its
-          pre-voting logging and calls [k] to launch phase one *)
+  p_coordinator_log : Wal.Log_record.kind list;
+      (** records a coordinator forces, in order, before any Prepare flows:
+          the root always, a cascaded coordinator when it has children of
+          its own (one without is a plain voter).  At the root the
+          [Cp_after_commit_pending] crash point fires once they are
+          durable, if there are any.  PN: commit-pending; others: none. *)
   p_voter_log : Wal.Log_record.kind list;
       (** records a YES voter forces, in order, before its vote may leave
           the node (PN: agent then prepared; others: prepared) *)

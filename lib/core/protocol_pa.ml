@@ -11,7 +11,7 @@ let protocol : Protocol_intf.t =
     p_flag = "pa";
     p_aliases = [];
     p_description = "presumed abort: aborts unlogged at the decision maker";
-    p_begin_commit = (fun _ops ~txn:_ ~root:_ ~has_children:_ ~k -> k ());
+    p_coordinator_log = [];
     p_voter_log = [ Wal.Log_record.Prepared ];
     p_delegation_log = [ Wal.Log_record.Prepared ];
     p_decision_log =

@@ -15,16 +15,8 @@ let protocol : Protocol_intf.t =
     p_description =
       "presumed nothing: coordinator-owned recovery via commit-pending";
     (* The coordinator must remember its subordinates before any Prepare
-       leaves the node; a cascaded coordinator with no children of its own
-       has nothing to remember (it is a plain voter). *)
-    p_begin_commit =
-      (fun ops ~txn ~root ~has_children ~k ->
-        if root then
-          ops.op_force ~txn Wal.Log_record.Commit_pending (fun () ->
-              if not (ops.op_crash_at Cp_after_commit_pending) then k ())
-        else if has_children then
-          ops.op_force ~txn Wal.Log_record.Commit_pending k
-        else k ());
+       leaves the node *)
+    p_coordinator_log = [ Wal.Log_record.Commit_pending ];
     (* subordinates durably record their acknowledgment obligation (the
        agent record) in addition to the prepared record: Table 2 charges
        them four writes, three forced *)

@@ -121,6 +121,23 @@ let damage t ~node ~reported_to =
     ~peer:(if reported_to = "" then -1 else Ev.member l reported_to)
     ~label:(-1) ~flags:0
 
+(* Synthetic cost on hardware the simulation does not model as nodes
+   (the BFT replica ensemble): sends and forced writes between [node] and
+   its "!replica" pseudo-endpoint, which no diagram draws, so the flow and
+   forced-write counters (and so Tables 2-4) see them.  Rows without a
+   transaction: trace-only, and none when off. *)
+let charge t ~node ~flows ~forces kind =
+  let l = t.log and on = keeps_events t in
+  let replica = if on then Ev.member l (node ^ "!replica") else -1 in
+  let label = if on then Ev.label l "replica-quorum" else -1 in
+  let src = if on then Ev.member l node else -1 in
+  for _ = 1 to flows do
+    send t ~txn:(-1) ~src ~dst:replica ~label ~protocol:true
+  done;
+  for _ = 1 to forces do
+    log_write t ~txn:(-1) ~who:replica kind ~forced:true ~shared:false
+  done
+
 (* [e] as a trace row, its names interned. *)
 let record t e =
   (match e with

@@ -121,6 +121,14 @@ val note : t -> who:int -> string -> unit
 val damage : t -> node:string -> reported_to:string -> unit
 (** Interns the names; [reported_to = ""] when the report is lost. *)
 
+val charge :
+  t -> node:string -> flows:int -> forces:int -> Wal.Log_record.kind -> unit
+(** Synthetic protocol cost: [flows] sends from [node] to its
+    ["<node>!replica"] pseudo-endpoint and [forces] forced writes of the
+    kind there, for machinery the simulation does not model as nodes
+    (the BFT replica ensemble).  Counted like any send or write; rows
+    without a transaction, so only the trace keeps them. *)
+
 val events : t -> event list
 (** Oldest first; [[]] when the trace was created with
     [keep_events:false]. *)

@@ -216,43 +216,57 @@ let finish t ~txn =
     t.in_doubt_txns <- List.filter (fun x -> x <> txn) t.in_doubt_txns;
   Lockmgr.release_all t.lock_table ~txn
 
-let prepare t ~txn ~force k =
+(* The vote, before anything is logged: [Vote_yes] means an
+   [Rm_prepared] record is due. *)
+let vote t ~txn =
   if Ids.Tbl.mem t.lost_txns (Ids.find t.ids txn) then
     (* we performed updates for this transaction but a crash wiped the
        unprepared write set: "no updates" here means "work lost", so the
        only safe vote is NO *)
-    k Vote_no
+    Vote_no
   else if not (is_updated t ~txn) then begin
     (* read-only: no log write, release read locks now *)
     Lockmgr.release_all t.lock_table ~txn;
     forget t ~txn;
-    k Vote_read_only
+    Vote_read_only
   end
-  else begin
-    let id = Ids.intern t.ids txn in
-    if force then
-      Wal.Log.force_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_prepared
-        (fun () -> k Vote_yes)
-    else begin
-      (* shared-log optimization: buffered; hardens with the TM's force *)
-      Wal.Log.append_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_prepared;
-      k Vote_yes
-    end
-  end
+  else Vote_yes
+
+let record t ~txn kind = Wal.Log_record.make ~txn ~node:t.rm_name kind
+
+let prepare_buffered t ~txn =
+  let v = vote t ~txn in
+  if v = Vote_yes then
+    (* shared-log optimization: buffered; hardens with the TM's force *)
+    Wal.Log.append_row t.log ~txn:(Ids.intern t.ids txn) ~writer:t.writer
+      Wal.Log_record.Rm_prepared;
+  v
+
+let prepare t ~txn ~force k =
+  if not force then k (prepare_buffered t ~txn)
+  else
+    match vote t ~txn with
+    | Vote_yes ->
+        Wal.Log.force t.log (record t ~txn Wal.Log_record.Rm_prepared) (fun () ->
+            k Vote_yes)
+    | v -> k v
+
+let commit_buffered t ~txn =
+  apply_to t.store (ops_of t ~txn);
+  Wal.Log.append_row t.log ~txn:(Ids.intern t.ids txn) ~writer:t.writer
+    Wal.Log_record.Rm_committed;
+  finish t ~txn
 
 let commit t ~txn ~force k =
-  apply_to t.store (ops_of t ~txn);
-  let id = Ids.intern t.ids txn in
-  let continue () =
-    finish t ~txn;
+  if not force then begin
+    commit_buffered t ~txn;
     k ()
-  in
-  if force then
-    Wal.Log.force_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_committed
-      continue
+  end
   else begin
-    Wal.Log.append_row t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_committed;
-    continue ()
+    apply_to t.store (ops_of t ~txn);
+    Wal.Log.force t.log (record t ~txn Wal.Log_record.Rm_committed) (fun () ->
+        finish t ~txn;
+        k ())
   end
 
 let log_abort t ~txn =

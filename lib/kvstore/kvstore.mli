@@ -81,9 +81,17 @@ val prepare : t -> txn:string -> force:bool -> (vote -> unit) -> unit
     wiped by a crash (see {!recover}) votes [Vote_no], never read-only -
     "no updates in memory" means "work lost" for it. *)
 
+val prepare_buffered : t -> txn:string -> vote
+(** [prepare ~force:false], answering the vote at once instead of
+    passing it on: the commit path's form, which takes no closure. *)
+
 val commit : t -> txn:string -> force:bool -> (unit -> unit) -> unit
 (** Apply the write set, write [Rm_committed] (forced or not), release
     locks. *)
+
+val commit_buffered : t -> txn:string -> unit
+(** [commit ~force:false] without a continuation: everything is done
+    when it returns. *)
 
 val abort : t -> txn:string -> (unit -> unit) -> unit
 (** Discard the write set, write a non-forced [Rm_aborted], release locks. *)

@@ -46,6 +46,33 @@ let histogram t ?buckets_per_decade name =
 let observe t ?buckets_per_decade name v =
   Histogram.record (histogram t ?buckets_per_decade name) v
 
+type handles = {
+  names : string array;
+  mutable reg : t option;
+  resolved : Histogram.t option array;
+}
+
+let handles names =
+  { names; reg = None; resolved = Array.make (Array.length names) None }
+
+let attach h reg =
+  h.reg <- Some reg;
+  Array.fill h.resolved 0 (Array.length h.resolved) None
+
+let observe_at h i v =
+  match h.reg with
+  | None -> ()
+  | Some reg ->
+      let x =
+        match Array.unsafe_get h.resolved i with
+        | Some x -> x
+        | None ->
+            let x = histogram reg h.names.(i) in
+            h.resolved.(i) <- Some x;
+            x
+      in
+      Histogram.record x v
+
 let counter_value t name =
   Option.value ~default:0 (Option.map ( ! ) (Names.find_opt t.counters name))
 

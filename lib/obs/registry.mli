@@ -26,6 +26,22 @@ val observe : t -> ?buckets_per_decade:int -> string -> float -> unit
 val histogram : t -> ?buckets_per_decade:int -> string -> Histogram.t
 (** Find-or-create the named histogram. *)
 
+(** {2 Fixed histogram sets} *)
+
+type handles
+(** A fixed set of histogram names, each resolved in the attached registry
+    on its first sample, so a name never observed never appears there. *)
+
+val handles : string array -> handles
+(** No registry attached yet: observing records nothing. *)
+
+val attach : handles -> t -> unit
+(** Record into [t] from now on. *)
+
+val observe_at : handles -> int -> float -> unit
+(** Record one sample into the histogram of the [i]-th name; allocates
+    nothing once that histogram is resolved. *)
+
 (** {2 Reading} *)
 
 val counter_value : t -> string -> int

@@ -41,6 +41,8 @@ let no_thunk () = ()
 
 type event = int
 
+let no_event = -1
+
 type handler = int -> int -> int -> (unit -> unit) -> unit
 type kind = int
 
@@ -552,13 +554,6 @@ let schedule_flat t ~delay ~kind ~a0 ~a1 ~a2 =
 let schedule_flat_at t ~time ~kind ~a0 ~a1 ~a2 =
   if time < t.clock then raise (Negative_delay (time -. t.clock));
   schedule_slot t ~time ~kind ~a0 ~a1 ~a2 no_thunk
-
-(* flat kind + closure payload: the registered handler receives the thunk
-   as its fourth argument.  Saves the wrapper closure at guarded-timer
-   call sites (the guard data rides in the int slots). *)
-let schedule_flat_fn t ~delay ~kind ~a0 f =
-  if delay < 0.0 then raise (Negative_delay delay);
-  schedule_slot t ~time:(t.clock +. delay) ~kind ~a0 ~a1:0 ~a2:0 f
 
 (* ------------------------------------------------------------------ *)
 (* Cancellation                                                        *)

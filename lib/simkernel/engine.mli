@@ -22,6 +22,10 @@ type t
     nothing and a handle that outlives its event safely cancels nothing. *)
 type event
 
+val no_event : event
+(** A handle that names no event: cancelling it does nothing.  A filler
+    for tables of handles. *)
+
 val create : ?agenda:[ `Wheel | `Heap ] -> unit -> t
 (** A fresh engine with the clock at [0.0] and an empty agenda.  [agenda]
     picks the ordering structure; the default is [`Wheel] unless the
@@ -85,8 +89,9 @@ type kind
     (until the next {!reset}). *)
 
 type handler = int -> int -> int -> (unit -> unit) -> unit
-(** [handler a0 a1 a2 thunk] receives the three int argument slots and the
-    optional closure payload ({!Stdlib.ignore} it for pure flat events). *)
+(** [handler a0 a1 a2 thunk] receives the three int argument slots; a
+    flat event carries no closure, so [thunk] does nothing
+    ({!Stdlib.ignore} it). *)
 
 val register_kind : t -> name:string -> handler -> kind
 (** Install a handler for a new event kind.  [name] is observational only
@@ -101,11 +106,6 @@ val schedule_flat : t -> delay:float -> kind:kind -> a0:int -> a1:int -> a2:int 
 
 val schedule_flat_at : t -> time:float -> kind:kind -> a0:int -> a1:int -> a2:int -> event
 (** Absolute-time variant of {!schedule_flat}. *)
-
-val schedule_flat_fn : t -> delay:float -> kind:kind -> a0:int -> (unit -> unit) -> event
-(** Flat kind with a closure payload: the handler receives [a0] and the
-    closure.  One allocation (the closure itself) instead of two — used
-    for guarded timers whose guard data rides in [a0]. *)
 
 (** {2 Profiling}
 

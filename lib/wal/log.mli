@@ -4,9 +4,9 @@
 
     - a {e non-forced} write appends the record to a volatile buffer; it
       becomes durable when a later force happens (or is lost in a crash);
-    - a {e forced} write appends the record and suspends the caller (the
-      continuation is invoked only once the record - and every earlier
-      buffered record - is on stable storage).
+    - a {e forced} write appends the record and suspends the caller: the
+      caller resumes only once the record - and every earlier buffered
+      record - is on stable storage.
 
     Group commit (Section 4, "Group Commits") is a property of the log
     manager: force requests are batched until either [size] requests are
@@ -29,12 +29,21 @@
     transaction manager, its resource manager, and any member sharing
     the log) are interned in a small table of the log's own.
 
+    {b Resuming.}  A forced write's caller waits as data, not as a
+    closure.  {!force_row} takes an int {e token}; once the record is
+    durable the log hands the token to the resume handler the record's
+    writer registered ({!on_durable}), in the order the forces were
+    issued.  {!force} and {!flush} wrap that path for callers that hold
+    a closure: the closure waits in the same chain and runs in its
+    turn.  A crash drops every waiter whose I/O had not completed.
+
     {b Cost.}  {!append_row}, {!append_payload} and {!force_row} take
     ids the caller already holds: a write is a few plain stores and a
     payload copy, hashes nothing and allocates nothing beyond a new
-    chunk (a force also schedules its I/O).  {!append} and {!force} take
+    chunk; a force also schedules its I/O and takes a waiter from an
+    arena that starts empty and doubles.  {!append} and {!force} take
     a {!Log_record.t} and intern its two names first: the entry points
-    for tests, protocol plug-ins and tools.  The row readers ({!rows},
+    for tests, the store's forced paths and tools.  The row readers ({!rows},
     {!row_txn}, {!row_kind}, ...) allocate nothing, except {!row_payload},
     which copies the slice; recovery, the audits and the participant's
     log scans read rows this way.  {!durable}, {!all_records} and
@@ -89,10 +98,17 @@ val append_payload :
 (** [append_payload t ~txn ~writer kind b n]: non-forced write whose
     payload is a copy of the first [n] bytes of [b]. *)
 
-val force_row :
-  t -> txn:int -> writer:int -> Log_record.kind -> (unit -> unit) -> unit
-(** Forced write of a record without payload; the continuation runs
-    when the record is durable. *)
+val force_row : t -> txn:int -> writer:int -> Log_record.kind -> int -> unit
+(** [force_row t ~txn ~writer kind token]: forced write of a record
+    without payload.  When the record is durable the log calls
+    [writer]'s resume handler with [token]; a crash before then drops
+    it. *)
+
+val on_durable : t -> writer:int -> (int -> unit) -> unit
+(** Register [writer]'s resume handler, once: it receives the token of
+    each of [writer]'s forces as its record becomes durable.  A writer
+    that registers none has its tokens dropped.  Raises
+    [Invalid_argument] for an id {!writer} never gave out. *)
 
 (** {2 Writing records} *)
 
@@ -101,12 +117,13 @@ val append : t -> Log_record.t -> unit
     name table and its node in the writer table. *)
 
 val force : t -> Log_record.t -> (unit -> unit) -> unit
-(** Forced write; the continuation runs when the record is durable. *)
+(** Forced write; the continuation runs when the record is durable, in
+    turn with the tokens of {!force_row}. *)
 
 val flush : t -> (unit -> unit) -> unit
 (** Force the current buffer contents without appending a record (used by the
     shared-log optimization tests); counts one physical I/O if anything was
-    volatile. *)
+    volatile, and runs the continuation at once if nothing was. *)
 
 val compact : t -> keep:(Log_record.t -> bool) -> int
 (** Drop durable records for which [keep] is false (checkpoint-driven log
@@ -121,8 +138,8 @@ val compact_rows : t -> keep:(int -> bool) -> int
     order, before the log changes, so it may read any row. *)
 
 val crash : t -> unit
-(** Lose the volatile buffer and drop pending force continuations (their
-    callers are dead). *)
+(** Lose the volatile buffer and drop every pending waiter, token or
+    closure (their callers are dead). *)
 
 (** {2 Reading rows}
 

@@ -178,15 +178,6 @@ let test_flat_args agenda =
     [ (7, -3, max_int); (1, 2, 3) ]
     (List.rev !seen)
 
-let test_flat_fn_payload agenda =
-  let e = E.create ~agenda () in
-  let got = ref 0 in
-  let k = E.register_kind e ~name:"guard" (fun a0 _ _ f -> if a0 = 1 then f ()) in
-  ignore (E.schedule_flat_fn e ~delay:1.0 ~kind:k ~a0:1 (fun () -> got := !got + 1));
-  ignore (E.schedule_flat_fn e ~delay:2.0 ~kind:k ~a0:0 (fun () -> got := !got + 10));
-  E.run e;
-  check "closure payload gated by the int slot" 1 !got
-
 let test_kind_names agenda =
   let e = E.create ~agenda () in
   ignore (E.register_kind e ~name:"alpha" (fun _ _ _ _ -> ()));
@@ -333,8 +324,6 @@ let suite =
       (on_both test_self_cancel_in_handler);
     Alcotest.test_case "flat events carry int args (both agendas)" `Quick
       (on_both test_flat_args);
-    Alcotest.test_case "flat-fn closure payload (both agendas)" `Quick
-      (on_both test_flat_fn_payload);
     Alcotest.test_case "kind names (both agendas)" `Quick
       (on_both test_kind_names);
     Alcotest.test_case "reset restores fresh state (both agendas)" `Quick
