@@ -199,6 +199,13 @@ let require_delay cmd flag d =
     Printf.eprintf "tpc_sim %s: %s must be finite and >= 0\n" cmd flag;
     exit 2)
 
+(* A count of events, or of worker domains, below [least]; checked before
+   any domain starts. *)
+let require_at_least cmd flag least n =
+  if n < least then (
+    Printf.eprintf "tpc_sim %s: %s must be >= %d\n" cmd flag least;
+    exit 2)
+
 let run_cmd protocol opt_names n m f shape seed latency show_trace show_diagram
     trace_out events_out =
   if not (List.mem shape [ "flat"; "chain"; "random" ]) then (
@@ -673,6 +680,7 @@ let sweep_cmd protocol opt_sets concurrencies n f txns keyspace update_prob
   if keyspace < 1 then (
     Printf.eprintf "tpc_sim sweep: --keyspace must be at least 1\n";
     exit 2);
+  require_at_least "sweep" "--jobs" 1 jobs;
   require_delay "sweep" "--lock-timeout" lock_timeout;
   require_delay "sweep" "--interarrival" interarrival;
   let require_prob flag p =
@@ -1090,6 +1098,18 @@ let chaos_cmd protocol opt_names n f seeds seed0 txns concurrency crashes
   if gc_target && group = None then (
     Printf.eprintf "tpc_sim chaos: --gc-target needs --group SIZE,TIMEOUT\n";
     exit 2);
+  require_at_least "chaos" "--jobs" 1 jobs;
+  (* 0 asks for the automatic horizon; inf would plan every fault there *)
+  require_delay "chaos" "--horizon" horizon;
+  List.iter
+    (fun (flag, n) -> require_at_least "chaos" flag 0 n)
+    [
+      ("--crashes", crashes); ("--partitions", partitions); ("--drops", drops);
+      ("--jitters", jitters); ("--equivocations", equivocations);
+      ("--vote-flips", vote_flips); ("--forgeries", forgeries);
+      ("--forced-heuristics", forced_heuristics); ("--replays", replays);
+      ("--corrupt-replicas", corruptions);
+    ];
   let opts = build_opts opt_names in
   let config =
     default_config |> with_protocol protocol |> with_opts opts

@@ -250,6 +250,13 @@ let sort_plan plan =
 
 let gen ~seed ~nodes cfg =
   if nodes = [] then invalid_arg "Faultlab.gen: empty node list";
+  if not (Float.is_finite cfg.horizon && cfg.horizon >= 0.0) then
+    invalid_arg "Faultlab.gen: horizon must be finite and >= 0";
+  if
+    cfg.crashes < 0 || cfg.partitions < 0 || cfg.drops < 0 || cfg.jitters < 0
+    || cfg.equivocations < 0 || cfg.vote_flips < 0 || cfg.forgeries < 0
+    || cfg.forced_heuristics < 0 || cfg.replays < 0 || cfg.corruptions < 0
+  then invalid_arg "Faultlab.gen: event counts must be >= 0";
   let rng = Simkernel.Det_rng.create ~seed in
   let arr = Array.of_list nodes in
   let pick () = Simkernel.Det_rng.pick rng arr in

@@ -131,7 +131,8 @@ val gen : seed:int -> nodes:string list -> gen_cfg -> plan
     every benign draw (and the replay/corruption wave strictly after the
     first adversarial wave), so with the adversarial counts at zero the
     generated plan is byte-identical to the pre-adversary generator's for
-    the same seed.  Raises [Invalid_argument] on an empty node list. *)
+    the same seed.  Raises [Invalid_argument] on an empty node list, a
+    horizon that is negative, nan or inf, or a negative event count. *)
 
 val tree_nodes : Tpc.Types.tree -> string list
 (** Member names of a commit tree, root first - the node universe for

@@ -641,6 +641,39 @@ let test_audits_match_reference () =
   Alcotest.(check bool) "some case diverges" true (!diverged > 0);
   Alcotest.(check bool) "some case has heuristic damage" true (!damaged > 0)
 
+(* Plans no run could mean: a horizon that is negative, nan or inf (every
+   fault at infinity), or a negative count of any event kind. *)
+let test_impossible_plans_rejected () =
+  let nodes = [ "coord"; "sub0"; "sub1" ] and g = F.default_gen in
+  let rejects (what, cfg) =
+    match F.gen ~seed:1 ~nodes cfg with
+    | _ -> Alcotest.failf "gen accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter rejects
+    [
+      ("horizon inf", { g with F.horizon = infinity });
+      ("horizon nan", { g with F.horizon = nan });
+      ("horizon -5", { g with F.horizon = -5.0 });
+      ("crashes -1", { g with F.crashes = -1 });
+      ("partitions -1", { g with F.partitions = -1 });
+      ("drops -1", { g with F.drops = -1 });
+      ("jitters -1", { g with F.jitters = -1 });
+      ("equivocations -1", { g with F.equivocations = -1 });
+      ("vote_flips -1", { g with F.vote_flips = -1 });
+      ("forgeries -1", { g with F.forgeries = -1 });
+      ("forced_heuristics -1", { g with F.forced_heuristics = -1 });
+      ("replays -1", { g with F.replays = -1 });
+      ("corruptions -1", { g with F.corruptions = -1 });
+    ];
+  (* the edges stay legal: everything at time 0, or nothing at all *)
+  Alcotest.(check bool) "horizon 0 plans its faults" true
+    (F.gen ~seed:1 ~nodes { g with F.horizon = 0.0 } <> []);
+  Alcotest.(check int) "zero counts plan nothing" 0
+    (List.length
+       (F.gen ~seed:1 ~nodes
+          { g with F.crashes = 0; partitions = 0; drops = 0; jitters = 0 }))
+
 let suite =
   [
     Alcotest.test_case "plan round-trips" `Quick test_plan_round_trip;
@@ -689,4 +722,6 @@ let suite =
       test_bft_above_threshold_violates;
     Alcotest.test_case "audits agree with the record-list reference" `Quick
       test_audits_match_reference;
+    Alcotest.test_case "impossible plans rejected" `Quick
+      test_impossible_plans_rejected;
   ]
