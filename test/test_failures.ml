@@ -320,6 +320,69 @@ let test_coordinator_and_subordinate_crash () =
   check_outcome "double crash still commits" (Some Committed) m;
   check_live "consistent" w ~outcome:Committed
 
+(* --- steps across a restart ------------------------------------------ *)
+
+module R = Tpc.Run
+module P = Tpc.Participant
+
+let sends_between w ~src ~label ~after ~until =
+  List.length
+    (List.filter
+       (function
+         | Tpc.Trace.Send { time; src = s; label = l; _ } ->
+             s = src && l = label && time > after && time <= until
+         | _ -> false)
+       (Tpc.Trace.events w.R.trace))
+
+(* A step armed before a crash never resumes after the restart.  A retry
+   timer: C's vote timer for txn-1 is pending when C crashes and restarts;
+   C then begins txn-2, whose vote timer takes the freed step slot.  The
+   stale timer comes due first and must do nothing, so txn-2's Prepare is
+   retransmitted only when txn-2's own timer fires.  A force in flight: C
+   crashes while its Committed record for txn-3 is being forced and
+   restarts before the I/O would have completed; the outcome never
+   becomes durable, no Commit leaves C, and S learns the presumed abort. *)
+let test_steps_dropped_across_restart () =
+  let config = { (cfg ()) with prepare_retries = 2 } in
+  let w = R.setup ~config (two ()) in
+  let e = w.R.engine and c = R.participant w "C" in
+  P.force_crash (R.participant w "S");
+  P.begin_commit c ~txn:"txn-1";
+  Simkernel.Engine.run_until e 5.0;
+  P.force_crash c;
+  Simkernel.Engine.run_until e 6.0;
+  P.force_restart c;
+  Simkernel.Engine.run_until e 10.0;
+  P.begin_commit c ~txn:"txn-2";
+  Simkernel.Engine.run_until e 34.0;
+  Alcotest.(check int) "no Prepare when the stale timer comes due" 0
+    (sends_between w ~src:"C" ~label:"Prepare" ~after:10.0 ~until:34.0);
+  Simkernel.Engine.run_until e 36.0;
+  Alcotest.(check int) "txn-2's own timer retransmits" 1
+    (sends_between w ~src:"C" ~label:"Prepare" ~after:34.0 ~until:36.0);
+  let w = R.setup ~config (two ()) in
+  let e = w.R.engine and c = R.participant w "C" in
+  R.perform_work w ~txn:"txn-3";
+  P.begin_commit c ~txn:"txn-3";
+  Simkernel.Engine.run_until e 2.7;
+  Alcotest.(check bool) "the Committed force is in flight" true
+    (List.exists
+       (fun (r : Wal.Log_record.t) -> r.kind = Wal.Log_record.Committed)
+       (Wal.Log.all_records (P.log c))
+    && not
+         (List.exists
+            (fun (r : Wal.Log_record.t) -> r.kind = Wal.Log_record.Committed)
+            (Wal.Log.durable (P.log c))));
+  P.force_crash c;
+  Simkernel.Engine.run_until e 2.8;
+  P.force_restart c;
+  Simkernel.Engine.run_until e 5_000.0;
+  Alcotest.(check int) "no Commit leaves C" 0
+    (sends_between w ~src:"C" ~label:"Commit" ~after:0.0 ~until:5_000.0);
+  Alcotest.(check (option string)) "S rolled back" None
+    (Kvstore.committed_value (R.kv w "S") "acct-S");
+  Alcotest.(check bool) "S resolved" false (P.is_unresolved (R.participant w "S") ~txn:"txn-3")
+
 let suite =
   [
     Alcotest.test_case "sub crash on prepare (all protocols)" `Quick
@@ -362,4 +425,6 @@ let suite =
     Alcotest.test_case "two subordinates crash" `Quick test_two_subordinates_crash;
     Alcotest.test_case "coordinator and subordinate crash" `Quick
       test_coordinator_and_subordinate_crash;
+    Alcotest.test_case "steps armed before a crash never resume" `Quick
+      test_steps_dropped_across_restart;
   ]

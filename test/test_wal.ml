@@ -222,11 +222,14 @@ let test_compact_no_phantom_records () =
 (* Writes, forces, flushes, I/O ticks, crashes and compactions applied to
    the packed log and to Wal_ref, each on its own engine: after every step
    both must show the same records (all, durable, per transaction), the
-   same statistics, and have fired the same continuations in the same
-   order. *)
+   same statistics, and have resumed the same waiters in the same order.
+   The packed log's waiters mix step tokens ([force_row], resumed through
+   each writer's handler) with the closures [force] and [flush] wrap; the
+   reference waits on closures only. *)
 type op =
   | Append of int * int * int * int  (* txn, writer, kind, payload *)
   | Force of int * int * int * int
+  | Force_row of int * int * int  (* txn, writer, kind: a step token *)
   | Flush
   | Tick of int  (* tenths of a time unit *)
   | Crash
@@ -244,6 +247,7 @@ let payloads =
 let show_op = function
   | Append (x, w, k, p) -> Printf.sprintf "append %d %d %d %d" x w k p
   | Force (x, w, k, p) -> Printf.sprintf "force %d %d %d %d" x w k p
+  | Force_row (x, w, k) -> Printf.sprintf "force_row %d %d %d" x w k
   | Flush -> "flush"
   | Tick d -> Printf.sprintf "tick %d" d
   | Crash -> "crash"
@@ -263,7 +267,8 @@ let gen_case =
        (frequency
           [
             (6, record (fun x w k p -> Append (x, w, k, p)));
-            (5, record (fun x w k p -> Force (x, w, k, p)));
+            (3, record (fun x w k p -> Force (x, w, k, p)));
+            (3, record (fun x w k _ -> Force_row (x, w, k)));
             (1, return Flush);
             (5, map (fun d -> Tick d) (int_range 1 8));
             (1, return Crash);
@@ -297,6 +302,12 @@ let model_agrees (group, ops) =
   let log = L.create e ~node:"n" ~config () in
   let ref_log = Wal_ref.create e' ~node:"n" ~config () in
   let fired = ref [] and fired' = ref [] in
+  (* a token is the index of the step that forced it *)
+  Array.iter
+    (fun name ->
+      L.on_durable log ~writer:(L.writer log name) (fun token ->
+          fired := string_of_int token :: !fired))
+    writer_names;
   let make x w k p =
     R.make ~txn:txn_names.(x) ~node:writer_names.(w) ~payload:payloads.(p)
       (R.of_code k)
@@ -322,7 +333,7 @@ let model_agrees (group, ops) =
       Printf.sprintf "%d/%d/%d" s.writes s.forced_writes s.force_ios
     in
     agree "stats" stats (L.stats log) (Wal_ref.stats ref_log);
-    agree "the continuations fired" (String.concat ",") !fired !fired'
+    agree "the waiters resumed" (String.concat ",") !fired !fired'
   in
   List.iteri
     (fun i op ->
@@ -334,6 +345,12 @@ let model_agrees (group, ops) =
       | Force (x, w, k, p) ->
           L.force log (make x w k p) (fun () -> fired := tag :: !fired);
           Wal_ref.force ref_log (make x w k p) (fun () -> fired' := tag :: !fired')
+      | Force_row (x, w, k) ->
+          L.force_row log
+            ~txn:(Simkernel.Ids.intern (E.ids e) txn_names.(x))
+            ~writer:(L.writer log writer_names.(w))
+            (R.of_code k) i;
+          Wal_ref.force ref_log (make x w k 0) (fun () -> fired' := tag :: !fired')
       | Flush ->
           L.flush log (fun () -> fired := tag :: !fired);
           Wal_ref.flush ref_log (fun () -> fired' := tag :: !fired')
