@@ -10,6 +10,15 @@
     the building blocks for custom topologies (see {!Scenarios.figure5}
     for a hand-wired example).
 
+    {b Waits are steps.}  Where a participant waits - a forced TM record,
+    a vote, acknowledgment, delegation or in-doubt retry, the heuristic
+    patience timer, a deferred piggyback, a protocol's backing delay - it
+    arms a {!Step}: an int code and a slot that keeps the transaction
+    state the step resumes on.  Timer steps are flat engine events and
+    forced records' steps are {!Wal.Log.force_row} tokens; both resume
+    through one dispatch, which drops any step armed before the node's
+    last crash.  No wait allocates a closure.
+
     {b Re-rooting.}  Any member may initiate: {!begin_commit} below the
     static root engages the static parent as the last child (so under last
     agent the parent is delegated to).  A member receiving a delegation
