@@ -172,7 +172,7 @@ val force_heuristic : t -> txn:string -> Types.outcome -> unit
 
 val rejected_forgeries : t -> int
 (** Payloads this node refused under the protocol's
-    {!Protocol_intf.t.p_admissible} check: forgeries an honest node can
+    {!Protocol_intf.admissible} check: forgeries an honest node can
     detect from topology and its own durable state.  Always zero in a
     benign run. *)
 

@@ -25,16 +25,9 @@ let protocol : Protocol_intf.t =
       (function
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
       | Aborted -> Protocol_intf.Log_force Wal.Log_record.Aborted);
-    p_ack_on_abort = true;
-    (* a member that never voted (or said NO) cannot be in doubt: its abort
-       notification is fire-and-forget; a YES voter must confirm *)
-    p_abort_ack_required =
-      (fun ~vote ~presumed_no:_ ->
-        match vote with Some (Vote_yes _) -> true | _ -> false);
     p_damage_to_root = false;
-    p_indoubt_tick = Protocol_intf.send_inquiries;
-    p_indoubt_restart = Protocol_intf.send_inquiries;
-    p_recover = Protocol_intf.standard_recover;
-    p_admissible = Protocol_intf.standard_admissible;
+    (* a member that never voted (or said NO) cannot be in doubt: it aborts
+       unilaterally or inquires, so only a YES voter confirms an abort *)
+    p_inquires = true;
     p_evidence = Protocol_intf.no_evidence;
   }

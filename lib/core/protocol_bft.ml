@@ -173,16 +173,9 @@ let protocol : Protocol_intf.t =
       (function
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
       | Aborted -> Protocol_intf.Log_force Wal.Log_record.Aborted);
-    p_ack_on_abort = true;
-    p_abort_ack_required =
-      (fun ~vote ~presumed_no:_ ->
-        match vote with Some (Vote_yes _) -> true | _ -> false);
     p_damage_to_root = false;
     (* subordinate-initiated recovery as under PA: in-doubt members inquire
        and act only on certified replies *)
-    p_indoubt_tick = Protocol_intf.send_inquiries;
-    p_indoubt_restart = Protocol_intf.send_inquiries;
-    p_recover = Protocol_intf.standard_recover;
-    p_admissible = Protocol_intf.standard_admissible;
+    p_inquires = true;
     p_evidence = evidence;
   }

@@ -14,19 +14,16 @@
 
 open Types
 
-(** Capabilities the plumbing hands a protocol hook.  Every effect a hook
+(** Capabilities the plumbing hands an evidence hook.  Every effect a hook
     may have on the world goes through one of these, which is what keeps
     implementations runnable under the deterministic simulation, the crash
     injector and the trace at once.  None of them waits: a hook that needs
     the disk or the clock answers data (records to force, a delay), and
     the plumbing owns the wait. *)
 type ops = {
-  op_send : dst:string -> Msg.payload list -> unit;
-      (** send one message (one flow in the paper's accounting) *)
   op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
       (** write a TM record, carrying [payload] if given, without forcing *)
   op_note : string -> unit;  (** free-form trace note at this node *)
-  op_now : unit -> float;  (** virtual clock *)
   op_votes : txn:string -> (string * vote option) list;
       (** the votes this node decided [txn] over, as (member, vote) pairs,
           its own first *)
@@ -99,42 +96,13 @@ type t = {
       (** logging at the decision maker (root, last agent, delegator) *)
   p_subordinate_decision_log : outcome -> log_discipline;
       (** logging at a subordinate that hears the outcome from above *)
-  (* --- acknowledgment --------------------------------------------- *)
-  p_ack_on_abort : bool;
-      (** do subordinates acknowledge aborts?  (PA: no - the presumption
-          makes the abort forgettable without them) *)
-  p_abort_ack_required : vote:vote option -> presumed_no:bool -> bool;
-      (** coordinator side of the same question, per child: must this
-          child's abort notification be retried until acknowledged?
-          [vote] is the child's recorded vote ([None] = never voted);
-          [presumed_no] marks a vote timeout rather than a real NO *)
+  (* --- acknowledgment and recovery ---------------------------------- *)
   p_damage_to_root : bool;
       (** heuristic-damage reports travel up to the root (PN) rather than
           stopping at the immediate coordinator (PA, basic) *)
-  (* --- recovery ---------------------------------------------------- *)
-  p_indoubt_tick : ops -> txn:string -> targets:string list -> unit;
-      (** periodic action while in doubt: PA/basic inquire [targets]; PN
-          waits for the coordinator to contact it *)
-  p_indoubt_restart : ops -> txn:string -> targets:string list -> unit;
-      (** same question right after restart rebuilds an in-doubt state *)
-  p_recover : Wal.Log_record.kind list -> recovery_action;
-      (** restart-time policy over the TM record kinds found for one txn *)
-  (* --- adversary hardening ----------------------------------------- *)
-  p_admissible :
-    src:string ->
-    role:sender_role ->
-    known:outcome option ->
-    Msg.payload ->
-    string option;
-      (** Validation an honest node runs on every delivered payload before
-          acting on it: [None] admits the payload, [Some reason] rejects it
-          (the plumbing counts the rejection and traces [reason]).  It
-          runs only on payloads {!evidence.ev_check} admitted.  [known] is
-          this node's durable outcome for the payload's transaction, if
-          any.  The checks are protocol-level
-          because what counts as a protocol-violating message differs per
-          family (PN subordinates never inquire); they must never reject
-          anything a benign run can deliver.  See {!standard_admissible}. *)
+  p_inquires : bool;
+      (** an in-doubt subordinate inquires (PA, basic); otherwise the
+          coordinator's durable [p_coordinator_log] drives recovery (PN) *)
   p_evidence : config -> evidence;
       (** builds one node's evidence when the node is created *)
 }
@@ -158,22 +126,45 @@ let no_evidence (_ : config) =
 
 let certified p = p.p_evidence != no_evidence
 
-(** Send an {!Msg.Inquiry} for [txn] to every target: the subordinate-
-    initiated recovery action shared by the presuming protocols. *)
-let send_inquiries ops ~txn ~targets =
-  List.iter (fun dst -> ops.op_send ~dst [ Msg.Inquiry { txn } ]) targets
+(* ------------------------------------------------------------------ *)
+(* Rules: what the record's fields decide together                      *)
+(* ------------------------------------------------------------------ *)
 
-(** The recovery priority shared by all three paper protocols: END means
-    finished; a durable outcome is re-driven; a dangling prepare means in
-    doubt; anything else (including heuristic records, which were resolved
-    locally when written) needs no driving. *)
-let standard_recover kinds =
+(* The protocol's name as its trace texts spell it, e.g. "PN" *)
+let shout p = String.uppercase_ascii p.p_flag
+
+let acks_aborts p =
+  match p.p_decision_log Aborted with Log_none -> false | _ -> true
+
+let abort_ack_required p ~vote ~presumed_no =
+  acks_aborts p
+  &&
+  match vote with
+  | Some (Vote_yes _) -> true
+  | Some Vote_no when not presumed_no -> false
+  | _ -> not p.p_inquires
+
+let awaiting_coordinator p =
+  Printf.sprintf "in doubt: awaiting coordinator recovery (%s)" (shout p)
+
+let recover p kinds =
   let has k = List.mem k kinds in
   if has Wal.Log_record.End then Rec_none
   else if has Wal.Log_record.Committed then Rec_redrive Committed
   else if has Wal.Log_record.Aborted then Rec_redrive Aborted
   else if has Wal.Log_record.Prepared then Rec_in_doubt
-  else Rec_none
+  else
+    match List.find_opt has p.p_coordinator_log with
+    | Some kind ->
+        Rec_decide
+          {
+            outcome = Aborted;
+            note =
+              Printf.sprintf "%s recovery: %s without outcome - aborting"
+                (shout p)
+                (Wal.Log_record.kind_to_string kind);
+          }
+    | None -> Rec_none
 
 (* A refusal reason; its first two holes are the payload's label and the
    sender.  The label is built only here, so admitting a payload - every
@@ -181,8 +172,9 @@ let standard_recover kinds =
 let refuse payload src fmt =
   Printf.ksprintf Option.some fmt (Msg.payload_label payload) src
 
-(** The txn-id/topology validation shared by the paper's three families.
-    What an honest node {e can} detect without signatures:
+(** The txn-id/topology validation.  A protocol whose subordinates never
+    inquire refuses every Inquiry first.  Beyond that, what an honest node
+    {e can} detect without signatures:
     - a decision that contradicts its own durable outcome for that
       transaction (an equivocating or forged retransmission: honest
       coordinators never flip a decision);
@@ -204,8 +196,13 @@ let refuse payload src fmt =
       the coordinator's own address is indistinguishable from a real one,
       which is exactly the trust assumption the adversarial chaos matrix
       measures. *)
-let standard_admissible ~src ~role ~known payload =
+let admissible p ~src ~role ~known payload =
   match (payload : Msg.payload) with
+  | Msg.Inquiry _ when not p.p_inquires ->
+      Some
+        (Printf.sprintf
+           "rejecting inquiry from %s: %s recovery is coordinator-owned" src
+           (shout p))
   | Msg.Prepare _ -> None
   | Msg.Decision_msg { outcome; _ } -> (
       match known with

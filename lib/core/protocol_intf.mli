@@ -10,20 +10,17 @@
     telemetry harness unchanged.  DESIGN.md "Plugging in a protocol"
     documents the contract field by field. *)
 
-(** Capabilities the plumbing hands a protocol hook.  Every effect a hook
-    may have on the world goes through one of these, which is what keeps
-    implementations runnable under the deterministic simulation, the crash
-    injector and the trace at once.  None of them takes a continuation:
-    where a protocol needs the disk or the clock, its hook answers data
-    (records to force, a delay) and {!Participant} owns the wait, as a
-    step it can name, order and drop at a crash. *)
+(** Capabilities the plumbing hands an {!evidence} hook.  Every effect a
+    hook may have on the world goes through one of these, which is what
+    keeps implementations runnable under the deterministic simulation, the
+    crash injector and the trace at once.  None of them takes a
+    continuation: where a protocol needs the disk or the clock, its hook
+    answers data (records to force, a delay) and {!Participant} owns the
+    wait, as a step it can name, order and drop at a crash. *)
 type ops = {
-  op_send : dst:string -> Msg.payload list -> unit;
-      (** send one message (one flow in the paper's accounting) *)
   op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
       (** write a TM record, carrying [payload] if given, without forcing *)
   op_note : string -> unit;  (** free-form trace note at this node *)
-  op_now : unit -> float;  (** virtual clock *)
   op_votes : txn:string -> (string * Types.vote option) list;
       (** the votes this node decided [txn] over, as (member, vote) pairs,
           its own first *)
@@ -83,7 +80,7 @@ type evidence = {
   ev_reply : txn:string -> Types.outcome option -> Msg.payload;
       (** the [Inquiry_reply] this node sends for [txn] *)
   ev_check : src:string -> Msg.payload -> string option;
-      (** runs before {!t.p_admissible} on every delivered payload: [Some
+      (** runs before {!admissible} on every delivered payload: [Some
           reason] refuses it.  The refusal is counted here
           ({!ev_refusals}) and, like any refusal, toward
           {!Participant.rejected_forgeries}, and [reason] is traced. *)
@@ -124,43 +121,13 @@ type t = {
       (** logging at the decision maker (root, last agent, delegator) *)
   p_subordinate_decision_log : Types.outcome -> log_discipline;
       (** logging at a subordinate that hears the outcome from above *)
-  p_ack_on_abort : bool;
-      (** do subordinates acknowledge aborts?  (PA: no - the presumption
-          makes the abort forgettable without them) *)
-  p_abort_ack_required : vote:Types.vote option -> presumed_no:bool -> bool;
-      (** coordinator side of the same question, per child: must this
-          child's abort notification be retried until acknowledged?
-          [vote] is the child's recorded vote ([None] = never voted);
-          [presumed_no] marks a vote timeout rather than a real NO *)
   p_damage_to_root : bool;
       (** heuristic-damage reports travel up to the root (PN) rather than
           stopping at the immediate coordinator (PA, basic) *)
-  p_indoubt_tick : ops -> txn:string -> targets:string list -> unit;
-      (** periodic action while in doubt: PA/basic inquire [targets]; PN
-          waits for the coordinator to contact it *)
-  p_indoubt_restart : ops -> txn:string -> targets:string list -> unit;
-      (** same question right after restart rebuilds an in-doubt state *)
-  p_recover : Wal.Log_record.kind list -> recovery_action;
-      (** restart-time policy over the TM record kinds found for one txn *)
-  p_admissible :
-    src:string ->
-    role:sender_role ->
-    known:Types.outcome option ->
-    Msg.payload ->
-    string option;
-      (** Validation an honest node runs on every delivered payload before
-          acting on it: [None] admits the payload, [Some reason] rejects it
-          (the plumbing counts the rejection toward
-          {!Participant.rejected_forgeries} and traces [reason]).  It runs
-          only on payloads {!evidence.ev_check} admitted.  [known] is the
-          receiver's durable outcome for the payload's transaction, if
-          any.  The checks live in the protocol, not the network, because
-          what counts as a protocol-violating message differs per family
-          (PN subordinates never inquire, so PN rejects every Inquiry);
-          implementations must never reject anything a benign run can
-          deliver — dual commit initiation (Figure 5) makes
-          Prepare-from-a-stranger legal, for example.  Start from
-          {!standard_admissible}. *)
+  p_inquires : bool;
+      (** an in-doubt subordinate inquires (PA, basic, BFT); otherwise it
+          waits while the coordinator's durable [p_coordinator_log] record
+          drives recovery (PN).  See the rules below. *)
   p_evidence : Types.config -> evidence;
       (** builds one node's {!evidence} when the node is created;
           {!no_evidence} for the paper's three protocols *)
@@ -176,23 +143,64 @@ val certified : t -> bool
     runs report refusals and replica corruption and gate on the
     sub-threshold guarantee. *)
 
-val send_inquiries : ops -> txn:string -> targets:string list -> unit
-(** Send an {!Msg.Inquiry} for [txn] to every target: the subordinate-
-    initiated recovery action shared by the presuming protocols. *)
+(** {1 Rules}
 
-val standard_recover : Wal.Log_record.kind list -> recovery_action
-(** The recovery priority shared by all three paper protocols: END means
-    finished; a durable outcome is re-driven; a dangling prepare means in
-    doubt; anything else (including heuristic records, which were resolved
-    locally when written) needs no driving. *)
+    What {!Participant} asks where the families diverge beyond their
+    logging, answered from the record's fields.  The paper's protocols
+    differ here only in what a missing log record presumes
+    ([p_decision_log]), whether in-doubt members inquire ([p_inquires])
+    and what a coordinator logs first ([p_coordinator_log]). *)
 
-val standard_admissible :
+val acks_aborts : t -> bool
+(** Whether subordinates acknowledge aborts: not when
+    [p_decision_log Aborted] is [Log_none], whose presumption stands in
+    for the acknowledgment (PA). *)
+
+val abort_ack_required :
+  t -> vote:Types.vote option -> presumed_no:bool -> bool
+(** The coordinator's side of {!acks_aborts}, per child: must this child's
+    abort notification be retried until acknowledged?  [vote] is the
+    child's recorded vote ([None] = never voted); [presumed_no] marks a
+    vote timeout, which is no real NO.  Only if the protocol
+    {!acks_aborts}, and then if the child voted YES, or if it cannot
+    inquire and did not really vote NO: it may be crashed holding a forced
+    prepare whose vote never arrived (PN: all but a real NO voter; basic:
+    YES voters; PA: none). *)
+
+val awaiting_coordinator : t -> string
+(** The in-doubt rule: under a protocol that [p_inquires], an in-doubt
+    member sends an {!Msg.Inquiry} to whoever can resolve its doubt on
+    every tick and right after a restart; under one that does not, it
+    traces this note on each tick (["in doubt: awaiting coordinator
+    recovery (PN)"]) and does nothing at restart. *)
+
+val recover : t -> Wal.Log_record.kind list -> recovery_action
+(** What a restarted node does with the TM record kinds it found for one
+    transaction: END means finished; a durable outcome is re-driven; a
+    dangling prepare means in doubt; then a durable [p_coordinator_log]
+    record without outcome means a coordinator interrupted before
+    deciding, which aborts and drives its subordinates itself (PN's
+    commit-pending).  Anything else (including heuristic records, which
+    were resolved locally when written) needs no driving. *)
+
+val admissible :
+  t ->
   src:string ->
   role:sender_role ->
   known:Types.outcome option ->
   Msg.payload ->
   string option
-(** The txn-id/topology validation shared by the paper's three families.
+(** Validation an honest node runs on every delivered payload before
+    acting on it: [None] admits the payload, [Some reason] rejects it (the
+    plumbing counts the rejection toward {!Participant.rejected_forgeries}
+    and traces [reason]).  It runs only on payloads {!evidence.ev_check}
+    admitted.  [known] is the receiver's durable outcome for the payload's
+    transaction, if any.  It never rejects anything a benign run can
+    deliver - dual commit initiation (Figure 5) makes
+    Prepare-from-a-stranger legal, for example.
+
+    A protocol that does not inquire refuses every Inquiry first (a PN
+    subordinate never sends one).  Then the txn-id/topology checks.
     Rejects: decisions contradicting the receiver's durable outcome
     (honest coordinators never flip a decision); decisions for unknown
     transactions from topology strangers; votes, data, inquiries and

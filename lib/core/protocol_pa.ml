@@ -25,12 +25,7 @@ let protocol : Protocol_intf.t =
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
       (* no forced abort record before releasing resources *)
       | Aborted -> Protocol_intf.Log_append Wal.Log_record.Aborted);
-    p_ack_on_abort = false;
-    p_abort_ack_required = (fun ~vote:_ ~presumed_no:_ -> false);
     p_damage_to_root = false;
-    p_indoubt_tick = Protocol_intf.send_inquiries;
-    p_indoubt_restart = Protocol_intf.send_inquiries;
-    p_recover = Protocol_intf.standard_recover;
-    p_admissible = Protocol_intf.standard_admissible;
+    p_inquires = true;
     p_evidence = Protocol_intf.no_evidence;
   }
