@@ -396,6 +396,27 @@ let test_read_only_plus_last_agent () =
   (* RO edge: 2 flows; delegation edge: 2 flows *)
   Alcotest.(check int) "four flows total" 4 m.Tpc.Metrics.flows
 
+(* A read-only root whose only updating member is its last agent: that
+   agent has not voted when the other votes are in, so the root must not
+   count it as read-only and finish without it; it delegates, and the
+   agent's write is applied and its lock released. *)
+let test_read_only_root_plus_last_agent () =
+  let tree =
+    Tree
+      ( member ~updated:false "C",
+        [ Tree (member ~updated:false "R", []); Tree (member "LA", []) ] )
+  in
+  let m, w =
+    run
+      ~config:(cfg ~opts:{ no_opts with read_only = true; last_agent = true } ())
+      tree
+  in
+  check_outcome "commits" (Some Committed) m;
+  check_consistent "the last agent's write is applied" w ~txn:"txn-1"
+    ~outcome:Committed;
+  (* RO edge: 2 flows; delegation edge: 2 flows *)
+  Alcotest.(check int) "four flows total" 4 m.Tpc.Metrics.flows
+
 let test_unsolicited_plus_vote_reliable () =
   let tree = two ~s:(member ~unsolicited:true ~reliable:true "S") () in
   let m, _w =
@@ -496,6 +517,8 @@ let suite =
     Alcotest.test_case "long locks partial membership" `Quick
       test_long_locks_partial_membership;
     Alcotest.test_case "read-only + last agent" `Quick test_read_only_plus_last_agent;
+    Alcotest.test_case "read-only root + last agent" `Quick
+      test_read_only_root_plus_last_agent;
     Alcotest.test_case "unsolicited + vote reliable" `Quick
       test_unsolicited_plus_vote_reliable;
     Alcotest.test_case "all optimizations together" `Quick
