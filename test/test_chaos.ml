@@ -674,6 +674,29 @@ let test_impossible_plans_rejected () =
        (F.gen ~seed:1 ~nodes
           { g with F.crashes = 0; partitions = 0; drops = 0; jitters = 0 }))
 
+(* Members on one shared log fail together: one crash of a shared-log
+   subordinate once ran the log's crash under its live parent, losing the
+   parent's volatile records and forces in flight.  The run is the replay
+   line `chaos -n 5 --seed 81 --txns 100 -c 8 -O shared-log --plan
+   'crash@197.293:sub1:+345.482'`, which reported committed_missing 8 and
+   wal_divergence 4. *)
+let test_shared_log_crash_fails_the_domain () =
+  let opts = [ `Shared_log ] in
+  let config =
+    chaos_config Presumed_abort |> with_opts opts |> with_trace_events false
+  in
+  let tree = Workload.mixer_tree ~n:5 ~opts () in
+  let plan = F.of_string "crash@197.293:sub1:+345.482" in
+  let _agg, v =
+    F.run_case ~config
+      { M.default_cfg with txns = 100; concurrency = 8; seed = 81 }
+      tree plan
+  in
+  Alcotest.(check (list (pair string int)))
+    "clean verdict"
+    (List.map (fun (k, _) -> (k, 0)) (F.verdict_fields v))
+    (F.verdict_fields v)
+
 let suite =
   [
     Alcotest.test_case "plan round-trips" `Quick test_plan_round_trip;
@@ -724,4 +747,6 @@ let suite =
       test_audits_match_reference;
     Alcotest.test_case "impossible plans rejected" `Quick
       test_impossible_plans_rejected;
+    Alcotest.test_case "shared-log crash takes its log-mates down" `Quick
+      test_shared_log_crash_fails_the_domain;
   ]
