@@ -48,26 +48,29 @@ let opt_names = List.map opt_to_string all_opts
 
 let opts_arg =
   let doc =
-    "Enable an optimization (repeatable): "
+    "Enable optimizations, a comma-separated list (repeatable; under \
+     $(b,sweep) each -O is one optimization set): "
     ^ String.concat ", " opt_names ^ "."
   in
   Arg.(value & opt_all string [] & info [ "O"; "enable" ] ~doc)
 
-(* The single source of truth for optimization names is
-   Types.opt_of_string: the CLI, bench and tests all parse through it. *)
-let parse_opt_names ~on_unknown names =
-  List.filter_map
-    (fun name ->
-      match opt_of_string name with
-      | Some o -> Some o
-      | None ->
-          on_unknown name;
-          None)
-    names
+(* One -O value: a comma-separated list of optimization names, where an
+   unknown name is a usage error.  The single source of truth for the
+   names is Types.opt_of_string: the CLI, bench and tests all parse
+   through it. *)
+let parse_opt_set cmd s =
+  String.split_on_char ',' s
+  |> List.filter (fun x -> x <> "")
+  |> List.map (fun name ->
+         match opt_of_string name with
+         | Some o -> o
+         | None ->
+             Printf.eprintf "tpc_sim %s: unknown optimization %S (one of %s)\n"
+               cmd name
+               (String.concat ", " opt_names);
+             exit 2)
 
-let build_opts names =
-  parse_opt_names names ~on_unknown:(fun name ->
-      Printf.eprintf "warning: unknown optimization %S ignored\n" name)
+let build_opts cmd names = List.concat_map (parse_opt_set cmd) names
 
 let n_arg =
   let doc = "Number of members in the commit tree." in
@@ -223,7 +226,7 @@ let run_cmd protocol opt_names n m f shape seed latency show_trace show_diagram
   if f < 0 then (
     Printf.eprintf "tpc_sim: --f must be non-negative\n";
     exit 2);
-  let opts = build_opts opt_names in
+  let opts = build_opts "run" opt_names in
   let config =
     default_config |> with_protocol protocol |> with_opts opts
     |> with_latency latency |> with_bft_f f
@@ -693,18 +696,9 @@ let sweep_cmd protocol opt_sets concurrencies n f txns keyspace update_prob
   if update_prob +. read_prob > 1.0 then (
     Printf.eprintf "tpc_sim sweep: --update-prob and --read-prob must sum to at most 1\n";
     exit 2);
-  let parse_set s =
-    String.split_on_char ',' s
-    |> List.filter (fun x -> x <> "")
-    |> parse_opt_names ~on_unknown:(fun name ->
-           Printf.eprintf
-             "tpc_sim sweep: unknown optimization %S (one of %s)\n" name
-             (String.concat ", " opt_names);
-           exit 2)
-  in
   (* baseline first, then each requested set (a set may be a comma-separated
      combination, e.g. -O read-only,shared-log) *)
-  let sets = [] :: List.map parse_set opt_sets in
+  let sets = [] :: List.map (parse_opt_set "sweep") opt_sets in
   let total_cells = List.length sets * List.length concurrencies in
   let cells_done = ref 0 in
   let started = Simkernel.Monotonic.now_ns () in
@@ -827,7 +821,7 @@ let explain_cmd protocol opt_names n txns concurrency seed txn_id =
     Printf.eprintf "tpc_sim explain: -n must be at least 2\n";
     exit 2);
   require_mixer_counts "explain" ~txns ~concurrency;
-  let opts = build_opts opt_names in
+  let opts = build_opts "explain" opt_names in
   let config =
     default_config |> with_protocol protocol |> with_opts opts
     |> with_trace_events false
@@ -924,7 +918,7 @@ let stats_cmd protocol opt_names n txns concurrency seed =
     Printf.eprintf "tpc_sim stats: -n must be at least 2\n";
     exit 2);
   require_mixer_counts "stats" ~txns ~concurrency;
-  let opts = build_opts opt_names in
+  let opts = build_opts "stats" opt_names in
   let config = default_config |> with_protocol protocol |> with_opts opts in
   let cfg = { Tpc.Mixer.default_cfg with txns; concurrency; seed } in
   let tree = Workload.mixer_tree ~n ~opts () in
@@ -1110,7 +1104,7 @@ let chaos_cmd protocol opt_names n f seeds seed0 txns concurrency crashes
       ("--forced-heuristics", forced_heuristics); ("--replays", replays);
       ("--corrupt-replicas", corruptions);
     ];
-  let opts = build_opts opt_names in
+  let opts = build_opts "chaos" opt_names in
   let config =
     default_config |> with_protocol protocol |> with_opts opts
     |> with_bft_f f
