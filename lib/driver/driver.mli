@@ -3,8 +3,8 @@
     Each cell (one optimization-set × concurrency point, or one chaos
     seed) owns an independent simulation world — engine, RNG streams,
     trace, telemetry registry — so cells parallelize with no shared
-    mutable state.  The driver fans cells out over a {!Parallel} domain
-    pool and fans results in {e by index}, so everything it returns
+    mutable state.  The driver fans cells out over domains with
+    {!Parallel.map} and fans results in {e by index}, so everything it returns
     (JSON lines, verdicts, minimized repros, the merged registry) is
     byte-identical whatever [jobs] was.  Workers never print; rendering
     to channels is the caller's job, at fan-in.

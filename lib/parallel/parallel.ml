@@ -1,150 +1,38 @@
-(* Fixed-size domain pool; see parallel.mli for the contract.
-
-   The pool hands out item indices under a mutex.  Work items here are
-   whole simulations (milliseconds to seconds each), so a mutex-protected
-   claim loop costs nothing measurable and keeps the logic obviously
-   correct: no atomics, no lock-free queue, one generation counter to let
-   sleeping workers distinguish "new batch" from "spurious wakeup". *)
+(* Ordered one-shot fan-out; see parallel.mli for the contract.  Work
+   items here are whole simulations (milliseconds to seconds each), so
+   one atomic counter handing out indices is all the coordination the
+   domains need, and joining them publishes their results. *)
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-type pool = {
-  n_jobs : int;
-  mutex : Mutex.t;
-  work_ready : Condition.t;  (* new batch published, or shutdown *)
-  batch_done : Condition.t;  (* last item of the current batch completed *)
-  mutable body : int -> unit;  (* current batch body *)
-  mutable generation : int;  (* bumped when a batch is published *)
-  mutable next : int;  (* next index to claim *)
-  mutable limit : int;  (* items in the current batch *)
-  mutable completed : int;  (* items finished in the current batch *)
-  mutable stopping : bool;
-  mutable domains : unit Domain.t list;
-}
-
-let jobs p = p.n_jobs
-
-let no_body (_ : int) = ()
-
-(* Claim-and-run until the batch [gen] is exhausted.  Called with the mutex
-   held; returns with it held. *)
-let drain_batch p gen =
-  let rec claim () =
-    if p.generation = gen && p.next < p.limit then begin
-      let i = p.next in
-      p.next <- i + 1;
-      let body = p.body in
-      Mutex.unlock p.mutex;
-      body i;
-      Mutex.lock p.mutex;
-      p.completed <- p.completed + 1;
-      if p.completed = p.limit then Condition.broadcast p.batch_done;
-      claim ()
+let map ~jobs f xs =
+  let items = Array.of_list xs in
+  let n = Array.length items in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec drain () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <-
+        Some
+          (try Ok (f items.(i))
+           with e -> Error (e, Printexc.get_raw_backtrace ()));
+      drain ()
     end
   in
-  claim ()
-
-let worker p =
-  Mutex.lock p.mutex;
-  let rec live seen_gen =
-    while (not p.stopping) && p.generation = seen_gen do
-      Condition.wait p.work_ready p.mutex
-    done;
-    if not p.stopping then begin
-      let gen = p.generation in
-      drain_batch p gen;
-      live gen
-    end
+  (* the calling domain is the last worker *)
+  let spawned =
+    List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn drain)
   in
-  live 0;
-  Mutex.unlock p.mutex
-
-let create ~jobs =
-  let n_jobs = max 1 jobs in
-  let p =
-    {
-      n_jobs;
-      mutex = Mutex.create ();
-      work_ready = Condition.create ();
-      batch_done = Condition.create ();
-      body = no_body;
-      generation = 0;
-      next = 0;
-      limit = 0;
-      completed = 0;
-      stopping = false;
-      domains = [];
-    }
-  in
-  (* the submitting domain is the n-th worker *)
-  p.domains <- List.init (n_jobs - 1) (fun _ -> Domain.spawn (fun () -> worker p));
-  p
-
-let shutdown p =
-  Mutex.lock p.mutex;
-  p.stopping <- true;
-  Condition.broadcast p.work_ready;
-  Mutex.unlock p.mutex;
-  List.iter Domain.join p.domains;
-  p.domains <- []
-
-(* Fan-in: re-raise the lowest-index exception, else unwrap in order. *)
-let collect results =
+  drain ();
+  List.iter Domain.join spawned;
+  (* fan-in: re-raise the lowest-index exception, else unwrap in order *)
   Array.iter
     (function
       | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
       | Some (Ok _) | None -> ())
     results;
-  Array.to_list
-    (Array.map
-       (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
-       results)
-
-let map_pool p f xs =
-  match xs with
-  | [] -> []
-  | xs ->
-      let items = Array.of_list xs in
-      let n = Array.length items in
-      let results = Array.make n None in
-      let body i =
-        let r =
-          try Ok (f items.(i))
-          with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        results.(i) <- Some r
-      in
-      if p.n_jobs = 1 || n = 1 then
-        (* calling-domain fallback: no pool traffic at all *)
-        for i = 0 to n - 1 do
-          body i
-        done
-      else begin
-        Mutex.lock p.mutex;
-        p.body <- body;
-        p.next <- 0;
-        p.limit <- n;
-        p.completed <- 0;
-        p.generation <- p.generation + 1;
-        Condition.broadcast p.work_ready;
-        drain_batch p p.generation;
-        while p.completed < p.limit do
-          Condition.wait p.batch_done p.mutex
-        done;
-        p.body <- no_body;
-        Mutex.unlock p.mutex
-      end;
-      collect results
-
-let map ~jobs f xs =
-  let jobs = max 1 jobs in
-  if jobs = 1 then
-    (* exact List.map semantics, calling domain, nothing spawned *)
-    collect
-      (Array.map
-         (fun x ->
-           Some (try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ())))
-         (Array.of_list xs))
-  else
-    let p = create ~jobs in
-    Fun.protect ~finally:(fun () -> shutdown p) (fun () -> map_pool p f xs)
+  List.init n (fun i ->
+      match results.(i) with
+      | Some (Ok v) -> v
+      | Some (Error _) | None -> assert false)

@@ -1,4 +1,4 @@
-(** Fixed-size domain pool with an ordered fan-out/fan-in combinator.
+(** Ordered one-shot fan-out/fan-in over domains.
 
     Built for the experiment runners: each work item owns an independent
     simulation world (engine, RNG streams, registry), so items never share
@@ -11,38 +11,20 @@
     mutable state or shared channels.  The libraries under [lib/] keep all
     run state inside per-world values (audited: the cost_model/scenarios
     lookup tables are immutable lists built once at module initialization,
-    in the main domain, before any pool exists — sharing them read-only
-    across domains is safe).  Printing belongs to the caller, at fan-in. *)
+    in the main domain, before any domain is spawned — sharing them
+    read-only across domains is safe).  Printing belongs to the caller, at
+    fan-in. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: the default for [--jobs]. *)
 
-type pool
-(** A fixed-size pool of worker domains.  A pool with [jobs = n] uses
-    [n - 1] spawned domains plus the submitting domain itself, so
-    [jobs = 1] spawns nothing and runs everything in the caller. *)
-
-val create : jobs:int -> pool
-(** Spawn the pool.  [jobs] is clamped to at least 1. *)
-
-val jobs : pool -> int
-
-val map_pool : pool -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_pool pool f xs] applies [f] to every element, fanning the work out
-    across the pool, and returns the results in the order of [xs].
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] applies [f] to every element and returns the results
+    in the order of [xs].  The calling domain works alongside
+    [min jobs (List.length xs) - 1] spawned domains, all claiming indices
+    from one atomic counter, and joins them before returning; [jobs <= 1]
+    spawns nothing and runs every item in the caller.
 
     If one or more applications raise, the exception raised for the {e
     lowest} input index is re-raised in the caller (with its backtrace)
-    once the whole batch has drained — deterministic regardless of worker
-    scheduling.
-
-    Not reentrant: one batch at a time per pool, and [f] must not itself
-    call into the same pool. *)
-
-val shutdown : pool -> unit
-(** Join the worker domains.  The pool is unusable afterwards. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: create a pool, run the batch, shut it down.
-    [map ~jobs:1 f xs] degenerates to [List.map f xs] in the calling
-    domain (no domain is spawned). *)
+    once every item has run — deterministic regardless of scheduling. *)

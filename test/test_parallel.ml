@@ -1,5 +1,5 @@
 (* The Parallel combinator: ordered fan-in, deterministic exception
-   choice, in-caller jobs=1 fallback, pool reuse. *)
+   choice, in-caller jobs=1 fallback, independent batches. *)
 
 let check_ints = Alcotest.(check (list int))
 
@@ -38,24 +38,26 @@ let test_jobs1_in_calling_domain () =
       Alcotest.(check bool) "jobs=1 runs in the calling domain" true (d = self))
     domains
 
-let test_pool_reuse () =
-  let pool = Parallel.create ~jobs:3 in
-  Alcotest.(check int) "pool job count" 3 (Parallel.jobs pool);
-  let a = Parallel.map_pool pool (fun x -> x + 1) [ 1; 2; 3 ] in
-  let b = Parallel.map_pool pool string_of_int [ 4; 5 ] in
-  (* a batch that raises must not poison the pool for the next batch *)
-  (try ignore (Parallel.map_pool pool (fun _ -> raise Exit) [ 0 ])
+let test_batches_around_a_raise () =
+  let a = Parallel.map ~jobs:3 (fun x -> x + 1) [ 1; 2; 3 ] in
+  (* a batch that raises leaves nothing behind for the next batch *)
+  (try ignore (Parallel.map ~jobs:3 (fun _ -> raise Exit) [ 0; 1; 2 ])
    with Exit -> ());
-  let c = Parallel.map_pool pool (fun x -> x * 10) [ 6; 7 ] in
-  Parallel.shutdown pool;
+  let b = Parallel.map ~jobs:3 string_of_int [ 4; 5 ] in
   check_ints "first batch" [ 2; 3; 4 ] a;
-  Alcotest.(check (list string)) "second batch" [ "4"; "5" ] b;
-  check_ints "post-exception batch" [ 60; 70 ] c
+  Alcotest.(check (list string)) "post-exception batch" [ "4"; "5" ] b
 
 let test_jobs_clamped () =
-  let pool = Parallel.create ~jobs:0 in
-  Alcotest.(check int) "jobs clamped to 1" 1 (Parallel.jobs pool);
-  Parallel.shutdown pool;
+  let self = Domain.self () in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun d ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d runs in the calling domain" jobs)
+            true (d = self))
+        (Parallel.map ~jobs (fun _ -> Domain.self ()) [ 1; 2 ]))
+    [ 0; -3 ];
   Alcotest.(check bool) "recommended_jobs positive" true
     (Parallel.recommended_jobs () >= 1)
 
@@ -67,6 +69,7 @@ let suite =
       test_exception_lowest_index;
     Alcotest.test_case "jobs=1 in calling domain" `Quick
       test_jobs1_in_calling_domain;
-    Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+    Alcotest.test_case "batches around a raising one" `Quick
+      test_batches_around_a_raise;
     Alcotest.test_case "jobs clamping" `Quick test_jobs_clamped;
   ]
