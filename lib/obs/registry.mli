@@ -1,9 +1,8 @@
-(** Named metrics registry: counters, gauges and streaming histograms.
+(** Named registry of streaming histograms.
 
-    One registry travels with one simulation world.  All recording
-    operations find-or-create, so no metric needs prior declaration;
-    listing operations return name-sorted bindings so snapshots are
-    deterministic. *)
+    One registry travels with one simulation world.  Lookups by name
+    find-or-create, so no histogram needs prior declaration; listing
+    returns name-sorted bindings so snapshots are deterministic. *)
 
 type t
 
@@ -11,20 +10,9 @@ val create : unit -> t
 
 (** {2 Recording} *)
 
-val incr : t -> ?by:int -> string -> unit
-(** Bump a counter ([by] defaults to 1). *)
-
-val set_gauge : t -> string -> float -> unit
-
-val max_gauge : t -> string -> float -> unit
-(** Keep the maximum of the values seen (high-water marks). *)
-
-val observe : t -> ?buckets_per_decade:int -> string -> float -> unit
-(** Record one sample into the named {!Histogram}.  [buckets_per_decade]
-    only applies when the observation creates the histogram. *)
-
 val histogram : t -> ?buckets_per_decade:int -> string -> Histogram.t
-(** Find-or-create the named histogram. *)
+(** Find-or-create the named histogram.  [buckets_per_decade] only
+    applies when the lookup creates it. *)
 
 (** {2 Fixed histogram sets} *)
 
@@ -44,22 +32,13 @@ val observe_at : handles -> int -> float -> unit
 
 (** {2 Reading} *)
 
-val counter_value : t -> string -> int
-(** 0 for a counter never incremented. *)
-
-val gauge_value : t -> string -> float option
 val find_histogram : t -> string -> Histogram.t option
 
-val counters : t -> (string * int) list
-(** Name-sorted. *)
-
-val gauges : t -> (string * float) list
 val histograms : t -> (string * Histogram.t) list
+(** Name-sorted. *)
 
 (** {2 Lifecycle} *)
 
 val merge : into:t -> t -> unit
-(** Counters add, gauges keep the maximum, histograms merge pointwise
-    (per-worker registries folding into a global one). *)
-
-val clear : t -> unit
+(** Histograms merge pointwise (per-worker registries folding into a
+    global one). *)

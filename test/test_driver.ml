@@ -63,20 +63,12 @@ let violating_plan =
   ]
 
 let registry_fingerprint reg =
-  let counters =
-    List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Obs.Registry.counters reg)
-  in
-  let gauges =
-    List.map (fun (k, v) -> Printf.sprintf "%s=%.9g" k v) (Obs.Registry.gauges reg)
-  in
-  let hists =
-    List.map
-      (fun (k, h) ->
-        Printf.sprintf "%s:n=%d,sum=%.9g,max=%.9g" k (Obs.Histogram.count h)
-          (Obs.Histogram.sum h) (Obs.Histogram.max_value h))
-      (Obs.Registry.histograms reg)
-  in
-  String.concat "\n" (counters @ gauges @ hists)
+  String.concat "\n"
+    (List.map
+       (fun (k, h) ->
+         Printf.sprintf "%s:n=%d,sum=%.9g,max=%.9g" k (Obs.Histogram.count h)
+           (Obs.Histogram.sum h) (Obs.Histogram.max_value h))
+       (Obs.Registry.histograms reg))
 
 let check_lines = Alcotest.(check (list string))
 

@@ -357,47 +357,28 @@ let prop_matches_reference =
 
 (* --- registry -------------------------------------------------------- *)
 
-let test_registry_counters_gauges () =
-  let r = R.create () in
-  R.incr r "commits";
-  R.incr r ~by:4 "commits";
-  Alcotest.(check int) "counter" 5 (R.counter_value r "commits");
-  Alcotest.(check int) "missing counter reads 0" 0 (R.counter_value r "nope");
-  R.set_gauge r "depth" 3.0;
-  R.set_gauge r "depth" 1.0;
-  Alcotest.(check (option (float 1e-9))) "set overwrites" (Some 1.0)
-    (R.gauge_value r "depth");
-  R.max_gauge r "hwm" 3.0;
-  R.max_gauge r "hwm" 1.0;
-  Alcotest.(check (option (float 1e-9))) "max keeps hwm" (Some 3.0)
-    (R.gauge_value r "hwm")
-
 let test_registry_histograms () =
   let r = R.create () in
-  R.observe r "lat" 1.0;
-  R.observe r "lat" 2.0;
+  H.record (R.histogram r "lat") 1.0;
+  H.record (R.histogram r "lat") 2.0;
   let h = R.histogram r "lat" in
-  Alcotest.(check int) "observe find-or-creates" 2 (H.count h);
+  Alcotest.(check int) "histogram find-or-creates" 2 (H.count h);
   Alcotest.(check bool) "find_histogram" true (R.find_histogram r "lat" <> None);
   Alcotest.(check bool) "unknown name" true (R.find_histogram r "x" = None);
-  R.observe r "b" 1.0;
-  R.observe r "a" 1.0;
+  H.record (R.histogram r "b") 1.0;
+  H.record (R.histogram r "a") 1.0;
   Alcotest.(check (list string)) "name-sorted listing" [ "a"; "b"; "lat" ]
     (List.map fst (R.histograms r))
 
 let test_registry_merge () =
   let a = R.create () and b = R.create () in
-  R.incr a ~by:2 "n";
-  R.incr b ~by:3 "n";
-  R.max_gauge a "g" 1.0;
-  R.max_gauge b "g" 5.0;
-  R.observe a "h" 1.0;
-  R.observe b "h" 10.0;
+  H.record (R.histogram a "h") 1.0;
+  H.record (R.histogram b "h") 10.0;
+  H.record (R.histogram b "only-b") 3.0;
   R.merge ~into:a b;
-  Alcotest.(check int) "counters add" 5 (R.counter_value a "n");
-  Alcotest.(check (option (float 1e-9))) "gauges keep max" (Some 5.0)
-    (R.gauge_value a "g");
-  Alcotest.(check int) "histograms merge" 2 (H.count (R.histogram a "h"))
+  Alcotest.(check int) "histograms merge" 2 (H.count (R.histogram a "h"));
+  Alcotest.(check (list string)) "missing names are created" [ "h"; "only-b" ]
+    (List.map fst (R.histograms a))
 
 (* --- span ------------------------------------------------------------ *)
 
@@ -483,8 +464,6 @@ let suite =
       test_merge_resolution_mismatch;
     Alcotest.test_case "summary" `Quick test_summary;
     QCheck_alcotest.to_alcotest prop_matches_reference;
-    Alcotest.test_case "registry counters and gauges" `Quick
-      test_registry_counters_gauges;
     Alcotest.test_case "registry histograms" `Quick test_registry_histograms;
     Alcotest.test_case "registry merge" `Quick test_registry_merge;
     Alcotest.test_case "span clamps negative durations" `Quick
