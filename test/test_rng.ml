@@ -90,6 +90,50 @@ let test_bool_both_values () =
   done;
   Alcotest.(check bool) "both booleans occur" true (!t && !f)
 
+(* The stream itself, read once and written down: a seed's first draws of
+   each kind, a split-off stream's, and the parent's after the split.  Any
+   change to how the state is kept or stepped must leave every run of the
+   simulator where it was, so these values must never move. *)
+let pinned =
+  [
+    ( 0,
+      4073552104164651883,
+      0x1.b9e279aa86e58p-2,
+      0x1.d109d798cb9c7p+1,
+      1407461662504689358,
+      0x1.47cd21c1847a9p-1,
+      490437550606523686 );
+    ( 1,
+      2612804094800205616,
+      0x1.7dd71b42cb1ddp-1,
+      0x1.e21d7bedcd632p-6,
+      1132654443127496440,
+      0x1.807cd75f81b81p-1,
+      2048809309281742190 );
+    ( 42,
+      3419864383188818853,
+      0x1.477f199d93378p-3,
+      0x1.472950897cfc1p+0,
+      919073589568351552,
+      0x1.ebb5cccae4594p-2,
+      175383196535490812 );
+  ]
+
+let test_pinned_stream () =
+  let exact = Alcotest.testable (fun ppf f -> Format.fprintf ppf "%h" f) Float.equal in
+  List.iter
+    (fun (seed, i, f, e, split_i, split_f, after_i) ->
+      let what kind = Printf.sprintf "seed %d: %s" seed kind in
+      let r = R.create ~seed in
+      Alcotest.(check int) (what "int") i (R.int r max_int);
+      Alcotest.check exact (what "float") f (R.float r 1.0);
+      Alcotest.check exact (what "exponential") e (R.exponential r ~mean:1.0);
+      let c = R.split r in
+      Alcotest.(check int) (what "split int") split_i (R.int c max_int);
+      Alcotest.check exact (what "split float") split_f (R.float c 1.0);
+      Alcotest.(check int) (what "int after split") after_i (R.int r max_int))
+    pinned
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -103,4 +147,5 @@ let suite =
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "pick returns a member" `Quick test_pick_member;
     Alcotest.test_case "bool takes both values" `Quick test_bool_both_values;
+    Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
   ]
