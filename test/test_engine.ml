@@ -130,6 +130,35 @@ let test_many_events_heap_growth () =
   check "all thousand events fired" 1000 !count;
   checkf "clock at max delay" 999.0 (E.now e)
 
+(* The flat cycle allocates nothing but a new clock box when time
+   advances.  On a warmed engine (arena and sorted run already at size),
+   a thousand [schedule_flat] calls with one preboxed delay allocate no
+   word, and firing the thousand events, which share one time, allocates
+   the one clock box plus [run]'s own few words. *)
+let test_flat_cycle_allocation () =
+  let e = E.create ~agenda:`Wheel () in
+  let fired = ref 0 in
+  let kind = E.register_kind e ~name:"count" (fun _ _ _ _ -> incr fired) in
+  let delay = 1.0 in
+  let batch () =
+    for i = 1 to 1000 do
+      ignore (E.schedule_flat e ~delay ~kind ~a0:i ~a1:0 ~a2:0)
+    done
+  in
+  batch ();
+  E.run e;
+  let before = Gc.minor_words () in
+  batch ();
+  let scheduling = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  E.run e;
+  let firing = Gc.minor_words () -. before in
+  Printf.printf "scheduling: %.0f words; firing: %.0f words\n" scheduling firing;
+  check "every event fired" 2000 !fired;
+  Alcotest.(check (float 0.0)) "words allocated by 1,000 schedules" 0.0 scheduling;
+  if firing /. 1000.0 >= 0.1 then
+    Alcotest.failf "firing 1,000 same-time events allocated %.0f words" firing
+
 let suite =
   [
     Alcotest.test_case "initial time" `Quick test_initial_time;
@@ -147,4 +176,6 @@ let suite =
     Alcotest.test_case "absolute time in past rejected" `Quick test_schedule_at_past_rejected;
     Alcotest.test_case "zero delay not reentrant" `Quick test_zero_delay_runs_now_not_reentrant;
     Alcotest.test_case "heap growth under load" `Quick test_many_events_heap_growth;
+    Alcotest.test_case "flat cycle allocates only the clock" `Quick
+      test_flat_cycle_allocation;
   ]
