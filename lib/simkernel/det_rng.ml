@@ -1,19 +1,25 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state is kept unboxed in 8 bytes: a mutable [int64]
+   field would box a new state at every draw.  [next] is inlined into each
+   draw, so its intermediate [int64]s stay unboxed too. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create ~seed = of_state (Int64.of_int seed)
+
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = next t in
-  { state = s }
+let split t = of_state (next t)
 
 let int t bound =
   assert (bound > 0);
