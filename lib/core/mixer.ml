@@ -383,18 +383,21 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       | x -> finish x outcome
       | exception Not_found -> ());
   (* -- work plans -------------------------------------------------- *)
-  let plan () =
-    List.filter_map
-      (fun (name, _) ->
+  (* one item per member that has work, in tree order; each draw is bound
+     before the recursive call, so the RNG is read in member order *)
+  let rec plan = function
+    | [] -> []
+    | (name, _) :: rest ->
         let u = Simkernel.Det_rng.float rng 1.0 in
         if u < cfg.update_prob then
           let key = "k" ^ string_of_int (Simkernel.Det_rng.int rng cfg.keyspace) in
-          Some { it_node = name; it_op = Op_update { key } }
+          let it = { it_node = name; it_op = Op_update { key } } in
+          it :: plan rest
         else if u < cfg.update_prob +. cfg.read_prob then
           let key = "k" ^ string_of_int (Simkernel.Det_rng.int rng cfg.keyspace) in
-          Some { it_node = name; it_op = Op_read { key } }
-        else None)
-      w.Run.nodes
+          let it = { it_node = name; it_op = Op_read { key } } in
+          it :: plan rest
+        else plan rest
   in
   (* A node its parent will leave out (marked idle there, and suspended)
      must not receive an unsolicited-vote trigger; every other unsolicited
@@ -532,7 +535,6 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     end
   in
   (* -- lock acquisition, one item at a time in tree order ---------- *)
-  (* one free variable for the per-item grant closure below *)
   let granted x it ~waited =
     if graphing () then
       let key = match it.it_op with Op_update { key } | Op_read { key } -> key in
@@ -541,7 +543,11 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         ~label:(Obs.Events.text log key)
         ~flags:(Obs.Events.seg (if waited then 3 else 0))
   in
-  let rec acquire x items =
+  (* Each lock is first asked for with a try-now call; only a request that
+     must queue builds a continuation, and the queue then grants it.
+     [value] is the transaction's one value string, shared by every
+     store it updates. *)
+  let rec acquire x value items =
     match items with
     | [] -> start_commit x
     | ({ it_node; it_op } as it) :: rest ->
@@ -551,28 +557,38 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
           fail_txn x
         else begin
           let kv = Run.kv w it_node in
-          let requested = E.now engine in
-          let after_grant () =
-            let waited = E.now engine -. requested in
-            if waited > 1e-9 then begin
-              x.x_waits <- x.x_waits + 1;
-              x.x_wait_time <- x.x_wait_time +. waited;
-              Obs.Histogram.record h_wait waited
-            end;
-            granted x it ~waited:(waited > 1e-9);
-            if x.x_timed_out then
-              (* granted after we gave up: let it go again *)
-              Kvstore.abort kv ~txn:x.x_txn (fun () -> ())
-            else acquire x rest
+          let txn = x.x_txn in
+          let now =
+            match it_op with
+            | Op_update { key } -> Kvstore.put kv ~txn ~key ~value
+            | Op_read { key } ->
+                Lockmgr.try_acquire (Kvstore.locks kv) ~txn ~key Lockmgr.Shared
           in
-          match it_op with
-          | Op_update { key } ->
-              Kvstore.put_async kv ~txn:x.x_txn ~key ~value:(txn_value x.x_txn)
-                ~granted:after_grant
-          | Op_read { key } ->
-              Kvstore.get_async kv ~txn:x.x_txn ~key ~granted:(fun _ ->
-                  after_grant ())
+          if now then proceed x value it rest kv ~waited:false
+          else begin
+            let requested = E.now engine in
+            let after_grant () =
+              let waited = E.now engine -. requested in
+              if waited > 1e-9 then begin
+                x.x_waits <- x.x_waits + 1;
+                x.x_wait_time <- x.x_wait_time +. waited;
+                Obs.Histogram.record h_wait waited
+              end;
+              proceed x value it rest kv ~waited:(waited > 1e-9)
+            in
+            match it_op with
+            | Op_update { key } ->
+                Kvstore.put_async kv ~txn ~key ~value ~granted:after_grant
+            | Op_read { key } ->
+                Kvstore.get_async kv ~txn ~key ~granted:(fun _ -> after_grant ())
+          end
         end
+  and proceed x value it rest kv ~waited =
+    granted x it ~waited;
+    if x.x_timed_out then
+      (* granted after we gave up: let it go again *)
+      Kvstore.abort kv ~txn:x.x_txn (fun () -> ())
+    else acquire x value rest
   in
   (* -- arrivals ---------------------------------------------------- *)
   let arrive i =
@@ -584,7 +600,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       {
         x_txn = txn;
         x_arrival = E.now engine;
-        x_items = plan ();
+        x_items = plan w.Run.nodes;
         x_commit_started = None;
         x_completed = None;
         x_outcome = None;
@@ -605,7 +621,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       Some
         (E.schedule_flat engine ~delay:cfg.lock_timeout ~kind:timeout_kind
            ~a0:i ~a1:0 ~a2:0);
-    acquire x x.x_items
+    acquire x (txn_value txn) x.x_items
   in
   let arrive_kind =
     E.register_kind engine ~name:"mixer.arrive" (fun i _ _ _ -> arrive i)

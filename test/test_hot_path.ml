@@ -136,9 +136,9 @@ let test_predicates_agree () =
    ledger.  [run_full] includes the end-of-run aggregation and audit, so
    they are gated too.  The count is deterministic for one compiler
    version; on OCaml 5.1, the version CI pins, counter-only PA allocates
-   2,420 words and BFT (f=1) 3,577; PA with trace events on and the
-   causal graph recording 2,422, and with trace events on and the graph
-   off (the path of [tpc_sim run] and [sweep --events]) 2,421.  Each
+   1,871.7 words and BFT (f=1) 3,026.4; PA with trace events on and the
+   causal graph recording 1,873.6, and with trace events on and the graph
+   off (the path of [tpc_sim run] and [sweep --events]) 1,872.7.  Each
    ceiling sits about 5% above its figure, so an allocation regression on
    the commit path - PA's or the certificate path's - in the audit or in
    the observability hooks fails here before it reaches the benchmark.
@@ -147,10 +147,10 @@ let test_predicates_agree () =
    the footprint gate below prices the storage. *)
 let alloc_ceilings =
   [
-    ("pa", Presumed_abort, false, false, 2550.0);
-    ("bft", bft, false, false, 3760.0);
-    ("pa with trace and causal graph", Presumed_abort, true, true, 2550.0);
-    ("pa with trace, graph off", Presumed_abort, true, false, 2550.0);
+    ("pa", Presumed_abort, false, false, 1970.0);
+    ("bft", bft, false, false, 3180.0);
+    ("pa with trace and causal graph", Presumed_abort, true, true, 1970.0);
+    ("pa with trace, graph off", Presumed_abort, true, false, 1970.0);
   ]
 
 let test_alloc_ceiling (protocol, trace, graph, ceiling) () =
@@ -182,8 +182,8 @@ let test_alloc_ceiling (protocol, trace, graph, ceiling) () =
    the ledger's [retained_bytes_per_txn] measures, on a smaller world.
    The write-ahead logs' rows, the event log, the name tables and the
    stores are most of it.  Deterministic for one compiler version: on
-   OCaml 5.1 it is 376.5 words, and the ceiling sits about 5% above. *)
-let retained_ceiling = 395.0
+   OCaml 5.1 it is 365.2 words, and the ceiling sits about 5% above. *)
+let retained_ceiling = 385.0
 
 let test_retained_ceiling () =
   let config = default_config |> with_protocol Presumed_abort |> with_trace_events false in
