@@ -88,6 +88,17 @@ val set_on_crash : t -> (unit -> unit) -> unit
     fail transactions that depended on this node and had not yet entered
     the commit protocol. *)
 
+val failure_domain : t -> t list
+(** The members that fail together with this one, itself included, in
+    tree order: [[t]] unless {!set_failure_domain} said otherwise.  A
+    crash point planted at this member ({!Types.fault}) crashes every
+    member of the list still up, and its restart restarts exactly
+    those. *)
+
+val set_failure_domain : t -> t list -> unit
+(** Declare the failure domain: {!Run.setup} gives each member itself
+    and the members that share its write-ahead log. *)
+
 val set_registry : t -> Obs.Registry.t -> unit
 (** Attach a telemetry registry: every protocol phase transition then
     streams the residence time of the phase being left into the

@@ -76,6 +76,15 @@ let setup ?(config = default_config) ?scratch tree =
     @ List.concat_map (build (Some p) (Some wal)) children
   in
   let nodes = build None None tree in
+  (* members on one physical log are one system (the shared log belongs
+     to a colocated resource manager): they fail and restart together *)
+  List.iter
+    (fun (_, n) ->
+      Participant.set_failure_domain n.participant
+        (List.filter_map
+           (fun (_, m) -> if m.wal == n.wal then Some m.participant else None)
+           nodes))
+    nodes;
   let by_name = Names.create 16 in
   List.iter (fun (name, n) -> Names.replace by_name name n) nodes;
   let root = (tree_profile tree).p_name in

@@ -511,18 +511,12 @@ let inject ?(broken_recovery = false) ?(jitter_seed = 0x5eed) plan
       | Crash { at; node; restart_after } ->
           if known node then
             sched_at ~at (fun () ->
-                (* members on one physical log are one system (the shared
-                   log belongs to a colocated resource manager): they fail
-                   and restart together, in tree order *)
-                let log = (Tpc.Run.node w node).Tpc.Run.wal in
+                (* the member's failure domain (its log-mates) fails and
+                   restarts with it, in tree order *)
                 let down =
-                  List.filter_map
-                    (fun (_, (n : Tpc.Run.node)) ->
-                      let p = n.participant in
-                      if n.wal == log && not (Tpc.Participant.is_crashed p)
-                      then Some p
-                      else None)
-                    w.Tpc.Run.nodes
+                  List.filter
+                    (fun p -> not (Tpc.Participant.is_crashed p))
+                    (Tpc.Participant.failure_domain (Tpc.Run.participant w node))
                 in
                 if down <> [] then begin
                   List.iter Tpc.Participant.force_crash down;

@@ -147,12 +147,13 @@ val inject :
 (** Schedule every event of the plan onto the world's engine; pass as the
     [?inject] argument of {!Tpc.Mixer.run_full}.  Crash/restart events are
     guarded (a down node is not re-crashed, an up node not re-restarted) so
-    overlapping plans stay well-formed.  A crash's failure domain is every
-    member that shares the crashed member's write-ahead log (the
-    shared-log optimization; otherwise the member alone): members on one
-    physical log are one system, the colocated resource manager the log
-    belongs to.  The crash takes down, in tree order, each of them that is
-    up, and its restart brings back exactly those, in the same order.  [broken_recovery] substitutes
+    overlapping plans stay well-formed.  A crash acts on the crashed
+    member's {!Tpc.Participant.failure_domain}: every member that shares
+    its write-ahead log (the shared-log optimization; otherwise the member
+    alone), since members on one physical log are one system, the
+    colocated resource manager the log belongs to.  The crash takes down,
+    in tree order, each of them that is up, and its restart brings back
+    exactly those, in the same order.  [broken_recovery] substitutes
     {!Tpc.Participant.force_restart_amnesia} for every restart - the
     deliberately broken recovery the audit must catch.  Jitter draws come
     from a dedicated {!Simkernel.Det_rng} seeded with [jitter_seed]
