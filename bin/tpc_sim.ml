@@ -1066,7 +1066,7 @@ let crash_term =
   let restart =
     Arg.(
       value
-      & opt (some float) (Some 30.0)
+      & opt (some float) None
       & info [ "restart-after" ] ~doc:"Restart delay; omit for a permanent crash.")
   in
   Term.(
