@@ -78,11 +78,17 @@ val step : t -> bool
 
     The dominant event classes (network delivery, WAL I/O completion,
     arrival timers) schedule an int-coded kind plus three unboxed int
-    argument slots instead of a closure: the whole schedule/fire cycle
-    allocates nothing.  A component registers its handler once per engine
-    and passes the returned {!kind} at every schedule site; payloads that
-    are not ints live in the component's own slot arenas, indexed by an
-    argument slot. *)
+    argument slots instead of a closure.  A component registers its
+    handler once per engine and passes the returned {!kind} at every
+    schedule site; payloads that are not ints live in the component's own
+    slot arenas, indexed by an argument slot.
+
+    Scheduling and firing a flat event allocate nothing except a new
+    clock box when time advances (the clock is kept boxed, so {!now}
+    allocates nothing), plus the box a caller makes for a computed delay
+    or time; a constant is preboxed.  Each {!run} or {!run_until} call
+    allocates a few words of its own, and arena and agenda growth stops
+    once the engine reaches its high-water mark. *)
 
 type kind
 (** An int-coded event class, valid for the engine that registered it
