@@ -26,9 +26,15 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t bound =
+(* [float] and [exponential] are inlined into the draws below, so their
+   floats stay unboxed there *)
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
+
+let below t p q =
+  let u = float t 1.0 in
+  if u < p then 0 else if u < q then 1 else 2
 
 let bool t = Int64.logand (next t) 1L = 1L
 
@@ -36,10 +42,17 @@ let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
+
+let arrivals t ~mean a =
+  let at = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- !at;
+    at := !at +. exponential t ~mean
+  done
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

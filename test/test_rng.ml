@@ -134,6 +134,53 @@ let test_pinned_stream () =
       Alcotest.(check int) (what "int after split") after_i (R.int r max_int))
     pinned
 
+(* [below] and [arrivals] stand for draws a caller used to make with
+   [float] and [exponential]: they must return what those compares and
+   sums gave, to the last bit, and leave the stream where those calls
+   left it. *)
+let test_draw_helpers_match () =
+  let exact = Alcotest.testable (fun ppf f -> Format.fprintf ppf "%h" f) Float.equal in
+  List.iter
+    (fun seed ->
+      let a = R.create ~seed and b = R.create ~seed in
+      List.iter
+        (fun (p, q) ->
+          for _ = 1 to 200 do
+            let u = R.float b 1.0 in
+            let expected = if u < p then 0 else if u < q then 1 else 2 in
+            Alcotest.(check int) (Printf.sprintf "seed %d: below" seed) expected
+              (R.below a p q)
+          done)
+        [ (0.6, 0.85); (0.0, 0.5); (0.3, 0.3); (1.0, 1.0) ];
+      List.iter
+        (fun (n, mean) ->
+          let times = Array.make n nan in
+          R.arrivals a ~mean times;
+          let at = ref 0.0 in
+          for i = 0 to n - 1 do
+            Alcotest.check exact (Printf.sprintf "seed %d: arrival %d" seed i) !at
+              times.(i);
+            at := !at +. R.exponential b ~mean
+          done)
+        [ (60, 3.75); (1, 1.875); (0, 2.0); (500, 0.0) ];
+      Alcotest.(check int) (Printf.sprintf "seed %d: the stream moved on alike" seed)
+        (R.int b max_int) (R.int a max_int))
+    [ 0; 1; 42 ]
+
+(* Neither helper hands a float back, so neither boxes one. *)
+let test_draw_helpers_allocate_nothing () =
+  let r = R.create ~seed:3 in
+  let times = Array.make 1000 0.0 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    if R.below r 0.6 0.85 = 0 then incr hits
+  done;
+  R.arrivals r ~mean:2.0 times;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some draws fall below" true (!hits > 0);
+  Alcotest.(check (float 0.0)) "words allocated by 1,000 draws of each" 0.0 words
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -148,4 +195,8 @@ let suite =
     Alcotest.test_case "pick returns a member" `Quick test_pick_member;
     Alcotest.test_case "bool takes both values" `Quick test_bool_both_values;
     Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
+    Alcotest.test_case "below and arrivals draw as float and exponential"
+      `Quick test_draw_helpers_match;
+    Alcotest.test_case "below and arrivals allocate nothing" `Quick
+      test_draw_helpers_allocate_nothing;
   ]
