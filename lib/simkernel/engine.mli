@@ -33,13 +33,16 @@ val create : ?agenda:[ `Wheel | `Heap ] -> unit -> t
 
 val reset : t -> unit
 (** Return the engine to the fresh-create state — clock zero, empty
-    agenda, zeroed counters, no registered kinds, no interned names
-    ({!ids}) — while keeping every
-    internal array at its high-water capacity.  Lets a driver recycle one
-    engine across many small simulation worlds without re-paying
-    allocation warm-up; a world built on a reset engine is byte-identical
-    to one built on a fresh engine.  Outstanding {!event} handles from
-    before the reset are defused (cancelling them is a no-op). *)
+    agenda, no {!stream}, zeroed counters, no registered kinds, no
+    interned names ({!ids}) — while keeping every internal array at its
+    high-water capacity.  Lets a driver recycle one engine across many
+    small simulation worlds without re-paying allocation warm-up; a world
+    built on a reset engine is byte-identical to one built on a fresh
+    engine.  Outstanding {!event} handles from before the reset are
+    defused (cancelling them is a no-op).  Its cost is one pass over the
+    arena's freelist links plus a write per slot still on the agenda
+    (pending or cancelled) and per occupied wheel bucket: a free slot's
+    handles went stale when it was freed, so it is not rewritten. *)
 
 val now : t -> float
 (** Current virtual time. *)
@@ -77,7 +80,7 @@ val step : t -> bool
 (** {2 Flat events}
 
     The dominant event classes (network delivery, WAL I/O completion,
-    arrival timers) schedule an int-coded kind plus three unboxed int
+    protocol timers) schedule an int-coded kind plus three unboxed int
     argument slots instead of a closure.  A component registers its
     handler once per engine and passes the returned {!kind} at every
     schedule site; payloads that are not ints live in the component's own
@@ -113,6 +116,27 @@ val schedule_flat : t -> delay:float -> kind:kind -> a0:int -> a1:int -> a2:int 
 val schedule_flat_at : t -> time:float -> kind:kind -> a0:int -> a1:int -> a2:int -> event
 (** Absolute-time variant of {!schedule_flat}. *)
 
+val stream : t -> kind:kind -> float array -> unit
+(** [stream t ~kind times] stands for the [Array.length times] flat events
+    that [schedule_flat_at t ~time:times.(i) ~kind ~a0:i ~a1:0 ~a2:0] would
+    make if called now for each [i] in order, such as a workload's
+    arrivals.  Their firing order, {!pending} and every {!stats} counter
+    are exactly those of scheduling them all now, on either agenda: each
+    one's sequence number is reserved now, and the ones not yet on the
+    agenda count as pending.  But only the next of them sits on the
+    agenda: when it fires, the engine places its successor (copying its
+    time from [times], so nothing is boxed) before the handler runs.  The
+    agenda and the arena therefore hold one event of the stream rather
+    than all of them.
+
+    [times] must not decrease, and its first element must not precede
+    {!now}; a NaN anywhere is refused too.  The engine keeps [times] until
+    it has placed the last element, then drops it, so the caller must not
+    write to it meanwhile.  The events cannot be cancelled (no handle is
+    returned).  One stream runs at a time: a second one while the first
+    has elements left raises [Invalid_argument], as does a bad [times];
+    an empty [times] does nothing.  {!reset} drops an unfinished stream. *)
+
 (** {2 Profiling}
 
     Observational counters maintained by the engine itself; nothing in the
@@ -120,7 +144,9 @@ val schedule_flat_at : t -> time:float -> kind:kind -> a0:int -> a1:int -> a2:in
 
 type stats = {
   events_processed : int;  (** thunks actually fired *)
-  events_scheduled : int;  (** {!schedule}/{!schedule_at} calls *)
+  events_scheduled : int;
+      (** events scheduled by any call, each element of a {!stream}
+          counted when the stream is created *)
   events_cancelled : int;  (** {!cancel} calls that hit a pending event *)
   max_queue_depth : int;  (** high-water mark of pending (live) events *)
   wall_seconds : float;
