@@ -191,6 +191,10 @@ type t = {
          (txn, report); populated where the protocol says reports stop
          (immediate coordinator for PA/basic, root for PN) *)
   steps : txn_state Step.arena;  (* pending steps' slots; a crash frees them *)
+  retry_delays : float list;
+      (* [retry_delay] for attempts 0 to 6.  A list holds each float boxed,
+         where a [float array] would unbox it, so arming a retry passes
+         the engine a ready box and allocates none. *)
 }
 
 (* The registry histograms a member records into: one per phase, in
@@ -335,9 +339,13 @@ let arm t st ~delay kind arg = Step.arm t.steps ~epoch:t.epoch ~delay st kind ar
 (* Retransmission period for the [attempt]-th retry: exponential backoff by
    [retry_backoff], capped at 64x so a misconfigured multiplier cannot push
    the next attempt past any reasonable horizon.  The default multiplier of
-   1.0 reproduces the classic fixed-period schedule exactly. *)
-let retry_delay (t : t) attempt =
-  t.cfg.retry_interval *. (t.cfg.retry_backoff ** float_of_int (min attempt 6))
+   1.0 reproduces the classic fixed-period schedule exactly.  The seven
+   periods are computed once per member, as [retry_delays]. *)
+let retry_delays (cfg : config) =
+  List.init 7 (fun attempt ->
+      cfg.retry_interval *. (cfg.retry_backoff ** float_of_int attempt))
+
+let retry_delay (t : t) attempt = List.nth t.retry_delays (min attempt 6)
 
 (* ------------------------------------------------------------------ *)
 (* Event rows                                                          *)
@@ -1936,6 +1944,7 @@ let create ~net ~trace ~(cfg : config) ~profile ~parent ~child_profiles ~wal ~kv
     rejected = 0;
     damage_seen = [];
     steps;
+    retry_delays = retry_delays cfg;
     }
   in
   tref := Some t;
