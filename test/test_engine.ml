@@ -159,6 +159,36 @@ let test_flat_cycle_allocation () =
   if firing /. 1000.0 >= 0.1 then
     Alcotest.failf "firing 1,000 same-time events allocated %.0f words" firing
 
+(* A stream refuses times that decrease or precede now, and a second
+   stream while the first has an element left; an empty one does
+   nothing, and one whose last element fired makes way for the next. *)
+let test_stream_contract () =
+  let e = E.create () in
+  let seen = ref [] in
+  let kind = E.register_kind e ~name:"element" (fun i _ _ _ -> seen := i :: !seen) in
+  let refused what times =
+    match E.stream e ~kind times with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "stream accepted %s" what
+  in
+  refused "a decreasing time" [| 1.0; 2.0; 1.5 |];
+  refused "a nan" [| 1.0; nan |];
+  E.stream e ~kind [||];
+  check "an empty stream schedules nothing" 0 (E.pending e);
+  E.stream e ~kind [| 1.0; 1.0; 3.0 |];
+  check "every element pending at once" 3 (E.pending e);
+  refused "a second stream" [| 4.0 |];
+  E.run_until e 2.0;
+  check "the last element still pending" 1 (E.pending e);
+  refused "a second stream mid-way" [| 5.0 |];
+  E.run e;
+  refused "a time before now" [| 1.0 |];
+  E.stream e ~kind [| 5.0 |];
+  E.run e;
+  Alcotest.(check (list int)) "elements fire in order, with their index"
+    [ 0; 1; 2; 0 ] (List.rev !seen);
+  checkf "clock at the last element" 5.0 (E.now e)
+
 let suite =
   [
     Alcotest.test_case "initial time" `Quick test_initial_time;
@@ -178,4 +208,5 @@ let suite =
     Alcotest.test_case "heap growth under load" `Quick test_many_events_heap_growth;
     Alcotest.test_case "flat cycle allocates only the clock" `Quick
       test_flat_cycle_allocation;
+    Alcotest.test_case "stream contract" `Quick test_stream_contract;
   ]
