@@ -111,22 +111,34 @@ val run_full :
   Types.tree ->
   Metrics.Agg.t * Run.world * txn_summary list
 (** Like {!run}, additionally returning per-transaction summaries for
-    external audits.  [inject] runs after the world is built and every
-    arrival is scheduled, but before the engine starts: a fault plan uses
-    it to schedule crashes, partitions, message drops and jitter onto the
-    same virtual clock.  Passing [inject] at all (even a function that
-    schedules nothing) also arms the branch-abandonment watchdog: one
-    check per committing transaction, at [cfg.lock_timeout] after its
-    commit starts, that aborts a member's branch still holding work the
-    protocol never asked it to vote on (its coordinator died or was cut
-    off).  [causal] (default [Off]) sets the mode of the
+    external audits.  [inject] runs after the world is built and the
+    arrivals are handed to the engine (an {!Simkernel.Engine.stream} of
+    all [cfg.txns] arrival times, drawn up front), but before the engine
+    starts: a fault plan uses it to schedule crashes, partitions, message
+    drops and jitter onto the same virtual clock.  Passing [inject] at
+    all (even a function that schedules nothing) also arms the
+    branch-abandonment watchdog: one check per committing transaction,
+    at [cfg.lock_timeout] after its commit starts, that aborts a
+    member's branch still holding work the protocol never asked it to
+    vote on (its coordinator died or was cut off).  [causal] (default [Off]) sets the mode of the
     world's {!Obs.Causal} recorder: with [Graph], every transaction's
     commit becomes a causal event graph reachable from
     [world.Run.causal] — arrivals, lock grants and the commit trigger are
     recorded on the root's chain so each graph is connected from arrival
     to the application-notified terminal.  [scratch] is forwarded to
     {!Run.setup}: the world is built on a recycled engine instead of a
-    fresh one. *)
+    fresh one.
+
+    The returned world keeps its logs, stores, name table
+    ({!Simkernel.Engine.ids}) and event log, and the caller keeps the
+    summaries, but the driver's own per-transaction records are released
+    once the summaries are built, so a finished world does not retain
+    them.  The driver's hooks stay installed and reach no transaction of
+    the run: at quiescence every transaction has started its commit or
+    finished, so a crash hook fired afterwards would have acted on none
+    anyway, and a completion the caller brings about after the run (say,
+    by restarting a silenced root) changes no summary and no
+    aggregate. *)
 
 val run :
   ?config:Types.config ->
