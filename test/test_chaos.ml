@@ -637,6 +637,52 @@ let test_audits_match_reference () =
   in
   let mix = { M.default_cfg with txns = 60; concurrency = 6; seed = 309 } in
   tally (audits_agree ~label:"chaos cell 309" config mix cells_tree plan);
+  (* the cells of test/golden/chaos-damage.sh: seeds 42..61 of
+     `tpc_sim chaos --txns 40` per protocol and adversary mode *)
+  let cli_tree = Workload.mixer_tree ~n:5 ~opts:[] () in
+  let gen = { F.default_gen with horizon = 150.0 } in
+  let adversary =
+    { gen with F.equivocations = 2; vote_flips = 2; forgeries = 2; forced_heuristics = 2 }
+  in
+  let modes =
+    [
+      ("--adversary", false, adversary);
+      ("--adversary --broken-recovery", true, adversary);
+      ("--forced-heuristics 6", false, { gen with F.forced_heuristics = 6 });
+    ]
+  in
+  List.iter
+    (fun (protocol, modes) ->
+      let config =
+        default_config |> with_protocol protocol |> with_trace_events false
+        |> with_retries ~interval:25.0 ~max:8
+        |> with_prepare_retries 2 |> with_retry_backoff 2.0
+      in
+      List.iter
+        (fun (mode, broken_recovery, gen) ->
+          for seed = 42 to 61 do
+            let label =
+              Printf.sprintf "%s %s seed %d" (protocol_to_string protocol) mode seed
+            in
+            tally
+              (audits_agree ~label ~broken_recovery config
+                 { M.default_cfg with txns = 40; concurrency = 8; seed }
+                 cli_tree
+                 (F.gen ~seed ~nodes:(F.tree_nodes cli_tree) gen))
+          done)
+        modes)
+    [
+      (Basic, modes);
+      (Presumed_abort, modes);
+      (Presumed_nothing, modes);
+      ( Custom "bft",
+        modes
+        @ [
+            ( "--equivocations 3 --corrupt-replicas 3",
+              false,
+              { gen with F.equivocations = 3; corruptions = 3 } );
+          ] );
+    ];
   Alcotest.(check bool) "some case fails the audit" true (!failed > 0);
   Alcotest.(check bool) "some case diverges" true (!diverged > 0);
   Alcotest.(check bool) "some case has heuristic damage" true (!damaged > 0)
