@@ -556,6 +556,91 @@ let test_each_audit_counter_fires () =
       ("leaked_locks", 1, stray_lock);
     ]
 
+(* --- each damage class fires alone ---------------------------------------- *)
+
+(* The damage accounting of a finished world, checked against the
+   record-list reference. *)
+let read_damage (w, summaries) =
+  let fields = F.accounting_fields (F.account w summaries) in
+  Alcotest.(check (list (pair string int)))
+    "Faultlab.account matches the reference"
+    (F.accounting_fields (Audit_ref.account w summaries))
+    fields;
+  fields
+
+(* a committed transaction and a subordinate it updated *)
+let commit_at_subordinate summaries =
+  first "commit updating a subordinate"
+    (fun (x : M.txn_summary) ->
+      if x.M.ts_outcome <> Some Committed then None
+      else
+        List.find_map
+          (fun (node, _) -> if node <> "coord" then Some (x.M.ts_txn, node) else None)
+          (update_items x))
+    summaries
+
+let append w node ~txn ~writer kind =
+  Wal.Log.append (wal_of w node) (Wal.Log_record.make ~txn ~node:writer kind)
+
+(* The member durably records an abort of the commit, then a heuristic
+   abort after it: it was told what it did, so no honest party sees damage,
+   and its abort contradicts the commit. *)
+let told_what_it_did (w, summaries) =
+  let txn, node = commit_at_subordinate summaries in
+  append w node ~txn ~writer:node Wal.Log_record.Aborted;
+  append w node ~txn ~writer:node Wal.Log_record.Heuristic_abort
+
+(* a heuristic abort of the commit, reported to the coordinator's console
+   on a late acknowledgment *)
+let heuristic_reported (w, summaries) =
+  let txn, node = commit_at_subordinate summaries in
+  append w node ~txn ~writer:node Wal.Log_record.Heuristic_abort;
+  Tpc.Net.inject w.Tpc.Run.net ~src:node ~dst:"coord"
+    [
+      Tpc.Msg.Ack_msg
+        {
+          txn;
+          damage = [ { Tpc.Msg.d_node = node; d_action = Aborted; d_outcome = Committed } ];
+          pending = false;
+        };
+    ];
+  Simkernel.Engine.run w.Tpc.Run.engine
+
+(* The store aborts the commit, and its member logs the heuristic abort
+   that explains it only afterwards; no console hears of it. *)
+let heuristic_silent (w, summaries) =
+  let txn, node = commit_at_subordinate summaries in
+  append w node ~txn ~writer:(Kvstore.name (kv_of w node)) Wal.Log_record.Rm_aborted;
+  append w node ~txn ~writer:node Wal.Log_record.Heuristic_abort
+
+(* a store left in doubt: a prepared write, recovered across a crash *)
+let store_in_doubt (w, _) =
+  let kv = kv_of w "sub1" in
+  Alcotest.(check bool) "tamper lock granted" true
+    (Kvstore.put kv ~txn:"tamper" ~key:"k0" ~value:"tamper");
+  Kvstore.prepare kv ~txn:"tamper" ~force:true ignore;
+  Simkernel.Engine.run w.Tpc.Run.engine;
+  Kvstore.crash kv;
+  Kvstore.recover kv
+
+let test_each_damage_class_fires () =
+  let clean = read_damage (finished_world ()) in
+  List.iter (fun (c, n) -> Alcotest.(check int) ("untampered " ^ c) 0 n) clean;
+  List.iter
+    (fun (class_, tamper) ->
+      let world = finished_world () in
+      tamper world;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "only %s fires" class_)
+        (List.map (fun (c, _) -> (c, if c = class_ then 1 else 0)) clean)
+        (read_damage world))
+    [
+      ("atomicity_violations", told_what_it_did);
+      ("heur_damage_reported", heuristic_reported);
+      ("heur_damage_silent", heuristic_silent);
+      ("blocked", store_in_doubt);
+    ]
+
 (* --- the row-reading audits against the record-list reference --------- *)
 
 (* Mixer.Audit, Faultlab.audit and Faultlab.account read the logs' rows
@@ -757,6 +842,8 @@ let suite =
       test_broken_recovery_caught_and_shrunk;
     Alcotest.test_case "each audit counter fires alone" `Quick
       test_each_audit_counter_fires;
+    Alcotest.test_case "each damage class fires alone" `Quick
+      test_each_damage_class_fires;
     Alcotest.test_case "adversarial event forms parse" `Quick
       test_adversarial_forms_parse;
     Alcotest.test_case "adversarial plans generate and round-trip" `Quick
