@@ -1017,17 +1017,7 @@ let check_crash_recovery ~restarted (world : Tpc.Run.world) =
         fail "member state contradicts the root's %s report"
           (outcome_to_string o)
   | Some _ | None -> ());
-  let has kind =
-    List.exists
-      (fun wal ->
-        List.exists
-          (fun (r : Wal.Log_record.t) -> r.kind = kind)
-          (Wal.Log.all_records wal))
-      (Tpc.Run.all_wals world)
-  in
-  let commit_ev = has Wal.Log_record.Committed || has Wal.Log_record.Rm_committed in
-  let abort_ev = has Wal.Log_record.Aborted || has Wal.Log_record.Rm_aborted in
-  if commit_ev && abort_ev then
+  if Tpc.Mixer.Audit.(divergence (scan world [])) > 0 then
     fail "divergence: both commit and abort evidence in the logs";
   !failures
 

@@ -117,20 +117,35 @@ module Audit = struct
 
   let total b = b.committed_missing + b.aborted_applied + b.bad_value
 
+  type heuristic = {
+    h_member : string;
+    h_txn : string;
+    h_id : int;
+    mutable h_action : outcome;
+    mutable h_told : outcome option;
+  }
+
   (* What the driver and the logs say about the transactions, indexed by
      id in the engine's name table. *)
   type evidence = {
     ev_world : Run.world;
-    ev_ids : Simkernel.Ids.t;
     ev_summaries : txn_summary array;
         (** by id; [no_summary] where only the logs name it *)
-    ev_flags : Bytes.t;  (** by id: [commits] and [aborts] bits *)
+    ev_flags : Bytes.t;  (** by id: the bits below *)
     ev_applied : string list array;
         (** by id: resource managers with an [Rm_committed] record for it *)
+    ev_heuristics : heuristic list;
   }
 
+  (* By id: some record commits (aborts) it; some member logged a
+     heuristic for it.  Without a heuristic record, strong evidence is
+     any commit (abort) record; with one, the second look sets a strong
+     bit of its own. *)
   let commits = 1
   let aborts = 2
+  let heuristic = 4
+  let bit = function Committed -> commits | Aborted -> aborts
+  let strong_bit o = bit o lsl 3
 
   let no_summary =
     {
@@ -143,12 +158,76 @@ module Audit = struct
       ts_completed = None;
     }
 
-  let[@inline] flag ev id f =
-    Char.code (Bytes.unsafe_get ev.ev_flags id) land f <> 0
+  let[@inline] has flags id f = Char.code (Bytes.unsafe_get flags id) land f <> 0
+  let[@inline] flag ev id f = has ev.ev_flags id f
+
+  (* whether any transaction from [id] on carries [f], building nothing *)
+  let rec any flags f id =
+    id < Bytes.length flags && (has flags id f || any flags f (id + 1))
 
   let mark flags id f =
     Bytes.unsafe_set flags id
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get flags id) lor f))
+
+  (* the outcome a commit or abort record gives, heuristic or not *)
+  let outcome_of = function
+    | Wal.Log_record.Committed | Wal.Log_record.Rm_committed
+    | Wal.Log_record.Heuristic_commit ->
+        Committed
+    | _ -> Aborted
+
+  (* The second look, taken only once the first pass found a heuristic
+     record.  A member's last heuristic for a transaction is its decision.
+     Then every log's records of those transactions are read again for
+     strong evidence, leaving out a member's store records with its
+     decision's action, and for what each member's TM records told it. *)
+  let read_heuristics w flags =
+    let rows f =
+      List.iter
+        (fun log ->
+          for i = 0 to Wal.Log.rows log - 1 do
+            f log (Wal.Log.row_kind log i) (Wal.Log.row_txn log i)
+              (Wal.Log.writer_name log (Wal.Log.row_writer log i))
+          done)
+        (Run.all_wals w)
+    in
+    let taken = ref [] in
+    let find id member =
+      List.find_opt (fun h -> h.h_id = id && String.equal h.h_member member) !taken
+    in
+    rows (fun log kind id member ->
+        match kind with
+        | Wal.Log_record.Heuristic_commit | Wal.Log_record.Heuristic_abort -> (
+            let h_action = outcome_of kind in
+            match find id member with
+            | Some h -> h.h_action <- h_action
+            | None ->
+                let h_txn = Wal.Log.txn_name log id in
+                taken :=
+                  { h_member = member; h_txn; h_id = id; h_action; h_told = None }
+                  :: !taken)
+        | _ -> ());
+    (* a decision explains its member's store records with its action *)
+    let explains id store o h =
+      h.h_id = id && h.h_action = o
+      && List.exists
+           (fun (name, n) ->
+             String.equal name h.h_member
+             && String.equal store (Kvstore.name n.Run.kv))
+           w.Run.nodes
+    in
+    rows (fun _ kind id writer ->
+        let o = outcome_of kind in
+        if has flags id heuristic then
+          match kind with
+          | Wal.Log_record.Committed | Wal.Log_record.Aborted ->
+              mark flags id (strong_bit o);
+              Option.iter (fun h -> h.h_told <- Some o) (find id writer)
+          | Wal.Log_record.Rm_committed | Wal.Log_record.Rm_aborted ->
+              if not (List.exists (explains id writer o) !taken) then
+                mark flags id (strong_bit o)
+          | _ -> ());
+    !taken
 
   (* One slot per id, then one pass over each physical log's rows:
      scanning per transaction would be quadratic in the run length, and
@@ -176,11 +255,14 @@ module Audit = struct
               mark flags id commits;
               applied.(id) <-
                 Wal.Log.writer_name wal (Wal.Log.row_writer wal i) :: applied.(id)
-          | Wal.Log_record.Committed | Wal.Log_record.Heuristic_commit ->
+          | Wal.Log_record.Committed ->
               mark flags (Wal.Log.row_txn wal i) commits
-          | Wal.Log_record.Rm_aborted | Wal.Log_record.Aborted
-          | Wal.Log_record.Heuristic_abort ->
+          | Wal.Log_record.Rm_aborted | Wal.Log_record.Aborted ->
               mark flags (Wal.Log.row_txn wal i) aborts
+          | Wal.Log_record.Heuristic_commit ->
+              mark flags (Wal.Log.row_txn wal i) (commits lor heuristic)
+          | Wal.Log_record.Heuristic_abort ->
+              mark flags (Wal.Log.row_txn wal i) (aborts lor heuristic)
           | Wal.Log_record.Rm_update | Wal.Log_record.Rm_prepared
           | Wal.Log_record.Checkpoint | Wal.Log_record.Commit_pending
           | Wal.Log_record.Prepared | Wal.Log_record.End
@@ -190,10 +272,11 @@ module Audit = struct
       (Run.all_wals w);
     {
       ev_world = w;
-      ev_ids = ids;
       ev_summaries = by_id;
       ev_flags = flags;
       ev_applied = applied;
+      ev_heuristics =
+        (if any flags heuristic 0 then read_heuristics w flags else []);
     }
 
   let divergence ev =
@@ -202,6 +285,20 @@ module Audit = struct
       if flag ev id commits && flag ev id aborts then incr n
     done;
     !n
+
+  let txns ev = Bytes.length ev.ev_flags
+  let heuristics ev = ev.ev_heuristics
+
+  let strong ev id o =
+    flag ev id (if flag ev id heuristic then strong_bit o else bit o)
+
+  let outcome ev id =
+    match ev.ev_summaries.(id).ts_outcome with
+    | Some _ as o -> o
+    | None ->
+        if strong ev id Committed then Some Committed
+        else if strong ev id Aborted then Some Aborted
+        else None
 
   let rec updates ~node ~key = function
     | [] -> false
@@ -271,7 +368,8 @@ module Audit = struct
             match value_owner v with
             | None -> ()  (* pre-loaded or foreign value *)
             | Some owner -> (
-                let id = Simkernel.Ids.find ev.ev_ids owner in
+                let ids = Simkernel.Engine.ids ev.ev_world.Run.engine in
+                let id = Simkernel.Ids.find ids owner in
                 let x =
                   if id >= 0 && id < Array.length ev.ev_summaries then
                     ev.ev_summaries.(id)

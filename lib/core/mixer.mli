@@ -63,11 +63,14 @@ val value_owner : string -> string option
     The audit makes one pass over each physical log's rows
     ({!Wal.Log.row_kind}, ...) and keeps its evidence in arrays indexed
     by transaction id ({!Simkernel.Engine.ids}): whether any record
-    commits each transaction, whether any aborts it, and which resource
-    managers (by {!Kvstore.name}) applied it.  It rebuilds no record, and
-    the bad-value check walks each committed store directly.  [scan]
-    names a summarized transaction that no layer named, so every
-    summary has an id. *)
+    commits each transaction, whether any aborts it, whether strong
+    evidence does, and which resource managers (by {!Kvstore.name})
+    applied it.  It rebuilds no record, and the bad-value check walks
+    each committed store directly.  [scan] names a summarized
+    transaction that no layer named, so every summary has an id.  The
+    same evidence feeds the chaos harness's verdict and damage accounting
+    and [tpc_sim crash].  The logs are read again only when the pass
+    found a heuristic record, so a run without one allocates no more. *)
 module Audit : sig
   type breakdown = {
     committed_missing : int;
@@ -93,6 +96,31 @@ module Audit : sig
 
   val breakdown : Run.world -> txn_summary list -> breakdown
   (** [check (scan w summaries)]. *)
+
+  val txns : evidence -> int
+  (** Transaction ids run from 0 to [txns ev - 1]. *)
+
+  val strong : evidence -> int -> Types.outcome -> bool
+  (** Whether strong evidence gives the transaction this outcome: a TM
+      outcome record, or a store's whose member logged no heuristic with
+      that action for it, wherever either sits in its log. *)
+
+  val outcome : evidence -> int -> Types.outcome option
+  (** The root's report, else what strong evidence gives (commit first). *)
+
+  (** A heuristic decision: a member's last heuristic record for a
+      transaction. *)
+  type heuristic = private {
+    h_member : string;
+    h_txn : string;
+    h_id : int;
+    mutable h_action : Types.outcome;
+    mutable h_told : Types.outcome option;
+        (** what the member's own last TM outcome record for the
+            transaction gives, wherever it sits in the log *)
+  }
+
+  val heuristics : evidence -> heuristic list
 end
 
 val validate : cfg -> unit

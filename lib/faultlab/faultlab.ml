@@ -660,8 +660,7 @@ let verdict_fields v =
     ("in_doubt", v.v_in_doubt);
   ]
 
-let audit (w : Tpc.Run.world) summaries =
-  let ev = Tpc.Mixer.Audit.scan w summaries in
+let verdict (w : Tpc.Run.world) ev =
   let b = Tpc.Mixer.Audit.check ev in
   let net = w.Tpc.Run.net in
   (* agreement: no transaction may carry both commit and abort evidence
@@ -715,6 +714,8 @@ let audit (w : Tpc.Run.world) summaries =
     v_in_doubt = !in_doubt_count;
   }
 
+let audit w summaries = verdict w (Tpc.Mixer.Audit.scan w summaries)
+
 (* ------------------------------------------------------------------ *)
 (* Damage accounting (adversarial audit)                               *)
 (* ------------------------------------------------------------------ *)
@@ -764,182 +765,83 @@ let blocking_json reg =
          (name, Tpc.Json.Obj fields))
        blocking_windows)
 
-(* RM records are logged under "<member>.rm"; map them back to the member
-   so heuristic-tainted RM evidence can be told apart from honest RM
-   evidence. *)
-let strip_rm n =
-  if Filename.check_suffix n ".rm" then Filename.chop_suffix n ".rm" else n
-
-let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
-  let net = w.Tpc.Run.net in
-  let wals = Tpc.Run.all_wals w in
-  (* pass 1: where were heuristic decisions taken, and which way? *)
-  let heur : (string * string, Tpc.Types.outcome) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  (* a row's writer and transaction names: the logs' own strings *)
-  let node_of wal i = Wal.Log.writer_name wal (Wal.Log.row_writer wal i) in
-  let txn_of wal i = Wal.Log.txn_name wal (Wal.Log.row_txn wal i) in
-  List.iter
-    (fun wal ->
-      for i = 0 to Wal.Log.rows wal - 1 do
-        match Wal.Log.row_kind wal i with
-        | Wal.Log_record.Heuristic_commit ->
-            Hashtbl.replace heur (node_of wal i, txn_of wal i) Tpc.Types.Committed
-        | Wal.Log_record.Heuristic_abort ->
-            Hashtbl.replace heur (node_of wal i, txn_of wal i) Tpc.Types.Aborted
-        | _ -> ()
-      done)
-    wals;
-  (* pass 2: per-transaction "strong" (non-heuristic) evidence.  A TM
-     outcome record is always honest knowledge (resolve_heuristic appends
-     the real outcome even at a damaged node); an RM record counts only
-     when its member did not reach that state heuristically. *)
-  let commit_strong : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let abort_strong : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* what each node was durably told the outcome was - under an
-     equivocating coordinator this can be a lie, which is how heuristic
-     damage gets concealed from its own member *)
-  let told : (string * string, Tpc.Types.outcome) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun wal ->
-      for i = 0 to Wal.Log.rows wal - 1 do
-        match Wal.Log.row_kind wal i with
-        | Wal.Log_record.Committed ->
-            let txn = txn_of wal i in
-            Hashtbl.replace told (node_of wal i, txn) Tpc.Types.Committed;
-            Hashtbl.replace commit_strong txn ()
-        | Wal.Log_record.Aborted ->
-            let txn = txn_of wal i in
-            Hashtbl.replace told (node_of wal i, txn) Tpc.Types.Aborted;
-            Hashtbl.replace abort_strong txn ()
-        | Wal.Log_record.Rm_committed ->
-            let txn = txn_of wal i in
-            if
-              Hashtbl.find_opt heur (strip_rm (node_of wal i), txn)
-              <> Some Tpc.Types.Committed
-            then Hashtbl.replace commit_strong txn ()
-        | Wal.Log_record.Rm_aborted ->
-            let txn = txn_of wal i in
-            if
-              Hashtbl.find_opt heur (strip_rm (node_of wal i), txn)
-              <> Some Tpc.Types.Aborted
-            then Hashtbl.replace abort_strong txn ()
-        | _ -> ()
-      done)
-    wals;
-  (* which damage reports reached an operator console (the damaged member
-     records its own detection; ack-borne copies land at coordinators) *)
-  let seen : (string * string * Tpc.Types.outcome, unit) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let report_truth : (string, Tpc.Types.outcome) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (_, (n : Tpc.Run.node)) ->
-      List.iter
-        (fun (txn, (d : Tpc.Msg.damage_report)) ->
-          Hashtbl.replace seen (txn, d.Tpc.Msg.d_node, d.Tpc.Msg.d_action) ();
-          Hashtbl.replace report_truth txn d.Tpc.Msg.d_outcome)
-        (Tpc.Participant.damage_seen n.Tpc.Run.participant))
-    w.Tpc.Run.nodes;
-  (* ground truth per transaction: the root's announced outcome when there
-     is one (a vote flipped to YES makes the root commit - that commit IS
-     the decision the protocol reached; the flipped voter's unilateral
-     abort is the violation), else strong durable evidence, else the
-     outcome some member resolved its heuristic against (a presumed abort
-     can leave no durable record, but its damage report names it).  [None]
-     means nobody ever decided - a ghost transaction the adversary forged
-     into existence; a heuristic on it is not (yet) damage, because there
-     is no decision to contradict, and its member stays blocked. *)
-  let announced : (string, Tpc.Types.outcome) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Tpc.Mixer.txn_summary) ->
-      match s.Tpc.Mixer.ts_outcome with
-      | Some o -> Hashtbl.replace announced s.Tpc.Mixer.ts_txn o
-      | None -> ())
-    summaries;
-  let real_outcome txn =
-    match Hashtbl.find_opt announced txn with
-    | Some o -> Some o
-    | None ->
-        if Hashtbl.mem commit_strong txn then Some Tpc.Types.Committed
-        else if Hashtbl.mem abort_strong txn then Some Tpc.Types.Aborted
-        else Hashtbl.find_opt report_truth txn
-  in
-  (* atomicity violation: some node durably landed on the opposite of the
-     decision the protocol really reached - two coordinations durably
-     disagreeing, or an equivocation victim durably believing the flipped
-     decision (PA aborts leave no durable record at honest members, so the
-     real outcome, not abort-side evidence, anchors the test).  Divergence
-     where the contradicting side is heuristic-only is heuristic damage,
-     not an atomicity violation - the protocol did not disagree with
-     itself, an operator overrode it. *)
-  let strong_txns : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter (fun txn () -> Hashtbl.replace strong_txns txn ()) commit_strong;
-  Hashtbl.iter (fun txn () -> Hashtbl.replace strong_txns txn ()) abort_strong;
-  let atomicity =
-    Hashtbl.fold
-      (fun txn () acc ->
-        match real_outcome txn with
-        | Some Tpc.Types.Committed when Hashtbl.mem abort_strong txn -> acc + 1
-        | Some Tpc.Types.Aborted when Hashtbl.mem commit_strong txn -> acc + 1
-        | _ -> acc)
-      strong_txns 0
-  in
-  let blocked = ref 0 in
-  let rejected = ref 0 in
-  let in_doubt_at : (string * string, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (name, (n : Tpc.Run.node)) ->
-      let p = n.Tpc.Run.participant in
-      rejected := !rejected + Tpc.Participant.rejected_forgeries p;
-      List.iter
-        (fun txn -> Hashtbl.replace in_doubt_at (name, txn) ())
-        (Tpc.Participant.in_doubt_txns p);
-      if Tpc.Net.is_up net name then
-        blocked :=
-          !blocked
-          + List.length (Tpc.Participant.in_doubt_txns p)
-          + List.length (Kvstore.in_doubt n.Tpc.Run.kv))
-    w.Tpc.Run.nodes;
-  (* Classify each heuristic decision.  Damage exists only against a real
-     outcome; a damaged member still in doubt has not yet learned that
-     outcome (it is counted blocked, and its report is owed at
-     resolution), and a damaged member that is down reports at recovery -
-     the same excuses the benign audit grants.  What remains silent is the
-     auditable bug class: an up member that resolved (or forgot) a
-     contradicting heuristic with no operator console anywhere recording
-     it. *)
+(* Classify the divergence in one scan's evidence.  Ground truth per
+   transaction is the root's announced outcome when there is one (a vote
+   flipped to YES makes the root commit - that commit IS the decision the
+   protocol reached; the flipped voter's unilateral abort is the
+   violation), else strong durable evidence, else the outcome some member
+   resolved its heuristic against (a presumed abort can leave no durable
+   record, but its damage report names it).  A transaction with none was
+   never decided - a ghost the adversary forged into existence - and a
+   heuristic on it is not (yet) damage: its member stays blocked. *)
+let damage (w : Tpc.Run.world) ev (v : verdict) =
+  let module A = Tpc.Mixer.Audit in
+  (* atomicity violation: strong evidence of the opposite of the decision
+     the protocol really reached - two coordinations durably disagreeing,
+     or an equivocation victim durably believing the flipped decision.  A
+     contradicting side that is heuristic only is heuristic damage: an
+     operator overrode the protocol, which did not disagree with itself. *)
+  let atomicity = ref 0 in
+  for id = 0 to A.txns ev - 1 do
+    match A.outcome ev id with
+    | Some Committed when A.strong ev id Aborted -> incr atomicity
+    | Some Aborted when A.strong ev id Committed -> incr atomicity
+    | _ -> ()
+  done;
+  (* A damage report reaches an operator console at the damaged member
+     itself and, on acks, at coordinators.  A damaged member still in
+     doubt has not learned the outcome yet (it is blocked, and owes its
+     report), and a down one reports at recovery - the benign audit's
+     excuses.  What remains silent is the auditable bug class: an up
+     member that resolved (or forgot) a contradicting heuristic with no
+     console anywhere recording it.  A member told that its heuristic
+     matched had the resolving decision flipped in flight by an
+     equivocator: no honest party can see damage there, and its durable
+     outcome is an atomicity violation, counted above. *)
   let reported = ref 0 and silent = ref 0 in
-  Hashtbl.iter
-    (fun (node, txn) action ->
-      match real_outcome txn with
-      | None -> ()
-      | Some o when action = o -> ()
-      | Some _ ->
-          if Hashtbl.find_opt told (node, txn) = Some action then
-            (* the member was durably told its heuristic matched - an
-               equivocator flipped the resolving decision in flight, so no
-               honest party can see damage here.  The divergence is real
-               and counted: the member's durable outcome contradicts the
-               protocol's, an atomicity violation. *)
-            ()
-          else if Hashtbl.mem seen (txn, node, action) then incr reported
+  List.iter
+    (fun (h : A.heuristic) ->
+      let reports =
+        List.concat_map
+          (fun (_, (n : Tpc.Run.node)) ->
+            List.filter
+              (fun (txn, _) -> String.equal txn h.h_txn)
+              (Tpc.Participant.damage_seen n.Tpc.Run.participant))
+          w.Tpc.Run.nodes
+      in
+      match (A.outcome ev h.h_id, List.rev reports) with
+      | (Some o, _ | None, (_, { Tpc.Msg.d_outcome = o; _ }) :: _)
+        when o <> h.h_action && h.h_told <> Some h.h_action ->
+          if
+            List.exists
+              (fun (_, (d : Tpc.Msg.damage_report)) ->
+                String.equal d.d_node h.h_member && d.d_action = h.h_action)
+              reports
+          then incr reported
           else if
-            Tpc.Net.is_up net node && not (Hashtbl.mem in_doubt_at (node, txn))
-          then incr silent)
-    heur;
+            Tpc.Net.is_up w.Tpc.Run.net h.h_member
+            && not
+                 (Tpc.Participant.is_in_doubt
+                    (Tpc.Run.participant w h.h_member)
+                    ~txn:h.h_txn)
+          then incr silent
+      | _ -> ())
+    (A.heuristics ev);
   {
-    a_atomicity = atomicity;
+    a_atomicity = !atomicity;
     a_heur_reported = !reported;
     a_heur_silent = !silent;
-    a_blocked = !blocked;
-    a_rejected = !rejected;
+    a_blocked = v.v_in_doubt;
+    a_rejected =
+      List.fold_left
+        (fun acc (_, (n : Tpc.Run.node)) ->
+          acc + Tpc.Participant.rejected_forgeries n.Tpc.Run.participant)
+        0 w.Tpc.Run.nodes;
   }
+
+let account w summaries =
+  let ev = Tpc.Mixer.Audit.scan w summaries in
+  damage w ev (verdict w ev)
 
 (* Under an adversary, atomicity violations and reported heuristic damage
    are the measurement, not a harness failure; what must never happen is
@@ -949,14 +851,21 @@ let adversarial_ok (v : verdict) (a : accounting) =
   a.a_heur_silent = 0 && v.v_wal_divergence = 0 && v.v_leaked_locks = 0
   && v.v_engine_pending = 0
 
-let run_case_full ?config ?(broken_recovery = false) ?jitter_seed ?scratch mix
-    tree plan =
+(* Run the plan to quiescence and scan the world's logs once. *)
+let run_scanned ?config ~broken_recovery ?jitter_seed ?scratch mix tree plan =
   let agg, w, summaries =
     Tpc.Mixer.run_full ?config
       ~inject:(inject ~broken_recovery ?jitter_seed plan)
       ?scratch mix tree
   in
-  (agg, audit w summaries, w)
+  (agg, w, Tpc.Mixer.Audit.scan w summaries)
+
+let run_case_full ?config ?(broken_recovery = false) ?jitter_seed ?scratch mix
+    tree plan =
+  let agg, w, ev =
+    run_scanned ?config ~broken_recovery ?jitter_seed ?scratch mix tree plan
+  in
+  (agg, verdict w ev, w)
 
 let run_case ?config ?broken_recovery ?jitter_seed mix tree plan =
   let agg, v, _w = run_case_full ?config ?broken_recovery ?jitter_seed mix tree plan in
@@ -964,12 +873,11 @@ let run_case ?config ?broken_recovery ?jitter_seed mix tree plan =
 
 let run_case_adversarial ?config ?(broken_recovery = false) ?jitter_seed
     ?scratch mix tree plan =
-  let agg, w, summaries =
-    Tpc.Mixer.run_full ?config
-      ~inject:(inject ~broken_recovery ?jitter_seed plan)
-      ?scratch mix tree
+  let agg, w, ev =
+    run_scanned ?config ~broken_recovery ?jitter_seed ?scratch mix tree plan
   in
-  (agg, audit w summaries, account w summaries, w)
+  let v = verdict w ev in
+  (agg, v, damage w ev v, w)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule shrinking                                                  *)

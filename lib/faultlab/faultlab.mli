@@ -178,6 +178,7 @@ type verdict = {
 }
 
 val audit : Tpc.Run.world -> Tpc.Mixer.txn_summary list -> verdict
+(** The verdict of one {!Tpc.Mixer.Audit.scan} of the world's logs. *)
 
 val ok : verdict -> bool
 (** True iff every violation counter (everything except the two
@@ -232,26 +233,28 @@ type accounting = {
           owed at resolution), and a down member reports at recovery - the
           same excuses the benign {!audit} grants. *)
   a_blocked : int;
-      (** txn/member pairs still in doubt at quiescence (blocked, e.g. a
-          PN member holding a forged ghost prepare) *)
+      (** the verdict's [v_in_doubt]: txn/member pairs in doubt at up
+          members (e.g. a PN member holding a forged ghost prepare) *)
   a_rejected : int;
       (** forged payloads refused by honest nodes' admissibility checks *)
 }
 
 val account : Tpc.Run.world -> Tpc.Mixer.txn_summary list -> accounting
-(** Classify every divergence in the quiesced world.  Ground truth per
-    transaction is the root's announced outcome when there is one, else
-    non-heuristic durable evidence, else the outcome a member resolved its
-    heuristic against (a presumed abort can leave no durable record, but
-    its damage report names it); a transaction with none of these was
-    never decided at all - a forged ghost - and a heuristic on it is not
-    yet damage, its member counting as blocked instead.  RM evidence at a
-    node that reached that state heuristically does not count as honest
-    knowledge; a TM outcome record always does (a damaged node logs the
-    outcome it was told when it learns it - under an equivocator that can
-    be a lie, in which case the member's heuristic mismatch is invisible
-    to every honest party and the divergence is classified as the
-    atomicity violation it durably is, not as heuristic damage). *)
+(** Classify every divergence in the quiesced world, from the evidence of
+    one {!Tpc.Mixer.Audit.scan} and the members' consoles
+    ({!Tpc.Participant.damage_seen}).  Ground truth per transaction is the
+    root's announced outcome when there is one, else non-heuristic durable
+    evidence, else the outcome a member resolved its heuristic against (a
+    presumed abort can leave no durable record, but its damage report
+    names it); a transaction with none of these was never decided at all
+    - a forged ghost - and a heuristic on it is not yet damage, its member
+    counting as blocked instead.  RM evidence at a node that reached that
+    state heuristically does not count as honest knowledge; a TM outcome
+    record always does (a damaged node logs the outcome it was told when
+    it learns it - under an equivocator that can be a lie, in which case
+    the member's heuristic mismatch is invisible to every honest party and
+    the divergence is classified as the atomicity violation it durably
+    is, not as heuristic damage). *)
 
 val accounting_fields : accounting -> (string * int) list
 (** Field-name/value pairs, declaration order - for JSON emission. *)
