@@ -73,11 +73,6 @@ let presumed_nothing ?(cascaded = 0) ~n () =
     forced = b.forced + n + cascaded;
   }
 
-(** PA abort case where the lone decision maker hears a NO: no logging
-    anywhere, no acks (per abort-voting member one flow is saved and the
-    Ack flow disappears).  Exposed for the Table 2 abort row with n=2. *)
-let pa_abort_two_members = { flows = 3; writes = 0; forced = 0 }
-
 (** Byzantine-tolerant commit: on top of the baseline tree cost, the
     decision maker runs a [2f+1]-replica endorsement round (4 flows and 2
     forced writes per extra replica - request/endorse both ways and each

@@ -57,10 +57,6 @@ val bft : f:int -> n:int -> counts
     [n] non-forced certificate appends (one per member, hardened by the
     outcome force each precedes).  What Tables 2-4 charge for tolerance. *)
 
-val pa_abort_two_members : counts
-(** PA abort case where the lone decision maker hears a NO: no logging
-    anywhere, no acks.  Exposed for the Table 2 abort row with n=2. *)
-
 val savings : optimization -> int * int * int
 (** Per-member [(flows, writes, forced)] saved by each optimization, as
     stated in Section 4. *)

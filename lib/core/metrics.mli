@@ -91,9 +91,6 @@ module Agg : sig
   val ratio : float -> int -> float
   (** [ratio num den] is [num /. den], or [0.] when [den = 0]. *)
 
-  val summary_to_json : Obs.Histogram.summary -> Json.t
-  (** NaNs (empty histograms) serialize as [0.0]. *)
-
   val to_json_value : t -> Json.t
   val to_json : t -> string
   val pp : Format.formatter -> t -> unit

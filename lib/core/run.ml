@@ -64,7 +64,7 @@ let setup ?(config = default_config) ?scratch tree =
       | Some w when config.opts.shared_log && p.p_shares_parent_log -> w
       | _ -> Wal.Log.create engine ~node:p.p_name ~config:wal_config ()
     in
-    let kv = Kvstore.create engine ~name:(p.p_name ^ ".rm") ~wal ~reliable:p.p_reliable () in
+    let kv = Kvstore.create engine ~name:(p.p_name ^ ".rm") ~wal () in
     let participant =
       Participant.create ~net ~trace ~cfg:config ~profile:p ~parent
         ~child_profiles:(List.map tree_profile children)

@@ -57,7 +57,6 @@ val setup : ?config:Types.config -> ?scratch:Simkernel.Engine.t -> Types.tree ->
 val node : world -> string -> node
 val participant : world -> string -> Participant.t
 val kv : world -> string -> Kvstore.t
-val root_node : world -> node
 val all_wals : world -> Wal.Log.t list
 
 val perform_work : world -> txn:string -> unit

@@ -13,7 +13,6 @@ type t = {
   writer : int;  (* [rm_name]'s writer id in [log] *)
   mutable scratch : Bytes.t;  (* an undo/redo payload being encoded *)
   lock_table : Lockmgr.t;  (* private to this store: a lock is named by its key *)
-  reliable : bool;
   store : string Keys.t; (* committed values *)
   wsets : op list ref Ids.Tbl.t; (* txn id -> reversed op list *)
   mutable in_doubt_txns : string list;
@@ -22,7 +21,7 @@ type t = {
          Prepare must vote NO, not read-only *)
 }
 
-let create engine ~name ~wal ?(reliable = false) () =
+let create engine ~name ~wal () =
   {
     engine;
     ids = Simkernel.Engine.ids engine;
@@ -31,7 +30,6 @@ let create engine ~name ~wal ?(reliable = false) () =
     writer = Wal.Log.writer wal name;
     scratch = Bytes.empty;
     lock_table = Lockmgr.create engine;
-    reliable;
     store = Keys.create 64;
     wsets = Ids.Tbl.create 8;
     in_doubt_txns = [];
@@ -41,7 +39,6 @@ let create engine ~name ~wal ?(reliable = false) () =
 let name t = t.rm_name
 let wal t = t.log
 let locks t = t.lock_table
-let is_reliable t = t.reliable
 
 (* --- undo/redo payload encoding (length-prefixed, crash-safe) ------------ *)
 

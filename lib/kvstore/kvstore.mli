@@ -4,9 +4,8 @@
     database and file managers": it owns data, takes locks, writes undo/redo
     information to a write-ahead log, and answers Prepare / Commit / Abort
     from its transaction manager.  It supports the LRM-side properties the
-    optimizations depend on: read-only detection (no updates performed),
-    the {e reliable} declaration for Vote Reliable, and non-forced logging
-    when sharing the TM's log.
+    optimizations depend on: read-only detection (no updates performed)
+    and non-forced logging when sharing the TM's log.
 
     Crash/recovery: [crash] wipes volatile state (committed cache and write
     sets); [recover] rebuilds from the durable log - committed transactions
@@ -27,16 +26,13 @@ type t
 
 type vote = Vote_yes | Vote_read_only | Vote_no
 
-val create :
-  Simkernel.Engine.t -> name:string -> wal:Wal.Log.t -> ?reliable:bool -> unit -> t
+val create : Simkernel.Engine.t -> name:string -> wal:Wal.Log.t -> unit -> t
 (** Each store has a private lock table in which a lock is named by its
-    key; both draw transaction ids from [engine]'s name table.  [reliable]
-    (default [false]) is the Vote-Reliable declaration. *)
+    key; both draw transaction ids from [engine]'s name table. *)
 
 val name : t -> string
 val wal : t -> Wal.Log.t
 val locks : t -> Lockmgr.t
-val is_reliable : t -> bool
 
 (** {2 Transaction-time operations} *)
 

@@ -26,7 +26,6 @@ struct
        pair is keyed by its lower index first.  The send path skips the
        override, partition and drop tables while they are empty. *)
     latencies : float Links.t;
-    directed_latencies : float Links.t;
     partitions : unit Links.t;
     directed_sent : int ref Links.t;
     drops : int list ref Links.t;
@@ -81,7 +80,6 @@ struct
         node_arr = Array.make 8 no_node;
         n_nodes = 0;
         latencies = Links.create 16;
-        directed_latencies = Links.create 4;
         partitions = Links.create 4;
         directed_sent = Links.create 16;
         drops = Links.create 4;
@@ -149,20 +147,14 @@ struct
   let set_latency t a b l =
     Links.replace t.latencies (pair_link (node_index t a) (node_index t b)) l
 
-  let set_latency_directed t ~src ~dst l =
-    Links.replace t.directed_latencies
-      (link (node_index t src) (node_index t dst))
-      l
-
-  (* [tbl]'s entry for [link], else [default]; an empty table (no override
+  (* the pair's override, else the default; an empty table (no override
      was ever set) answers without hashing *)
-  let override tbl link default =
-    if Links.length tbl = 0 then default
-    else match Links.find tbl link with l -> l | exception Not_found -> default
-
   let link_latency t si di =
-    override t.directed_latencies (link si di)
-      (override t.latencies (pair_link si di) t.default_latency)
+    if Links.length t.latencies = 0 then t.default_latency
+    else
+      match Links.find t.latencies (pair_link si di) with
+      | l -> l
+      | exception Not_found -> t.default_latency
 
   (* An unregistered name has no override: overrides need both ends
      registered. *)

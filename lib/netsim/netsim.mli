@@ -33,20 +33,13 @@ end) : sig
 
   val set_latency : t -> string -> string -> float -> unit
   (** Symmetric per-pair latency override.  Like every per-link setter
-      below ({!set_latency_directed}, {!partition}, {!heal}, {!drop_nth}),
-      it needs both nodes registered and raises [Invalid_argument]
-      otherwise: per-link state is keyed by node index. *)
-
-  val set_latency_directed : t -> src:string -> dst:string -> float -> unit
-  (** Per-direction latency override for the [src -> dst] link.  Takes
-      precedence over the symmetric override; the reverse direction is
-      unaffected (it keeps the symmetric/default value unless overridden
-      itself).  Models asymmetric links such as satellite up/downlinks. *)
+      below ({!partition}, {!heal}, {!drop_nth}), it needs both nodes
+      registered and raises [Invalid_argument] otherwise: per-link state
+      is keyed by node index. *)
 
   val latency : t -> string -> string -> float
-  (** Effective base latency from first to second node: directed override,
-      else symmetric override, else default.  The default for a name that
-      is not a registered node. *)
+  (** Effective base latency between two nodes: their override, else the
+      default.  The default for a name that is not a registered node. *)
 
   val set_jitter : t -> (src:string -> dst:string -> float) option -> unit
   (** Install (or clear) a delay-jitter hook.  When set, the hook is called

@@ -134,7 +134,6 @@ type segments = {
   sg_compute : float;
 }
 
-val zero_segments : segments
 val path_segments : hop list -> segments
 
 val segments_total : segments -> float

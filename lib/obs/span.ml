@@ -30,11 +30,6 @@ let make ?(cat = "2pc") ?parent ?(args = []) ~node ~start ~stop name =
 
 let stop t = t.sp_start +. t.sp_dur
 
-let compare_by_time a b =
-  match compare a.sp_start b.sp_start with
-  | 0 -> compare (a.sp_node, a.sp_name) (b.sp_node, b.sp_name)
-  | c -> c
-
 let to_string t =
   Printf.sprintf "%s/%s [%.2f, %.2f]%s" t.sp_node t.sp_name t.sp_start (stop t)
     (match t.sp_parent with None -> "" | Some p -> " parent=" ^ p)

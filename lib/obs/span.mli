@@ -25,5 +25,4 @@ val make :
     duration to zero. *)
 
 val stop : t -> float
-val compare_by_time : t -> t -> int
 val to_string : t -> string

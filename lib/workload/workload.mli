@@ -32,17 +32,12 @@ val random_tree : ?fanout:int -> seed:int -> n:int -> unit -> Tpc.Types.tree
 (** Uniform random tree over [n] members with maximum [fanout] (default 4);
     deterministic in [seed]. *)
 
-(** {2 Property mixes}
-
-    Decorations marking the first [m] subordinates of a flat tree as
-    followers of one optimization. *)
+(** {2 Property mixes} *)
 
 val read_only_mix : m:int -> int -> Tpc.Types.profile -> Tpc.Types.profile
-val reliable_mix : m:int -> int -> Tpc.Types.profile -> Tpc.Types.profile
-val unsolicited_mix : m:int -> int -> Tpc.Types.profile -> Tpc.Types.profile
-val leave_out_mix : m:int -> int -> Tpc.Types.profile -> Tpc.Types.profile
-val shared_log_mix : m:int -> int -> Tpc.Types.profile -> Tpc.Types.profile
-val long_locks_mix : m:int -> int -> Tpc.Types.profile -> Tpc.Types.profile
+(** A decoration marking the first [m] subordinates of a flat tree
+    read-only; {!table3_tree} marks the followers of the other
+    optimizations the same way. *)
 
 (** {2 Table 3 experiment} *)
 
