@@ -121,7 +121,7 @@ module Audit = struct
     h_member : string;
     h_txn : string;
     h_id : int;
-    mutable h_action : outcome;
+    h_action : outcome;
     mutable h_told : outcome option;
   }
 
@@ -177,10 +177,12 @@ module Audit = struct
     | _ -> Aborted
 
   (* The second look, taken only once the first pass found a heuristic
-     record.  A member's last heuristic for a transaction is its decision.
-     Then every log's records of those transactions are read again for
-     strong evidence, leaving out a member's store records with its
-     decision's action, and for what each member's TM records told it. *)
+     record.  Each heuristic record is a decision: a member logs at most
+     one per transaction, since restart restores a durable one and a crash
+     drops one still volatile.  Then every log's records of those
+     transactions are read again for strong evidence, leaving out a
+     member's store records with its decision's action, and for what each
+     member's TM records told it. *)
   let read_heuristics w flags =
     let rows f =
       List.iter
@@ -197,15 +199,11 @@ module Audit = struct
     in
     rows (fun log kind id member ->
         match kind with
-        | Wal.Log_record.Heuristic_commit | Wal.Log_record.Heuristic_abort -> (
-            let h_action = outcome_of kind in
-            match find id member with
-            | Some h -> h.h_action <- h_action
-            | None ->
-                let h_txn = Wal.Log.txn_name log id in
-                taken :=
-                  { h_member = member; h_txn; h_id = id; h_action; h_told = None }
-                  :: !taken)
+        | Wal.Log_record.Heuristic_commit | Wal.Log_record.Heuristic_abort ->
+            let h_txn = Wal.Log.txn_name log id and h_action = outcome_of kind in
+            taken :=
+              { h_member = member; h_txn; h_id = id; h_action; h_told = None }
+              :: !taken
         | _ -> ());
     (* a decision explains its member's store records with its action *)
     let explains id store o h =

@@ -108,13 +108,13 @@ module Audit : sig
   val outcome : evidence -> int -> Types.outcome option
   (** The root's report, else what strong evidence gives (commit first). *)
 
-  (** A heuristic decision: a member's last heuristic record for a
+  (** A heuristic decision: a member's heuristic record for a
       transaction. *)
   type heuristic = private {
     h_member : string;
     h_txn : string;
     h_id : int;
-    mutable h_action : Types.outcome;
+    h_action : Types.outcome;
     mutable h_told : Types.outcome option;
         (** what the member's own last TM outcome record for the
             transaction gives, wherever it sits in the log *)
