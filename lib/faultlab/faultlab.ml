@@ -851,21 +851,14 @@ let adversarial_ok (v : verdict) (a : accounting) =
   a.a_heur_silent = 0 && v.v_wal_divergence = 0 && v.v_leaked_locks = 0
   && v.v_engine_pending = 0
 
-(* Run the plan to quiescence and scan the world's logs once. *)
-let run_scanned ?config ~broken_recovery ?jitter_seed ?scratch mix tree plan =
+let run_case_full ?config ?(broken_recovery = false) ?jitter_seed ?scratch mix
+    tree plan =
   let agg, w, summaries =
     Tpc.Mixer.run_full ?config
       ~inject:(inject ~broken_recovery ?jitter_seed plan)
       ?scratch mix tree
   in
-  (agg, w, Tpc.Mixer.Audit.scan w summaries)
-
-let run_case_full ?config ?(broken_recovery = false) ?jitter_seed ?scratch mix
-    tree plan =
-  let agg, w, ev =
-    run_scanned ?config ~broken_recovery ?jitter_seed ?scratch mix tree plan
-  in
-  (agg, verdict w ev, w)
+  (agg, audit w summaries, w)
 
 let run_case ?config ?broken_recovery ?jitter_seed mix tree plan =
   let agg, v, _w = run_case_full ?config ?broken_recovery ?jitter_seed mix tree plan in
@@ -873,9 +866,12 @@ let run_case ?config ?broken_recovery ?jitter_seed mix tree plan =
 
 let run_case_adversarial ?config ?(broken_recovery = false) ?jitter_seed
     ?scratch mix tree plan =
-  let agg, w, ev =
-    run_scanned ?config ~broken_recovery ?jitter_seed ?scratch mix tree plan
+  let agg, w, summaries =
+    Tpc.Mixer.run_full ?config
+      ~inject:(inject ~broken_recovery ?jitter_seed plan)
+      ?scratch mix tree
   in
+  let ev = Tpc.Mixer.Audit.scan w summaries in
   let v = verdict w ev in
   (agg, v, damage w ev v, w)
 
