@@ -809,9 +809,14 @@ let damage (w : Tpc.Run.world) ev (v : verdict) =
               (Tpc.Participant.damage_seen n.Tpc.Run.participant))
           w.Tpc.Run.nodes
       in
-      match (A.outcome ev h.h_id, List.rev reports) with
-      | (Some o, _ | None, (_, { Tpc.Msg.d_outcome = o; _ }) :: _)
-        when o <> h.h_action && h.h_told <> Some h.h_action ->
+      let truth =
+        match (A.outcome ev h.h_id, List.rev reports) with
+        | (Some _ as o), _ -> o
+        | None, (_, d) :: _ -> Some d.Tpc.Msg.d_outcome
+        | None, [] -> None
+      in
+      match truth with
+      | Some o when o <> h.h_action && h.h_told <> Some h.h_action ->
           if
             List.exists
               (fun (_, (d : Tpc.Msg.damage_report)) ->
