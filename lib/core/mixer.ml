@@ -215,13 +215,14 @@ module Audit = struct
            w.Run.nodes
     in
     rows (fun _ kind id writer ->
-        let o = outcome_of kind in
         if has flags id heuristic then
           match kind with
           | Wal.Log_record.Committed | Wal.Log_record.Aborted ->
+              let o = outcome_of kind in
               mark flags id (strong_bit o);
               Option.iter (fun h -> h.h_told <- Some o) (find id writer)
           | Wal.Log_record.Rm_committed | Wal.Log_record.Rm_aborted ->
+              let o = outcome_of kind in
               if not (List.exists (explains id writer o) !taken) then
                 mark flags id (strong_bit o)
           | _ -> ());
