@@ -337,10 +337,11 @@ let now t = Simkernel.Engine.now t.engine
 let arm t st ~delay kind arg = Step.arm t.steps ~epoch:t.epoch ~delay st kind arg
 
 (* Retransmission period for the [attempt]-th retry: exponential backoff by
-   [retry_backoff], capped at 64x so a misconfigured multiplier cannot push
-   the next attempt past any reasonable horizon.  The default multiplier of
-   1.0 reproduces the classic fixed-period schedule exactly.  The seven
-   periods are computed once per member, as [retry_delays]. *)
+   [retry_backoff], with the exponent capped at 6, so every attempt from
+   the seventh on waits [retry_interval *. retry_backoff ** 6.] (64x the
+   interval at multiplier 2).  The default multiplier of 1.0 reproduces
+   the classic fixed-period schedule exactly.  The seven periods are
+   computed once per member, as [retry_delays]. *)
 let retry_delays (cfg : config) =
   List.init 7 (fun attempt ->
       cfg.retry_interval *. (cfg.retry_backoff ** float_of_int attempt))
