@@ -208,11 +208,7 @@ module Audit = struct
     (* a decision explains its member's store records with its action *)
     let explains id store o h =
       h.h_id = id && h.h_action = o
-      && List.exists
-           (fun (name, n) ->
-             String.equal name h.h_member
-             && String.equal store (Kvstore.name n.Run.kv))
-           w.Run.nodes
+      && String.equal store (Kvstore.name (Run.kv w h.h_member))
     in
     rows (fun _ kind id writer ->
         if has flags id heuristic then
