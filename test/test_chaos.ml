@@ -738,11 +738,7 @@ let test_audits_match_reference () =
   in
   List.iter
     (fun (protocol, modes) ->
-      let config =
-        default_config |> with_protocol protocol |> with_trace_events false
-        |> with_retries ~interval:25.0 ~max:8
-        |> with_prepare_retries 2 |> with_retry_backoff 2.0
-      in
+      let config = chaos_config protocol |> with_trace_events false in
       List.iter
         (fun (mode, broken_recovery, gen) ->
           for seed = 42 to 61 do
