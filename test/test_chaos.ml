@@ -838,8 +838,6 @@ let suite =
       test_broken_recovery_caught_and_shrunk;
     Alcotest.test_case "each audit counter fires alone" `Quick
       test_each_audit_counter_fires;
-    Alcotest.test_case "each damage class fires alone" `Quick
-      test_each_damage_class_fires;
     Alcotest.test_case "adversarial event forms parse" `Quick
       test_adversarial_forms_parse;
     Alcotest.test_case "adversarial plans generate and round-trip" `Quick
@@ -878,4 +876,6 @@ let suite =
       test_impossible_plans_rejected;
     Alcotest.test_case "shared-log crash takes its log-mates down" `Quick
       test_shared_log_crash_fails_the_domain;
+    Alcotest.test_case "each damage class fires alone" `Quick
+      test_each_damage_class_fires;
   ]
