@@ -41,10 +41,17 @@ let evidence cfg =
     incr refusals;
     Printf.ksprintf Option.some fmt
   in
+  (* a certificate's WAL payload is written here, and the vote set it
+     covers sorted here *)
+  let encoded = ref Bytes.empty in
+  let votes = Msg.vote_scratch () in
   let keep (ops : Protocol_intf.ops) ~txn cert =
     Hashtbl.replace certs txn cert;
-    ops.op_append ~txn ~payload:(Msg.cert_to_string cert)
-      Wal.Log_record.Certificate
+    let n = Msg.cert_size cert in
+    if n > Bytes.length !encoded then
+      encoded := Bytes.create (max (max 64 n) (2 * Bytes.length !encoded));
+    Msg.write_cert cert !encoded;
+    ops.op_append ~txn Wal.Log_record.Certificate !encoded n
   in
   let valid ~txn ~outcome c = Msg.certificate_valid ~f ~txn ~outcome c in
   (* built once here: a counter-only trace drops the note unread *)
@@ -63,7 +70,7 @@ let evidence cfg =
       (fun ops ~txn outcome ->
         if Hashtbl.mem certs txn then -1.0
         else
-          let votes = Msg.votes_digest (ops.op_votes ~txn) in
+          let votes = Msg.votes_digest_with votes (ops.op_votes ~txn) in
           let cert =
             {
               Msg.c_endorsements =
@@ -116,7 +123,7 @@ let evidence cfg =
           when not (valid ~txn ~outcome c) ->
             refuse "rejecting outcome reply from %s: invalid certificate" src
         | Msg.Vote_msg { txn; vote; tag; _ }
-          when not (String.equal tag (Msg.vote_tag ~src ~txn vote)) ->
+          when not (Msg.vote_tag_matches ~src ~txn vote tag) ->
             refuse "rejecting %s from %s: vote signature mismatch"
               (Msg.payload_label payload) src
         | _ -> None);

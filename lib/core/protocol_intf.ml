@@ -21,8 +21,9 @@ open Types
     the disk or the clock answers data (records to force, a delay), and
     the plumbing owns the wait. *)
 type ops = {
-  op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
-      (** write a TM record, carrying [payload] if given, without forcing *)
+  op_append : txn:string -> Wal.Log_record.kind -> Bytes.t -> int -> unit;
+      (** write a TM record without forcing, carrying a copy of the first
+          [n] bytes of the buffer as its payload (none when [n = 0]) *)
   op_note : string -> unit;  (** free-form trace note at this node *)
   op_votes : txn:string -> (string * vote option) list;
       (** the votes this node decided [txn] over, as (member, vote) pairs,

@@ -18,8 +18,10 @@
     answers data (records to force, a delay) and {!Participant} owns the
     wait, as a step it can name, order and drop at a crash. *)
 type ops = {
-  op_append : txn:string -> ?payload:string -> Wal.Log_record.kind -> unit;
-      (** write a TM record, carrying [payload] if given, without forcing *)
+  op_append : txn:string -> Wal.Log_record.kind -> Bytes.t -> int -> unit;
+      (** [op_append ~txn kind b n] writes a TM record without forcing,
+          carrying a copy of the first [n] bytes of [b] as its payload
+          (none when [n = 0]); [b] may be reused at once *)
   op_note : string -> unit;  (** free-form trace note at this node *)
   op_votes : txn:string -> (string * Types.vote option) list;
       (** the votes this node decided [txn] over, as (member, vote) pairs,
