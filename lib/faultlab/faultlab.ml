@@ -679,10 +679,7 @@ let verdict (w : Tpc.Run.world) ev =
         (* recovery faithful to the log: the store must equal a pure replay
            of this member's records (catches recoveries that forget durable
            decisions, e.g. force_restart_amnesia) *)
-        let expected =
-          Kvstore.replay_bindings n.Tpc.Run.wal ~node:(Kvstore.name kv)
-        in
-        if Kvstore.committed_bindings kv <> expected then incr wal_divergence;
+        if not (Kvstore.agrees_with_log kv) then incr wal_divergence;
         (* lock hygiene: a grant still held here is legitimate only while
            its transaction is still blocked on this member (in doubt, or
            otherwise short of END in the protocol state) *)

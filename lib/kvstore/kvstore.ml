@@ -382,12 +382,14 @@ let replay_update pending log i =
     decode_op (Wal.Log.row_payload_bytes log i) (Wal.Log.row_payload_offset log i)
     :: !ops
 
-let replay_bindings log ~node =
+(* The committed store a pure replay of this resource manager's records,
+   durable and volatile, implies. *)
+let replay t =
   let store : string Keys.t = Keys.create 64 in
   let pending : op list ref Keys.t = Keys.create 8 in
-  let me = Wal.Log.find_writer log node in
+  let log = t.log in
   for i = 0 to Wal.Log.rows log - 1 do
-    if Wal.Log.row_writer log i = me then
+    if Wal.Log.row_writer log i = t.writer then
       match Wal.Log.row_kind log i with
       | Wal.Log_record.Checkpoint -> load_snapshot store log i
       | Wal.Log_record.Rm_update -> replay_update pending log i
@@ -406,8 +408,15 @@ let replay_bindings log ~node =
       | Wal.Log_record.Certificate ->
           ()
   done;
-  Keys.fold (fun k v acc -> (k, v) :: acc) store []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  store
+
+let agrees_with_log t =
+  let replayed = replay t in
+  let bound key v =
+    match Keys.find t.store key with u -> String.equal u v | exception Not_found -> false
+  in
+  Keys.length replayed = Keys.length t.store
+  && Keys.fold (fun key v same -> same && bound key v) replayed true
 
 let recover t =
   Keys.reset t.store;

@@ -17,7 +17,7 @@
     engine's name table ({!Simkernel.Engine.ids}), and the store writes its
     records into the log by that id and its own writer id
     ({!Wal.Log.append_row}), encoding an undo/redo payload into a reused
-    buffer the log copies from.  Recovery and {!replay_bindings} read the
+    buffer the log copies from.  Recovery and {!agrees_with_log} read the
     log's rows and decode payloads in place; the committed store
     stays keyed by key, and iterates in the order a generic [Hashtbl]
     would, so checkpoint payloads are unchanged. *)
@@ -133,13 +133,14 @@ val recover : t -> unit
     (retransmitted) Prepare draws [Vote_no] instead of a bogus read-only
     vote. *)
 
-val replay_bindings : Wal.Log.t -> node:string -> (string * string) list
-(** Pure replay: the committed key/value pairs (sorted) that the log's
-    records, durable and volatile, imply for resource manager [node],
-    using the same checkpoint/redo/discard rules as {!recover}.  It reads
-    the log's rows and decodes payloads in place.  The chaos audit
-    compares this against {!committed_bindings} to catch recoveries that
-    diverge from their own log. *)
+val agrees_with_log : t -> bool
+(** Whether the committed store equals a pure replay of this resource
+    manager's records in its log, durable and volatile, under the same
+    checkpoint/redo/discard rules as {!recover}: as many keys, each bound
+    to the same value.  The replay reads the log's rows and decodes
+    payloads in place into a table; no binding list is built or sorted.
+    The chaos audit calls it to catch recoveries that diverge from their
+    own log. *)
 
 val checkpoint : t -> (unit -> unit) -> unit
 (** Write a forced checkpoint record carrying a snapshot of the committed

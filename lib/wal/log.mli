@@ -179,9 +179,6 @@ val txn_name : t -> int -> string
 
 val writer_name : t -> int -> string
 
-val find_writer : t -> string -> int
-(** The id of a writer name, or [-1] when it never wrote here. *)
-
 (** {2 Records} *)
 
 val durable : t -> Log_record.t list
