@@ -136,9 +136,9 @@ let test_predicates_agree () =
    ledger.  [run_full] includes the end-of-run aggregation and audit, so
    they are gated too.  The count is deterministic for one compiler
    version; on OCaml 5.1, the version CI pins, counter-only PA allocates
-   1,654.4 words and BFT (f=1) 2,805.4; PA with trace events on and the
-   causal graph recording 1,656.2, and with trace events on and the graph
-   off (the path of [tpc_sim run] and [sweep --events]) 1,655.3.  Each
+   1,612.3 words and BFT (f=1) 1,778.6; PA with trace events on and the
+   causal graph recording 1,614.2, and with trace events on and the graph
+   off (the path of [tpc_sim run] and [sweep --events]) 1,613.2.  Each
    ceiling sits about 5% above its figure, so an allocation regression on
    the commit path - PA's or the certificate path's - in the audit or in
    the observability hooks fails here before it reaches the benchmark.
@@ -147,10 +147,10 @@ let test_predicates_agree () =
    the footprint gate below prices the storage. *)
 let alloc_ceilings =
   [
-    ("pa", Presumed_abort, false, false, 1740.0);
-    ("bft", bft, false, false, 2950.0);
-    ("pa with trace and causal graph", Presumed_abort, true, true, 1740.0);
-    ("pa with trace, graph off", Presumed_abort, true, false, 1740.0);
+    ("pa", Presumed_abort, false, false, 1695.0);
+    ("bft", bft, false, false, 1870.0);
+    ("pa with trace and causal graph", Presumed_abort, true, true, 1695.0);
+    ("pa with trace, graph off", Presumed_abort, true, false, 1695.0);
   ]
 
 let test_alloc_ceiling (protocol, trace, graph, ceiling) () =
