@@ -70,6 +70,7 @@ type crash_point =
   | Cp_after_decision_received (** subordinate: outcome known, not yet durable *)
   | Cp_before_ack          (** subordinate: locally finished, ack unsent *)
   | Cp_after_commit_pending (** PN coordinator: commit-pending durable *)
+  | Cp_after_delegation    (** delegator: decision handed to the last agent *)
 
 type fault = {
   f_node : string;

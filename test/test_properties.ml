@@ -47,6 +47,7 @@ let crash_point_name = function
   | Cp_after_decision_received -> "after-decision-received"
   | Cp_before_ack -> "before-ack"
   | Cp_after_commit_pending -> "after-commit-pending"
+  | Cp_after_delegation -> "after-delegation"
 
 let gen_fault_case =
   Q.make
