@@ -824,6 +824,34 @@ let test_shared_log_crash_fails_the_domain () =
     (List.map (fun (k, _) -> (k, 0)) (F.verdict_fields v))
     (F.verdict_fields v)
 
+(* A voter that answered read-only left before the decision, so it must
+   not answer an inquiry with an outcome.  In this plan coord delegates to
+   sub2, the delegation is lost and coord crashes; restarted, coord asks
+   its children.  sub1 voted read-only, and used to answer commit, which
+   coord adopted although sub2 never decided (divergence 1,
+   committed_missing 1 under pa and basic). *)
+let test_read_only_voter_claims_no_outcome () =
+  let opts = [ `Read_only; `Last_agent ] in
+  let tree = Workload.mixer_tree ~n:4 ~opts () in
+  let plan = F.of_string "drop@40.104:coord>sub2:1,crash@63.307:coord:+67.176" in
+  List.iter
+    (fun protocol ->
+      let config =
+        chaos_config protocol |> with_opts opts |> with_trace_events false
+      in
+      let _agg, v =
+        F.run_case ~config
+          { M.default_cfg with txns = 60; concurrency = 6; seed = 183 }
+          tree plan
+      in
+      let field k = List.assoc k (F.verdict_fields v) in
+      let name = protocol_to_string protocol in
+      Alcotest.(check int) (name ^ " divergence") 0 (field "divergence");
+      Alcotest.(check int)
+        (name ^ " committed_missing") 0 (field "committed_missing");
+      Alcotest.(check bool) (name ^ " audit passes") true (F.ok v))
+    [ Presumed_abort; Basic ]
+
 let suite =
   [
     Alcotest.test_case "plan round-trips" `Quick test_plan_round_trip;
@@ -878,4 +906,6 @@ let suite =
       test_shared_log_crash_fails_the_domain;
     Alcotest.test_case "each damage class fires alone" `Quick
       test_each_damage_class_fires;
+    Alcotest.test_case "read-only voter claims no outcome" `Quick
+      test_read_only_voter_claims_no_outcome;
   ]

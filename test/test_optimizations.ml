@@ -417,6 +417,42 @@ let test_read_only_root_plus_last_agent () =
   (* RO edge: 2 flows; delegation edge: 2 flows *)
   Alcotest.(check int) "four flows total" 4 m.Tpc.Metrics.flows
 
+(* A read-only voter left phase two before any decision: asked about the
+   transaction afterwards, it has no information to give, and a re-driven
+   abort contradicts nothing it knows. *)
+let test_read_only_voter_knows_no_outcome () =
+  List.iter
+    (fun protocol ->
+      let name = protocol_to_string protocol in
+      let tree =
+        Tree (member "C", [ Tree (member "U", []); Tree (member ~updated:false "R", []) ])
+      in
+      let m, w =
+        run ~config:(cfg ~protocol ~opts:{ no_opts with read_only = true } ()) tree
+      in
+      check_outcome (name ^ " commits") (Some Committed) m;
+      let r = Tpc.Run.participant w "R" in
+      let replies label =
+        List.length
+          (List.filter
+             (function
+               | Tpc.Trace.Deliver { src = "R"; dst = "C"; label = l; _ } -> l = label
+               | _ -> false)
+             (Tpc.Trace.events w.Tpc.Run.trace))
+      in
+      Tpc.Net.inject w.Tpc.Run.net ~src:"C" ~dst:"R"
+        [ Tpc.Msg.Inquiry { txn = "txn-1" } ];
+      Simkernel.Engine.run w.Tpc.Run.engine;
+      Alcotest.(check int) (name ^ " no outcome claimed") 0 (replies "Outcome commit");
+      Alcotest.(check int) (name ^ " no information") 1 (replies "NoInformation");
+      Tpc.Net.inject w.Tpc.Run.net ~src:"C" ~dst:"R"
+        [ Tpc.Msg.Decision_msg { txn = "txn-1"; outcome = Aborted; cert = None } ];
+      Simkernel.Engine.run w.Tpc.Run.engine;
+      Alcotest.(check int)
+        (name ^ " re-driven abort admitted") 0
+        (Tpc.Participant.rejected_forgeries r))
+    [ Presumed_abort; Basic ]
+
 let test_unsolicited_plus_vote_reliable () =
   let tree = two ~s:(member ~unsolicited:true ~reliable:true "S") () in
   let m, _w =
@@ -524,4 +560,6 @@ let suite =
     Alcotest.test_case "all optimizations together" `Quick
       test_all_optimizations_together;
     Alcotest.test_case "early ack policy" `Quick test_early_ack_policy;
+    Alcotest.test_case "read-only voter knows no outcome" `Quick
+      test_read_only_voter_knows_no_outcome;
   ]
