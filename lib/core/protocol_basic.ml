@@ -13,10 +13,11 @@ let protocol : Protocol_intf.t =
     p_aliases = [];
     p_description = "baseline 2PC: forced decisions and acks everywhere";
     (* nothing precedes phase one: the coordinator's first write is the
-       decision itself *)
+       decision itself, so in-doubt members inquire.  A member that never
+       voted (or said NO) cannot be in doubt: it aborts unilaterally or
+       inquires, so only a YES voter confirms an abort. *)
     p_coordinator_log = [];
     p_voter_log = [ Wal.Log_record.Prepared ];
-    p_delegation_log = [ Wal.Log_record.Prepared ];
     p_decision_log =
       (function
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
@@ -26,8 +27,5 @@ let protocol : Protocol_intf.t =
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
       | Aborted -> Protocol_intf.Log_force Wal.Log_record.Aborted);
     p_damage_to_root = false;
-    (* a member that never voted (or said NO) cannot be in doubt: it aborts
-       unilaterally or inquires, so only a YES voter confirms an abort *)
-    p_inquires = true;
     p_evidence = Protocol_intf.no_evidence;
   }

@@ -166,9 +166,11 @@ let protocol : Protocol_intf.t =
     p_description =
       "Byzantine-tolerant 2PC: 2f+1 coordinator replicas, decisions valid \
        only under an f+1 endorsement certificate";
+    (* nothing logged before Prepare flows: subordinate-initiated
+       recovery as under PA, where in-doubt members inquire and act only
+       on certified replies *)
     p_coordinator_log = [];
     p_voter_log = [ Wal.Log_record.Prepared ];
-    p_delegation_log = [ Wal.Log_record.Prepared ];
     (* no presumption in either direction: both outcomes are forced
        everywhere, so an inquiry answered "no information" really does
        mean no decision was ever certified *)
@@ -181,8 +183,5 @@ let protocol : Protocol_intf.t =
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
       | Aborted -> Protocol_intf.Log_force Wal.Log_record.Aborted);
     p_damage_to_root = false;
-    (* subordinate-initiated recovery as under PA: in-doubt members inquire
-       and act only on certified replies *)
-    p_inquires = true;
     p_evidence = evidence;
   }

@@ -13,7 +13,6 @@ let protocol : Protocol_intf.t =
     p_description = "presumed abort: aborts unlogged at the decision maker";
     p_coordinator_log = [];
     p_voter_log = [ Wal.Log_record.Prepared ];
-    p_delegation_log = [ Wal.Log_record.Prepared ];
     p_decision_log =
       (function
       | Committed -> Protocol_intf.Log_force Wal.Log_record.Committed
@@ -26,6 +25,5 @@ let protocol : Protocol_intf.t =
       (* no forced abort record before releasing resources *)
       | Aborted -> Protocol_intf.Log_append Wal.Log_record.Aborted);
     p_damage_to_root = false;
-    p_inquires = true;
     p_evidence = Protocol_intf.no_evidence;
   }
