@@ -124,12 +124,15 @@ let test_commit_decision_is_forced () =
 (* One protocol's answer to each policy question the participant asks:
    must a child confirm an abort after a YES vote, a real NO, a presumed NO
    (vote timeout) and no vote; does a subordinate acknowledge aborts at
-   all; what a restart does with four logs; why a child's Inquiry is
-   refused, if it is. *)
+   all; does an in-doubt subordinate inquire; what a restart does with
+   four logs; does a delegator's log ([Prepared; Commit_pending]) tell it
+   from a voter's; why a child's Inquiry is refused, if it is. *)
 type policy = {
   abort_acks : bool list;  (* YES, real NO, presumed NO, no vote *)
   acks_aborts : bool;
+  inquires : bool;
   recovery : P.recovery_action list;
+  delegated : bool;
   inquiry_refusal : string option;
 }
 
@@ -154,7 +157,9 @@ let policy_of (impl : P.t) =
         ack None false;
       ];
     acks_aborts = P.acks_aborts impl;
+    inquires = P.inquires impl;
     recovery = List.map (P.recover impl) policy_logs;
+    delegated = P.delegated impl (List.nth policy_logs 2);
     inquiry_refusal =
       P.admissible impl ~src:"S" ~role:P.From_child ~known:None
         (Tpc.Msg.Inquiry { txn = "txn-1" });
@@ -164,8 +169,10 @@ let presumed_abort =
   {
     abort_acks = [ false; false; false; false ];
     acks_aborts = false;
+    inquires = true;
     recovery =
       [ P.Rec_none; P.Rec_none; P.Rec_in_doubt; P.Rec_redrive Committed ];
+    delegated = false;
     inquiry_refusal = None;
   }
 
@@ -186,6 +193,7 @@ let policy_table =
       {
         abort_acks = [ true; false; true; true ];
         acks_aborts = true;
+        inquires = false;
         recovery =
           [
             P.Rec_none;
@@ -197,6 +205,7 @@ let policy_table =
             P.Rec_in_doubt;
             P.Rec_redrive Committed;
           ];
+        delegated = true;
         inquiry_refusal =
           Some "rejecting inquiry from S: PN recovery is coordinator-owned";
       } );
@@ -219,6 +228,12 @@ let test_policy_table () =
             (f ^ " acknowledges aborts")
             want.acks_aborts got.acks_aborts;
           Alcotest.(check bool)
+            (f ^ " in-doubt subordinates inquire")
+            want.inquires got.inquires;
+          Alcotest.(check bool)
+            (f ^ " inquires exactly when nothing is logged before Prepare")
+            (impl.P.p_coordinator_log = []) got.inquires;
+          Alcotest.(check bool)
             (f ^ " logless abort implies no abort acks")
             true
             (impl.P.p_decision_log Aborted <> P.Log_none || not got.acks_aborts);
@@ -228,6 +243,9 @@ let test_policy_table () =
                 (Printf.sprintf "%s recovery of log %d" f i)
                 true (w = g))
             (List.combine want.recovery got.recovery);
+          Alcotest.(check bool)
+            (f ^ " delegator told from a voter by its log")
+            want.delegated got.delegated;
           Alcotest.(check (option string))
             (f ^ " refusal of a child's inquiry")
             want.inquiry_refusal got.inquiry_refusal)
@@ -258,7 +276,14 @@ let test_recovery_table () =
       Alcotest.(check bool)
         (f ^ " bare prepared record is in doubt")
         true
-        (recover [ Prepared ] = P.Rec_in_doubt))
+        (recover [ Prepared ] = P.Rec_in_doubt);
+      (* every delegator forces Prepared before it hands over the
+         decision, so a restart finds it in doubt, not an interrupted
+         coordinator *)
+      Alcotest.(check bool)
+        (f ^ " delegator's log is in doubt")
+        true
+        (recover [ Prepared; Commit_pending ] = P.Rec_in_doubt))
     (all ())
 
 (* ------------------------------------------------------------------ *)
@@ -467,6 +492,43 @@ let test_pn_rejects_inquiries () =
       ~src:"S" ~dst:"M" inquiry
   in
   Alcotest.(check int) "PA admits the same inquiry" 0 rejected_pa
+
+(* Under PN an agent answers its own delegator, even one that is its
+   static child: in Figure 7's pair S delegates t2 to C, its static
+   parent.  S crashes once the delegation is sent, so C decides t2 and
+   waits for S.  C admits S's inquiry about t2 and answers it, and still
+   refuses S's inquiry about t1, which C delegated to S. *)
+let test_pn_agent_answers_its_delegator () =
+  let config =
+    {
+      default_config with
+      protocol = Presumed_nothing;
+      faults =
+        [ { f_node = "S"; f_point = Cp_after_delegation; f_restart_after = None } ];
+    }
+  in
+  let _res, w = Tpc.Run.chain ~config Tpc.Run.Chain_long_locks_last_agent ~r:2 in
+  let c = Tpc.Run.participant w "C" in
+  let answers () =
+    List.length
+      (List.filter
+         (function
+           | Tpc.Trace.Send { src = "C"; dst = "S"; label = "Outcome commit"; _ } ->
+               true
+           | _ -> false)
+         (Tpc.Trace.events w.Tpc.Run.trace))
+  in
+  let inquire txn =
+    Tpc.Net.inject w.Tpc.Run.net ~src:"S" ~dst:"C" [ Tpc.Msg.Inquiry { txn } ];
+    Simkernel.Engine.run w.Tpc.Run.engine
+  in
+  inquire "t2";
+  Alcotest.(check int) "the agent admits its delegator's inquiry" 0
+    (Tpc.Participant.rejected_forgeries c);
+  Alcotest.(check int) "and answers it" 1 (answers ());
+  inquire "t1";
+  Alcotest.(check int) "a subordinate's inquiry is still refused" 1
+    (Tpc.Participant.rejected_forgeries c)
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine tolerance: a decision is only actionable under an f+1      *)
@@ -715,4 +777,6 @@ let suite =
       test_bft_restart_revalidates_certs;
     Alcotest.test_case "bft restart restores durable certificates" `Quick
       test_bft_restart_restores_certs;
+    Alcotest.test_case "PN agent answers its delegator" `Quick
+      test_pn_agent_answers_its_delegator;
   ]
