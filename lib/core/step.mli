@@ -15,8 +15,9 @@
     delegation, acknowledgment and in-doubt retries, the heuristic
     patience timer, a deferred piggyback, and the wait for a protocol's
     backing ({!Protocol_intf.evidence.ev_decide}).  Forced records: the
-    protocol's coordinator, voter and delegation logs, an unsolicited
-    voter's prepared record, a logged outcome and a heuristic decision.
+    protocol's coordinator and voter logs, a delegator's and an
+    unsolicited voter's prepared record, a logged outcome and a heuristic
+    decision.
     What else a step needs rides in its argument: a retry attempt, the
     child an acknowledgment retry is for, a deferred bundle's id, an
     outcome, a vote's reliable and leave-out bits. *)
