@@ -512,26 +512,9 @@ let inject ?(broken_recovery = false) ?(jitter_seed = 0x5eed) plan
           if known node then
             sched_at ~at (fun () ->
                 (* the member's failure domain (its log-mates) fails and
-                   restarts with it, in tree order *)
-                let down =
-                  List.filter
-                    (fun p -> not (Tpc.Participant.is_crashed p))
-                    (Tpc.Participant.failure_domain (Tpc.Run.participant w node))
-                in
-                if down <> [] then begin
-                  List.iter Tpc.Participant.force_crash down;
-                  match restart_after with
-                  | None -> ()
-                  | Some d ->
-                      sched_after ~delay:d (fun () ->
-                          List.iter
-                            (fun p ->
-                              if Tpc.Participant.is_crashed p then
-                                if broken_recovery then
-                                  Tpc.Participant.force_restart_amnesia p
-                                else Tpc.Participant.force_restart p)
-                            down)
-                end)
+                   restarts with it *)
+                Tpc.Participant.crash_domain (Tpc.Run.participant w node)
+                  ~restart_after ~amnesia:broken_recovery)
       | Partition { at; a; b; heal_after } ->
           if known a && known b && a <> b then
             sched_at ~at (fun () ->
@@ -678,7 +661,7 @@ let verdict (w : Tpc.Run.world) ev =
         let p = n.Tpc.Run.participant in
         (* recovery faithful to the log: the store must equal a pure replay
            of this member's records (catches recoveries that forget durable
-           decisions, e.g. force_restart_amnesia) *)
+           decisions, e.g. an amnesiac restart) *)
         if not (Kvstore.agrees_with_log kv) then incr wal_divergence;
         (* lock hygiene: a grant still held here is legitimate only while
            its transaction is still blocked on this member (in doubt, or

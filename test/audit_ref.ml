@@ -255,7 +255,7 @@ let audit (w : Tpc.Run.world) summaries =
         let p = n.Tpc.Run.participant in
         (* recovery faithful to the log: the store must equal a pure replay
            of this member's records (catches recoveries that forget durable
-           decisions, e.g. force_restart_amnesia) *)
+           decisions, e.g. an amnesiac restart) *)
         let expected =
           replay_bindings
             (Wal.Log.all_records n.Tpc.Run.wal)
