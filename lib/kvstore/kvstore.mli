@@ -17,10 +17,10 @@
     engine's name table ({!Simkernel.Engine.ids}), and the store writes its
     records into the log by that id and its own writer id
     ({!Wal.Log.append_row}), encoding an undo/redo payload into a reused
-    buffer the log copies from.  Recovery and {!agrees_with_log} read the
-    log's rows and decode payloads in place; the committed store
-    stays keyed by key, and iterates in the order a generic [Hashtbl]
-    would, so checkpoint payloads are unchanged. *)
+    buffer the log copies from.  Recovery and {!agrees_with_log} share
+    one replay, which reads the log's rows and decodes payloads in place;
+    the committed store stays keyed by key, and iterates in the order a
+    generic [Hashtbl] would, so checkpoint payloads are unchanged. *)
 
 type t
 
@@ -135,10 +135,10 @@ val recover : t -> unit
 
 val agrees_with_log : t -> bool
 (** Whether the committed store equals a pure replay of this resource
-    manager's records in its log, durable and volatile, under the same
-    checkpoint/redo/discard rules as {!recover}: as many keys, each bound
-    to the same value.  The replay reads the log's rows and decodes
-    payloads in place into a table; no binding list is built or sorted.
+    manager's records in its log, durable and volatile: as many keys,
+    each bound to the same value.  It is {!recover}'s replay, run over
+    every row instead of the durable ones, into a fresh table; it
+    collects no in-doubt set, and no binding list is built or sorted.
     The chaos audit calls it to catch recoveries that diverge from their
     own log. *)
 
