@@ -359,6 +359,44 @@ let prop_vote_tags_match_oracle =
         ];
       true)
 
+(* --- the backing contract ------------------------------------------------ *)
+
+(* The decision maker asks [ev_decide] when it decides and again when the
+   wait it was answered ends.  With f = 1 the first ask starts the
+   endorsement round, charging its flows, and appends nothing; the second
+   appends the certificate, once, and lets the outcome be logged; a third
+   starts no second round, charges nothing and appends nothing. *)
+let test_backing_contract () =
+  let cfg = default_config |> with_bft_f 1 in
+  let ev, ops, rows = member ~f:1 in
+  let charged = ref 0 in
+  let ops =
+    {
+      ops with
+      Tpc.Protocol.op_charge = (fun ~flows ~forces:_ _ -> charged := !charged + flows);
+    }
+  in
+  let ask () = ev.Tpc.Protocol.ev_decide ops ~txn:"mx-1" Committed in
+  Alcotest.(check (float 0.0)) "the first ask waits a round trip and a force"
+    ((2.0 *. cfg.latency) +. cfg.io_latency) (ask ());
+  Alcotest.(check int) "and appends nothing" 0 (List.length !rows);
+  Alcotest.(check int) "the round's flows are charged" 4 !charged;
+  Alcotest.(check bool) "the second ask lets the outcome be logged" true
+    (ask () < 0.0);
+  (match !rows with
+  | [ (Wal.Log_record.Certificate, payload) ] -> (
+      match Msg.cert_of_string payload with
+      | Some cert ->
+          Alcotest.(check bool) "and appends a valid certificate" true
+            (Msg.certificate_valid ~f:1 ~txn:"mx-1" ~outcome:Committed cert)
+      | None -> Alcotest.fail "the certificate row does not decode")
+  | rows ->
+      Alcotest.failf "the second ask appended %d rows, not one certificate"
+        (List.length rows));
+  Alcotest.(check bool) "a third ask lets it be logged too" true (ask () < 0.0);
+  Alcotest.(check int) "and appends nothing more" 1 (List.length !rows);
+  Alcotest.(check int) "nor charges a second round" 4 !charged
+
 (* --- the checks build nothing ------------------------------------------- *)
 
 (* A BFT member runs these on every delivered decision and vote, and the
@@ -450,6 +488,8 @@ let suite =
     Alcotest.test_case "certificate checks and rows equal the oracle" `Quick
       test_certificates_match_oracle;
     qtest prop_vote_tags_match_oracle;
+    Alcotest.test_case "a decision is backed once, on the second ask" `Quick
+      test_backing_contract;
     Alcotest.test_case "certificate checks allocate nothing" `Quick
       test_certificate_checks_allocate_nothing;
     Alcotest.test_case "vote signature checks allocate nothing" `Quick
