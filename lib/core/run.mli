@@ -44,8 +44,8 @@ val setup : ?config:Types.config -> ?scratch:Simkernel.Engine.t -> Types.tree ->
 (** Build the complex: one participant, write-ahead log and key-value
     resource manager per member.  With the shared-log optimization enabled,
     members flagged [p_shares_parent_log] reuse their parent's log, and
-    the members on one log form each one's
-    {!Participant.failure_domain}.
+    the members on one log form each one's failure domain
+    ({!Participant.set_failure_domain}).
 
     [scratch] recycles an engine from a previous world via
     {!Simkernel.Engine.reset} instead of allocating a fresh one: the
