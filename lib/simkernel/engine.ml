@@ -12,7 +12,7 @@ exception Negative_delay of float
      Schedule, cancel and pop are O(1) at the near-future horizons typical
      of 2PC timers (message latencies, retransmit intervals, group-commit
      timeouts); only events beyond the wheel horizon pay an O(log n)
-     overflow hop.
+     overflow hop, and a cancel inside the sorted run a binary search.
 
    - [Heap]: the original binary min-heap, kept as the differential-testing
      oracle (select with [~agenda:`Heap] or TPC_AGENDA=heap).  Both
@@ -27,6 +27,14 @@ exception Negative_delay of float
    per-engine handler table, so their schedule/fire cycle allocates
    nothing but a new clock box when time advances.  The closure path
    ([schedule]) remains for rare cold events.
+
+   A cancel takes the event off the agenda and frees its slot at once, on
+   either agenda, so the agenda and the arena hold live events only: the
+   protocols arm a timer at every wait and cancel most of them, and a dead
+   timer left in place until its time would hold a slot meanwhile and be
+   sorted and popped for nothing.  Where a wheel event sits follows from
+   its bucket and [wh_mat], so no location is stored; [ev_back] links a
+   bucket chain backwards, or holds a slot's index in a heap.
 
    An [event] handle packs (generation stamp, arena slot) into one int, so
    handles are allocation-free too and a handle outliving its slot (fired,
@@ -48,8 +56,7 @@ type handler = int -> int -> int -> (unit -> unit) -> unit
 type kind = int
 
 (* arena slot states, stored in [ev_kind]: *)
-let k_free = -2
-let k_cancelled = -1
+let k_free = -1
 let k_closure = 0
 (* registered flat kinds are >= 1 *)
 
@@ -76,6 +83,9 @@ type stats = {
 
 type agenda = Wheel | Heap
 
+(* a binary min-heap of slots, [a.(0)] .. [a.(len - 1)] *)
+type heap = { mutable a : int array; mutable len : int }
+
 type t = {
   mutable clock : float;
   impl : agenda;
@@ -89,15 +99,16 @@ type t = {
   mutable ev_a2 : int array;
   mutable ev_thunk : (unit -> unit) array;
   mutable ev_next : int array; (* bucket chain / freelist link *)
+  mutable ev_back : int array;
+      (* bucket chain: the previous slot (unused at the head); heap agenda
+         and overflow: the slot's index in the heap *)
   mutable ev_stamp : int array; (* bumped when the slot is freed *)
   mutable free_head : int;
   (* flat-kind dispatch table; index 0 is the closure pseudo-kind *)
   mutable handlers : handler array;
   mutable kind_names : string array;
   mutable n_kinds : int;
-  (* heap agenda *)
-  mutable hp : int array;
-  mutable hp_len : int;
+  hp : heap; (* heap agenda *)
   (* wheel agenda *)
   wh_buckets : int array; (* ring: head slot of chain, -1 = empty *)
   wh_occ : int array; (* occupancy bitmap over ring indices: a bit is set
@@ -106,8 +117,7 @@ type t = {
   mutable wh_cur : int array; (* sorted imminent run *)
   mutable wh_cur_pos : int;
   mutable wh_cur_len : int;
-  mutable ovf : int array; (* min-heap of far-future slots *)
-  mutable ovf_len : int;
+  ovf : heap; (* far-future slots *)
   (* the stream: elements [st_next] on of [st_times] are reserved but not
      yet on the agenda; slot [st_slot] (-1 for none) holds the one that is *)
   mutable st_times : float array;
@@ -132,7 +142,9 @@ let default_agenda =
 
 let dummy_handler (_ : int) (_ : int) (_ : int) (_ : unit -> unit) = ()
 
-let initial_cap = 256
+(* the arena starts small and doubles on demand: it holds live events
+   only, and a small world has few *)
+let initial_cap = 64
 
 let create ?agenda () =
   let impl =
@@ -156,21 +168,20 @@ let create ?agenda () =
     ev_a2 = Array.make cap 0;
     ev_thunk = Array.make cap no_thunk;
     ev_next;
+    ev_back = Array.make cap 0;
     ev_stamp = Array.make cap 0;
     free_head = 0;
     handlers = Array.make 8 dummy_handler;
     kind_names = Array.make 8 "closure";
     n_kinds = 1;
-    hp = Array.make 64 0;
-    hp_len = 0;
+    hp = { a = Array.make 64 0; len = 0 };
     wh_buckets = Array.make wheel_nb (-1);
     wh_occ = Array.make occ_words 0;
     wh_mat = -1;
     wh_cur = Array.make 64 0;
     wh_cur_pos = 0;
     wh_cur_len = 0;
-    ovf = Array.make 64 0;
-    ovf_len = 0;
+    ovf = { a = Array.make 64 0; len = 0 };
     st_times = [||];
     st_next = 0;
     st_kind = k_free;
@@ -204,19 +215,26 @@ let now t = t.clock
 (* Arena                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [a] at twice its length, the new half filled with [x] *)
+let doubled a x =
+  let n = Array.length a in
+  let b = Array.make (2 * n) x in
+  Array.blit a 0 b 0 n;
+  b
+
 let grow_arena t =
   let cap = t.cap in
   let ncap = 2 * cap in
-  let copy_i a = Array.append a (Array.make cap 0) in
-  t.ev_time <- Array.append t.ev_time (Array.make cap 0.0);
-  t.ev_seq <- copy_i t.ev_seq;
-  t.ev_kind <- Array.append t.ev_kind (Array.make cap k_free);
-  t.ev_a0 <- copy_i t.ev_a0;
-  t.ev_a1 <- copy_i t.ev_a1;
-  t.ev_a2 <- copy_i t.ev_a2;
-  t.ev_thunk <- Array.append t.ev_thunk (Array.make cap no_thunk);
-  t.ev_next <- copy_i t.ev_next;
-  t.ev_stamp <- copy_i t.ev_stamp;
+  t.ev_time <- doubled t.ev_time 0.0;
+  t.ev_seq <- doubled t.ev_seq 0;
+  t.ev_kind <- doubled t.ev_kind k_free;
+  t.ev_a0 <- doubled t.ev_a0 0;
+  t.ev_a1 <- doubled t.ev_a1 0;
+  t.ev_a2 <- doubled t.ev_a2 0;
+  t.ev_thunk <- doubled t.ev_thunk no_thunk;
+  t.ev_next <- doubled t.ev_next 0;
+  t.ev_back <- doubled t.ev_back 0;
+  t.ev_stamp <- doubled t.ev_stamp 0;
   for s = cap to ncap - 1 do
     t.ev_next.(s) <- s + 1
   done;
@@ -244,20 +262,25 @@ let slot_lt t a b =
   || (ta = tb && Array.unsafe_get t.ev_seq a < Array.unsafe_get t.ev_seq b)
 
 (* ------------------------------------------------------------------ *)
-(* Heap agenda (oracle)                                                *)
+(* Binary heaps: the heap agenda and the wheel's overflow              *)
 (* ------------------------------------------------------------------ *)
 
-(* Binary min-heap sifts over a slot array [a] of [len] live entries,
-   shared by the heap agenda and the wheel's overflow.  They are top-level
-   functions taking everything they touch, so a push or pop builds no
-   closure. *)
+(* Binary min-heap of slots, shared by the heap agenda and the wheel's
+   overflow.  Every write of a slot into a heap records its index in
+   [ev_back], so a cancel finds the entry without a search.  The sifts are
+   top-level functions taking everything they touch, so a push or pop
+   builds no closure. *)
+let[@inline] heap_set t a i s =
+  Array.unsafe_set a i s;
+  Array.unsafe_set t.ev_back s i
+
 let rec sift_up t a i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
     if slot_lt t a.(i) a.(parent) then begin
       let tmp = a.(i) in
-      a.(i) <- a.(parent);
-      a.(parent) <- tmp;
+      heap_set t a i a.(parent);
+      heap_set t a parent tmp;
       sift_up t a parent
     end
   end
@@ -269,23 +292,31 @@ let rec sift_down t a len i =
   let s = if r < len && slot_lt t a.(r) a.(s) then r else s in
   if s <> i then begin
     let tmp = a.(i) in
-    a.(i) <- a.(s);
-    a.(s) <- tmp;
+    heap_set t a i a.(s);
+    heap_set t a s tmp;
     sift_down t a len s
   end
 
-let hp_push t s =
-  if t.hp_len = Array.length t.hp then
-    t.hp <- Array.append t.hp (Array.make t.hp_len 0);
-  t.hp.(t.hp_len) <- s;
-  t.hp_len <- t.hp_len + 1;
-  sift_up t t.hp (t.hp_len - 1)
+let heap_push t h s =
+  if h.len = Array.length h.a then h.a <- doubled h.a 0;
+  heap_set t h.a h.len s;
+  h.len <- h.len + 1;
+  sift_up t h.a (h.len - 1)
 
-let hp_pop t =
-  let top = t.hp.(0) in
-  t.hp_len <- t.hp_len - 1;
-  t.hp.(0) <- t.hp.(t.hp_len);
-  if t.hp_len > 0 then sift_down t t.hp t.hp_len 0;
+(* take out the entry at index [i]: the last entry fills the hole and
+   sifts whichever way the order asks *)
+let heap_remove t h i =
+  let len = h.len - 1 in
+  h.len <- len;
+  if i < len then begin
+    heap_set t h.a i h.a.(len);
+    sift_up t h.a i;
+    sift_down t h.a len i
+  end
+
+let heap_pop t h =
+  let top = h.a.(0) in
+  heap_remove t h 0;
   top
 
 (* ------------------------------------------------------------------ *)
@@ -328,32 +359,35 @@ let occ_next t rb0 =
   if masked <> 0 then (w0 lsl 5) + lowest_bit masked
   else occ_scan t (w0 + 1) occ_words
 
+(* A chain's head is the newest event of its bucket, and only the slots
+   behind it keep a back link.  A bucket's bit is set when it gains its
+   first event and cleared when it loses its last. *)
 let ring_push t s b =
   let rb = b land wheel_mask in
-  Array.unsafe_set t.ev_next s t.wh_buckets.(rb);
+  let head = t.wh_buckets.(rb) in
+  Array.unsafe_set t.ev_next s head;
   t.wh_buckets.(rb) <- s;
-  occ_set t rb
+  if head >= 0 then Array.unsafe_set t.ev_back head s else occ_set t rb
 
-let ovf_push t s =
-  if t.ovf_len = Array.length t.ovf then
-    t.ovf <- Array.append t.ovf (Array.make t.ovf_len 0);
-  t.ovf.(t.ovf_len) <- s;
-  t.ovf_len <- t.ovf_len + 1;
-  sift_up t t.ovf (t.ovf_len - 1)
-
-let ovf_pop t =
-  let top = t.ovf.(0) in
-  t.ovf_len <- t.ovf_len - 1;
-  t.ovf.(0) <- t.ovf.(t.ovf_len);
-  if t.ovf_len > 0 then sift_down t t.ovf t.ovf_len 0;
-  top
+let ring_remove t s b =
+  let rb = b land wheel_mask in
+  let next = Array.unsafe_get t.ev_next s in
+  if t.wh_buckets.(rb) = s then begin
+    t.wh_buckets.(rb) <- next;
+    if next < 0 then occ_clear t rb
+  end
+  else begin
+    let prev = Array.unsafe_get t.ev_back s in
+    Array.unsafe_set t.ev_next prev next;
+    if next >= 0 then Array.unsafe_set t.ev_back next prev
+  end
 
 (* slide the wheel window after [wh_mat] moved: far-future events whose
    bucket is now inside the ring move out of the overflow heap *)
 let migrate_overflow t =
   let horizon = t.wh_mat + wheel_nb in
-  while t.ovf_len > 0 && bidx t.ev_time.(t.ovf.(0)) <= horizon do
-    let s = ovf_pop t in
+  while t.ovf.len > 0 && bidx t.ev_time.(t.ovf.a.(0)) <= horizon do
+    let s = heap_pop t t.ovf in
     ring_push t s (bidx t.ev_time.(s))
   done
 
@@ -439,17 +473,26 @@ let rec wheel_ensure t =
       materialize t b;
       true
     end
-    else if t.ovf_len = 0 then false
+    else if t.ovf.len = 0 then false
     else begin
       (* ring empty: jump the window to the earliest far-future bucket *)
-      t.wh_mat <- bidx t.ev_time.(t.ovf.(0)) - 1;
+      t.wh_mat <- bidx t.ev_time.(t.ovf.a.(0)) - 1;
       migrate_overflow t;
       wheel_ensure t
     end
   end
 
-(* insert into the already-materialized sorted run (bucket <= wh_mat):
-   binary search for the insertion point among the not-yet-fired suffix *)
+(* first index of the unfired run [cur_pos, cur_len) whose slot does not
+   precede [s] in (time, seq) order: where [s] sits, or where it belongs *)
+let cur_search t s =
+  let lo = ref t.wh_cur_pos and hi = ref t.wh_cur_len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if slot_lt t t.wh_cur.(mid) s then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* insert into the already-materialized sorted run (bucket <= wh_mat) *)
 let cur_insert t s =
   if t.wh_cur_len = Array.length t.wh_cur then begin
     if t.wh_cur_pos > 0 then begin
@@ -458,36 +501,52 @@ let cur_insert t s =
       t.wh_cur_len <- t.wh_cur_len - t.wh_cur_pos;
       t.wh_cur_pos <- 0
     end
-    else
-      t.wh_cur <- Array.append t.wh_cur (Array.make (Array.length t.wh_cur) 0)
+    else t.wh_cur <- doubled t.wh_cur 0
   end;
-  let lo = ref t.wh_cur_pos and hi = ref t.wh_cur_len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if slot_lt t s t.wh_cur.(mid) then hi := mid else lo := mid + 1
-  done;
-  Array.blit t.wh_cur !lo t.wh_cur (!lo + 1) (t.wh_cur_len - !lo);
-  t.wh_cur.(!lo) <- s;
+  let i = cur_search t s in
+  Array.blit t.wh_cur i t.wh_cur (i + 1) (t.wh_cur_len - i);
+  t.wh_cur.(i) <- s;
   t.wh_cur_len <- t.wh_cur_len + 1
+
+(* the blit keeps the rest of the run sorted *)
+let cur_remove t s =
+  let i = cur_search t s in
+  Array.blit t.wh_cur (i + 1) t.wh_cur i (t.wh_cur_len - i - 1);
+  t.wh_cur_len <- t.wh_cur_len - 1
 
 let wheel_insert t s =
   let b = bidx t.ev_time.(s) in
   if b <= t.wh_mat then cur_insert t s
   else if b - t.wh_mat <= wheel_nb then ring_push t s b
-  else ovf_push t s
+  else heap_push t t.ovf s
+
+(* An event stays where [wheel_insert]'s rule puts it as the window
+   moves: [wh_mat] passes a bucket only by materializing it, and every
+   move migrates the overflow events the window now covers.  So the rule
+   finds it again, and no location is stored. *)
+let wheel_remove t s =
+  let b = bidx t.ev_time.(s) in
+  if b <= t.wh_mat then cur_remove t s
+  else if b - t.wh_mat <= wheel_nb then ring_remove t s b
+  else heap_remove t t.ovf t.ev_back.(s)
 
 (* ------------------------------------------------------------------ *)
 (* Unified agenda ops                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let agenda_insert t s =
-  match t.impl with Wheel -> wheel_insert t s | Heap -> hp_push t s
+  match t.impl with Wheel -> wheel_insert t s | Heap -> heap_push t t.hp s
+
+let agenda_remove t s =
+  match t.impl with
+  | Wheel -> wheel_remove t s
+  | Heap -> heap_remove t t.hp t.ev_back.(s)
 
 (* next pending slot without removing it; -1 when empty *)
 let agenda_peek t =
   match t.impl with
   | Wheel -> if wheel_ensure t then t.wh_cur.(t.wh_cur_pos) else -1
-  | Heap -> if t.hp_len > 0 then t.hp.(0) else -1
+  | Heap -> if t.hp.len > 0 then t.hp.a.(0) else -1
 
 let agenda_pop t =
   match t.impl with
@@ -498,7 +557,7 @@ let agenda_pop t =
         s
       end
       else -1
-  | Heap -> if t.hp_len > 0 then hp_pop t else -1
+  | Heap -> if t.hp.len > 0 then heap_pop t t.hp else -1
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
@@ -603,18 +662,15 @@ let stream t ~kind times =
 (* Cancellation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Lazy cancel: mark the slot and let the agenda discard it when it
-   surfaces.  The stamp check makes cancelling a fired, already-cancelled
-   or recycled handle a no-op. *)
+(* A handle's stamp matches only while its event is on the agenda:
+   firing, cancelling and [reset] each bump the stamp as they free the
+   slot.  So cancelling a fired, cancelled or recycled handle is a no-op,
+   and a pending event leaves the agenda and frees its slot at once. *)
 let cancel t (h : event) =
   let s = h land slot_mask in
-  if
-    s < t.cap
-    && Array.unsafe_get t.ev_stamp s = h lsr slot_bits
-    && Array.unsafe_get t.ev_kind s <> k_cancelled
-  then begin
-    Array.unsafe_set t.ev_kind s k_cancelled;
-    Array.unsafe_set t.ev_thunk s no_thunk;
+  if s < t.cap && Array.unsafe_get t.ev_stamp s = h lsr slot_bits then begin
+    agenda_remove t s;
+    free_slot t s;
     t.live <- t.live - 1;
     t.cancelled <- t.cancelled + 1
   end
@@ -630,31 +686,25 @@ let step t =
   if s < 0 then false
   else begin
     let kind = Array.unsafe_get t.ev_kind s in
-    if kind = k_cancelled then begin
-      free_slot t s;
-      true
-    end
-    else begin
-      let time = Array.unsafe_get t.ev_time s in
-      let a0 = Array.unsafe_get t.ev_a0 s in
-      let a1 = Array.unsafe_get t.ev_a1 s in
-      let a2 = Array.unsafe_get t.ev_a2 s in
-      let f = Array.unsafe_get t.ev_thunk s in
-      (* free before firing: a late cancel of this handle is a no-op, and
-         the handler may recycle the slot immediately *)
-      free_slot t s;
-      t.live <- t.live - 1;
-      (* a stream's next element takes the place of the one firing *)
-      if s = t.st_slot then
-        if t.st_next < Array.length t.st_times then stream_place t
-        else t.st_slot <- -1;
-      (* the clock stays boxed, because [now] is read far more often than
-         time advances; a box is made only when it does *)
-      if time <> t.clock then t.clock <- time;
-      t.processed <- t.processed + 1;
-      if kind = k_closure then f () else t.handlers.(kind) a0 a1 a2 f;
-      true
-    end
+    let time = Array.unsafe_get t.ev_time s in
+    let a0 = Array.unsafe_get t.ev_a0 s in
+    let a1 = Array.unsafe_get t.ev_a1 s in
+    let a2 = Array.unsafe_get t.ev_a2 s in
+    let f = Array.unsafe_get t.ev_thunk s in
+    (* free before firing: a late cancel of this handle is a no-op, and
+       the handler may recycle the slot immediately *)
+    free_slot t s;
+    t.live <- t.live - 1;
+    (* a stream's next element takes the place of the one firing *)
+    if s = t.st_slot then
+      if t.st_next < Array.length t.st_times then stream_place t
+      else t.st_slot <- -1;
+    (* the clock stays boxed, because [now] is read far more often than
+       time advances; a box is made only when it does *)
+    if time <> t.clock then t.clock <- time;
+    t.processed <- t.processed + 1;
+    if kind = k_closure then f () else t.handlers.(kind) a0 a1 a2 f;
+    true
   end
 
 (* One monotonic timestamp pair per [run]/[run_until] call — not per event
@@ -686,11 +736,11 @@ let run_until t horizon =
 (* Return the engine to the fresh-create state while keeping every arena
    at its high-water capacity: the driver recycles one engine per domain
    across sweep/chaos cells, so small cells stop paying allocation and
-   warm-up costs per cell.  A slot still on the agenda (pending or
-   cancelled) is freed as [free_slot] would, stamp bumped so handles from
-   the previous life cannot cancel events of the next one; a free slot's
-   stamp already moved when it was freed and its thunk was cleared then,
-   so only the freelist is rebuilt over it. *)
+   warm-up costs per cell.  A slot still on the agenda is freed as
+   [free_slot] would, stamp bumped so handles from the previous life
+   cannot cancel events of the next one; a free slot's stamp already
+   moved when it was freed and its thunk was cleared then, so only the
+   freelist is rebuilt over it. *)
 let reset t =
   t.clock <- 0.0;
   t.next_seq <- 0;
@@ -711,7 +761,7 @@ let reset t =
   done;
   t.ev_next.(t.cap - 1) <- -1;
   t.free_head <- 0;
-  t.hp_len <- 0;
+  t.hp.len <- 0;
   (* only an occupied bucket holds a chain, so clear those rather than
      the whole ring: a small world leaves few *)
   for w = 0 to occ_words - 1 do
@@ -726,7 +776,7 @@ let reset t =
   t.wh_mat <- -1;
   t.wh_cur_pos <- 0;
   t.wh_cur_len <- 0;
-  t.ovf_len <- 0;
+  t.ovf.len <- 0;
   t.st_times <- [||];
   t.st_slot <- -1
 

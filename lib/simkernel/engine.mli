@@ -40,9 +40,9 @@ val reset : t -> unit
     built on a reset engine is byte-identical to one built on a fresh
     engine.  Outstanding {!event} handles from before the reset are
     defused (cancelling them is a no-op).  Its cost is one pass over the
-    arena's freelist links plus a write per slot still on the agenda
-    (pending or cancelled) and per occupied wheel bucket: a free slot's
-    handles went stale when it was freed, so it is not rewritten. *)
+    arena's freelist links plus a write per slot still on the agenda and
+    per occupied wheel bucket: a free slot's handles went stale when it
+    was freed, so it is not rewritten. *)
 
 val now : t -> float
 (** Current virtual time. *)
@@ -61,11 +61,14 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event
 (** Absolute-time variant of {!schedule}.  [time] must not be in the past. *)
 
 val cancel : t -> event -> unit
-(** Cancel a pending event.  Cancelling an already-fired or already-cancelled
-    event is a no-op. *)
+(** Cancel a pending event: it leaves the agenda and its arena slot is
+    freed at once, on either agenda, so the order of the other events is
+    untouched and a cancelled timer holds no memory until its time.
+    Cancelling an already-fired or already-cancelled event is a no-op. *)
 
 val pending : t -> int
-(** Number of events still on the agenda (cancelled events excluded). *)
+(** Number of events on the agenda, counting the elements of a {!stream}
+    that wait their turn. *)
 
 val run : t -> unit
 (** Run events in time order until the agenda is empty. *)
@@ -75,7 +78,8 @@ val run_until : t -> float -> unit
     advances the clock to [horizon] (if it is ahead of the last event). *)
 
 val step : t -> bool
-(** Fire the single next event.  Returns [false] if the agenda was empty. *)
+(** Fire the next event: answers [true] after firing exactly one, and
+    [false], firing nothing, exactly when nothing is {!pending}. *)
 
 (** {2 Flat events}
 
@@ -165,7 +169,9 @@ val agenda_name : t -> string
 (** ["wheel"] or ["heap"], for profiling output. *)
 
 val arena_capacity : t -> int
-(** Current event-arena capacity in slots (grow-only; kept by {!reset}). *)
+(** Current event-arena capacity in slots.  The arena holds pending events
+    only: it starts small (64 slots), doubles when they outgrow it, and
+    never shrinks ({!reset} keeps it). *)
 
 exception Negative_delay of float
 (** Raised by {!schedule} on a negative delay and by {!schedule_at} on a

@@ -159,6 +159,65 @@ let test_flat_cycle_allocation () =
   if firing /. 1000.0 >= 0.1 then
     Alcotest.failf "firing 1,000 same-time events allocated %.0f words" firing
 
+(* A cancel takes the event off the agenda and frees its slot at once, on
+   either agenda.  Ten rounds of 1,000 flat timers at delay 150, each
+   cancelled before time moves, reuse the first round's slots and leave
+   nothing to step over.  Left in place until their time, the cancelled
+   timers took a 16,384-slot arena and [step] answered [true] with nothing
+   pending. *)
+let test_cancel_frees_slot agenda =
+  let e = E.create ~agenda () in
+  let kind =
+    E.register_kind e ~name:"timer" (fun _ _ _ _ -> Alcotest.fail "a cancelled timer fired")
+  in
+  for _ = 1 to 10 do
+    let timers =
+      Array.init 1000 (fun i -> E.schedule_flat e ~delay:150.0 ~kind ~a0:i ~a1:0 ~a2:0)
+    in
+    Array.iter (E.cancel e) timers
+  done;
+  let slots = E.arena_capacity e in
+  if slots > 1024 then
+    Alcotest.failf "10 rounds of 1,000 cancelled timers took %d arena slots" slots;
+  check "nothing pending" 0 (E.pending e);
+  check "every cancel counted" 10_000 (E.stats e).E.events_cancelled;
+  Alcotest.(check bool) "step finds nothing to fire" false (E.step e);
+  check "nothing fired" 0 (E.stats e).E.events_processed
+
+(* One cancel in each place an event can sit on the wheel: the imminent
+   sorted run (delay 0, from inside a handler), the head and the middle of
+   a ring bucket's chain (delay 150; the newest event heads the chain), a
+   bucket holding that event alone (delay 40) and the overflow past the
+   wheel's horizon (delay 5,000).  The rest fire in (time, seq) order, on
+   either agenda. *)
+let test_cancel_in_every_place agenda =
+  let e = E.create ~agenda () in
+  let fired = ref [] in
+  let kind = E.register_kind e ~name:"mark" (fun a0 _ _ _ -> fired := a0 :: !fired) in
+  let at delay a0 = E.schedule_flat e ~delay ~kind ~a0 ~a1:0 ~a2:0 in
+  let trigger =
+    E.register_kind e ~name:"trigger" (fun _ _ _ _ ->
+        let imminent = Array.init 3 (fun i -> at 0.0 (1 + i)) in
+        E.cancel e imminent.(1))
+  in
+  ignore (E.schedule_flat e ~delay:1.0 ~kind:trigger ~a0:0 ~a1:0 ~a2:0);
+  let chain = Array.init 5 (fun i -> at 150.0 (10 + i)) in
+  let alone = at 40.0 30 in
+  let far = Array.init 3 (fun i -> at 5000.0 (20 + i)) in
+  E.cancel e chain.(4);
+  E.cancel e chain.(2);
+  E.cancel e alone;
+  E.cancel e far.(1);
+  check "the trigger and five marks pending" 6 (E.pending e);
+  E.run e;
+  Alcotest.(check (list int)) "the others fire in (time, seq) order"
+    [ 1; 3; 10; 11; 13; 20; 22 ] (List.rev !fired);
+  check "five cancelled" 5 (E.stats e).E.events_cancelled
+
+let on_both f () =
+  f `Wheel;
+  f `Heap
+
 (* A stream refuses times that decrease or precede now, and a second
    stream while the first has an element left; an empty one does
    nothing, and one whose last element fired makes way for the next. *)
@@ -209,4 +268,8 @@ let suite =
     Alcotest.test_case "flat cycle allocates only the clock" `Quick
       test_flat_cycle_allocation;
     Alcotest.test_case "stream contract" `Quick test_stream_contract;
+    Alcotest.test_case "a cancel frees its slot at once (both agendas)" `Quick
+      (on_both test_cancel_frees_slot);
+    Alcotest.test_case "a cancel in every place an event sits (both agendas)"
+      `Quick (on_both test_cancel_in_every_place);
   ]
