@@ -51,9 +51,6 @@ let accounting_fields =
    decision certificates (--protocol bft) *)
 let certificate_fields = [ "f"; "corrupted_replicas"; "cert_refusals" ]
 
-(* the per-window summaries inside a "blocking" block (--blocking) *)
-let blocking_windows = [ "in_doubt"; "blocked_lock"; "heur_exposure" ]
-
 let check_blocking path lineno json =
   match Tpc.Json.member "blocking" json with
   | None -> ()
@@ -89,7 +86,7 @@ let check_blocking path lineno json =
                          number %S"
                         path lineno w q)
                 [ "p50"; "p99" ])
-        blocking_windows
+        Faultlab.blocking_windows
 
 let nonneg_int where path lineno json field =
   match Tpc.Json.member field json with

@@ -123,13 +123,6 @@ module Audit : sig
   val heuristics : evidence -> heuristic list
 end
 
-val validate : cfg -> unit
-(** Raise [Invalid_argument] on a workload no run can have: fewer than
-    one transaction or key, a [lock_timeout] or [base_interarrival] that
-    is negative, nan or infinite, an [update_prob] or [read_prob]
-    outside [0, 1], or the two summing above 1.  {!run_full} checks its
-    [cfg] with it first. *)
-
 val run_full :
   ?config:Types.config ->
   ?inject:(Run.world -> unit) ->
@@ -155,7 +148,11 @@ val run_full :
     recorded on the root's chain so each graph is connected from arrival
     to the application-notified terminal.  [scratch] is forwarded to
     {!Run.setup}: the world is built on a recycled engine instead of a
-    fresh one.
+    fresh one.  It first raises [Invalid_argument] on a workload no run
+    can have: fewer than one transaction or key, a [lock_timeout] or
+    [base_interarrival] that is negative, nan or infinite, an
+    [update_prob] or [read_prob] outside [0, 1], or the two summing
+    above 1.
 
     The returned world keeps its logs, stores, name table
     ({!Simkernel.Engine.ids}) and event log, and the caller keeps the

@@ -79,15 +79,14 @@ val corrupted_replicas : plan -> int
     compares this against the configured [f] ("corrupted <= f implies zero
     atomicity violations"). *)
 
-val event_to_string : event -> string
-(** Compact one-token form: [crash@T:node:+D] (or [:-] for no restart),
-    [part@T:a|b:+D] (or [:-]), [drop@T:src>dst:n], [jit@T:src>dst:amp],
-    [equiv@T:node:k], [flip@T:src>dst:n], [forge@T:src>dst:kind] (kind one
-    of [prepare]/[commit]/[abort]), [heur@T:node:commit|abort],
-    [replay@T:src>dst:k], [corrupt@T:idx:-]. *)
-
 val to_string : plan -> string
-(** Events joined with [","]; the empty plan is [""]. *)
+(** Each event in a compact one-token form, joined with [","]; the empty
+    plan is [""].  The forms are [crash@T:node:+D] (or [:-] for no
+    restart), [part@T:a|b:+D] (or [:-]), [drop@T:src>dst:n],
+    [jit@T:src>dst:amp], [equiv@T:node:k], [flip@T:src>dst:n],
+    [forge@T:src>dst:kind] (kind one of [prepare]/[commit]/[abort]),
+    [heur@T:node:commit|abort], [replay@T:src>dst:k] and
+    [corrupt@T:idx:-]. *)
 
 val of_string : string -> plan
 (** Inverse of {!to_string}.  Raises [Invalid_argument] on malformed
