@@ -14,7 +14,7 @@ type t = {
   mutable scratch : Bytes.t;  (* an undo/redo payload being encoded *)
   lock_table : Lockmgr.t;  (* private to this store: a lock is named by its key *)
   store : string Keys.t; (* committed values *)
-  wsets : op list ref Ids.Tbl.t; (* txn id -> reversed op list *)
+  wsets : op list Ids.Tbl.t; (* txn id -> reversed op list *)
   mutable in_doubt_txns : string list;
   lost_txns : unit Ids.Tbl.t;
       (* txn ids whose unprepared updates were wiped by a crash: a later
@@ -31,9 +31,9 @@ let create engine ~name ~wal () =
     scratch = Bytes.empty;
     lock_table = Lockmgr.create engine;
     store = Keys.create 64;
-    wsets = Ids.Tbl.create 8;
+    wsets = Ids.Tbl.create ~dummy:[];
     in_doubt_txns = [];
-    lost_txns = Ids.Tbl.create 4;
+    lost_txns = Ids.Tbl.create ~dummy:();
   }
 
 let name t = t.rm_name
@@ -104,20 +104,9 @@ let decode_op b pos =
 
 (* --- transaction-time operations ----------------------------------------- *)
 
-let wset t id =
-  match Ids.Tbl.find_opt t.wsets id with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Ids.Tbl.replace t.wsets id r;
-      r
-
 (* [txn]'s write set, newest op first; empty when it wrote nothing here.
    A name never interned finds id -1, which no table holds. *)
-let ops_of t ~txn =
-  match Ids.Tbl.find t.wsets (Ids.find t.ids txn) with
-  | r -> !r
-  | exception Not_found -> []
+let ops_of t ~txn = Ids.Tbl.find t.wsets (Ids.find t.ids txn)
 
 let can_lock t ~txn ~key mode =
   match Lockmgr.holds t.lock_table ~txn ~key with
@@ -156,8 +145,7 @@ let get t ~txn key =
 (* buffer [op] in [txn]'s write set and log its undo/redo record *)
 let update t ~txn op =
   let id = Ids.intern t.ids txn in
-  let ws = wset t id in
-  ws := op :: !ws;
+  Ids.Tbl.replace t.wsets id (op :: Ids.Tbl.find t.wsets id);
   let n = encode_op t op in
   Wal.Log.append_payload t.log ~txn:id ~writer:t.writer Wal.Log_record.Rm_update
     t.scratch n
@@ -447,8 +435,8 @@ let recover t =
       t.in_doubt_txns <- txn :: t.in_doubt_txns;
       let ops =
         match Keys.find_opt pending txn with
-        | Some ops -> ops
-        | None -> ref []
+        | Some ops -> !ops
+        | None -> []
       in
       Ids.Tbl.replace t.wsets (Ids.intern t.ids txn) ops;
       List.iter
@@ -456,7 +444,7 @@ let recover t =
           let key = match op with Put (k, _) -> k | Delete k -> k in
           ignore
             (Lockmgr.try_acquire t.lock_table ~txn ~key Lockmgr.Exclusive))
-        !ops)
+        ops)
     prepared;
   (* updates logged but never prepared: the in-memory write set died with
      the crash, so a retransmitted Prepare must not mistake this for a

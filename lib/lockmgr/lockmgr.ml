@@ -7,7 +7,7 @@ type hold_stats = {
 }
 
 module Ids = Simkernel.Ids
-module Keys = Hashtbl.Make (String)
+module Keys = Ids.Str_tbl
 
 (* Grants and waits carry the transaction's id in the engine's name
    table; only the public views turn it back into a name. *)
@@ -23,8 +23,8 @@ type totals = { mutable total : float; mutable longest : float }
 type t = {
   engine : Simkernel.Engine.t;
   ids : Ids.t;
-  table : entry Keys.t;
-  txn_keys : string list ref Ids.Tbl.t; (* txn id -> keys it holds *)
+  table : entry Keys.t;  (* key -> its grants and waiters, while any *)
+  txn_keys : string list Ids.Tbl.t; (* txn id -> keys it holds *)
   mutable held : float array;
       (* txn id -> its released hold time: a finished fact, so a flat
          array rather than a table entry per transaction *)
@@ -33,12 +33,15 @@ type t = {
   mutable nwaiting : int;
 }
 
+(* the tables' filler: no key's entry, never mutated *)
+let no_entry = { grants = []; queue = [] }
+
 let create engine =
   {
     engine;
     ids = Simkernel.Engine.ids engine;
-    table = Keys.create 64;
-    txn_keys = Ids.Tbl.create 16;
+    table = Keys.create ~dummy:no_entry;
+    txn_keys = Ids.Tbl.create ~dummy:[];
     held = [||];
     acquisitions = 0;
     hold = { total = 0.0; longest = 0.0 };
@@ -49,7 +52,7 @@ let create engine =
    compare as arguments, so a lookup builds no closure.  A miss is common on
    this path (a new key, a transaction's first lock), so misses neither
    allocate nor raise: [grant_of] answers a sentinel, and a table lookup
-   that usually misses uses [find_opt], whose [None] is free. *)
+   answers the table's filler ([no_entry], or [[]] for keys). *)
 
 let no_grant = { g_txn = -1; g_mode = Shared; g_since = 0.0 }
 
@@ -72,17 +75,17 @@ let rec without g = function
   | x :: rest -> if x == g then rest else x :: without g rest
 
 let entry t key =
-  match Keys.find_opt t.table key with
-  | Some e -> e
-  | None ->
-      let e = { grants = []; queue = [] } in
-      Keys.replace t.table key e;
-      e
+  let e = Keys.find t.table key in
+  if e != no_entry then e
+  else begin
+    let e = { grants = []; queue = [] } in
+    Keys.replace t.table key e;
+    e
+  end
 
 let note_key t ~txn ~key =
-  match Ids.Tbl.find_opt t.txn_keys txn with
-  | Some keys -> if not (List.mem key !keys) then keys := key :: !keys
-  | None -> Ids.Tbl.replace t.txn_keys txn (ref [ key ])
+  let keys = Ids.Tbl.find t.txn_keys txn in
+  if not (List.mem key keys) then Ids.Tbl.replace t.txn_keys txn (key :: keys)
 
 let grant_now t e ~txn ~key mode =
   let g = grant_of txn e.grants in
@@ -145,26 +148,24 @@ let rec pump t key e =
 (* [t.held] is read afresh at each release: a grant callback may run a
    nested [release_all] that grows the array. *)
 let release_key t ~txn ~now key =
-  match Keys.find t.table key with
-  | exception Not_found -> ()
-  | e ->
-      let g = grant_of txn e.grants in
-      if g != no_grant then begin
-        e.grants <- without g e.grants;
-        let held = now -. g.g_since in
-        t.hold.total <- t.hold.total +. held;
-        t.held.(txn) <- t.held.(txn) +. held;
-        if held > t.hold.longest then t.hold.longest <- held
-      end;
-      pump t key e;
-      (* the last grant and the last waiter are gone: drop the entry so
-         the table holds only keys in use.  A grant callback may already
-         have dropped it (or re-created the key) re-entrantly, hence the
-         identity check. *)
-      if e.grants = [] && e.queue = [] then
-        match Keys.find t.table key with
-        | e' when e' == e -> Keys.remove t.table key
-        | _ | (exception Not_found) -> ()
+  let e = Keys.find t.table key in
+  if e != no_entry then begin
+    let g = grant_of txn e.grants in
+    if g != no_grant then begin
+      e.grants <- without g e.grants;
+      let held = now -. g.g_since in
+      t.hold.total <- t.hold.total +. held;
+      t.held.(txn) <- t.held.(txn) +. held;
+      if held > t.hold.longest then t.hold.longest <- held
+    end;
+    pump t key e;
+    (* the last grant and the last waiter are gone: drop the entry so
+       the table holds only keys in use.  A grant callback may already
+       have dropped it (or re-created the key) re-entrantly, hence the
+       identity check. *)
+    if e.grants = [] && e.queue = [] && Keys.find t.table key == e then
+      Keys.remove t.table key
+  end
 
 let rec release_keys t ~txn ~now = function
   | [] -> ()
@@ -184,11 +185,11 @@ let ensure_held t txn =
 let release_all t ~txn =
   let txn = Ids.find t.ids txn in
   match Ids.Tbl.find t.txn_keys txn with
-  | exception Not_found -> ()
+  | [] -> ()
   | keys ->
       Ids.Tbl.remove t.txn_keys txn;
       ensure_held t txn;
-      release_keys t ~txn ~now:(Simkernel.Engine.now t.engine) !keys
+      release_keys t ~txn ~now:(Simkernel.Engine.now t.engine) keys
 
 let holding_txns t =
   Ids.Tbl.fold (fun txn _keys acc -> Ids.name t.ids txn :: acc) t.txn_keys []
@@ -206,16 +207,11 @@ let clear t =
   t.nwaiting <- 0
 
 let holds t ~txn ~key =
-  match Keys.find_opt t.table key with
-  | None -> None
-  | Some e ->
-      let g = grant_of (Ids.find t.ids txn) e.grants in
-      if g == no_grant then None else Some g.g_mode
+  let g = grant_of (Ids.find t.ids txn) (Keys.find t.table key).grants in
+  if g == no_grant then None else Some g.g_mode
 
 let holders t ~key =
-  match Keys.find_opt t.table key with
-  | None -> []
-  | Some e -> List.map (fun g -> (Ids.name t.ids g.g_txn, g.g_mode)) e.grants
+  List.map (fun g -> (Ids.name t.ids g.g_txn, g.g_mode)) (Keys.find t.table key).grants
 
 let waiting t = t.nwaiting
 

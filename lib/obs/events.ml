@@ -174,7 +174,7 @@ let[@inline] store t =
           labels = Ids.create ();
           texts = [||];
           n_texts = 0;
-          coded = Ids.Tbl.create 16;
+          coded = Ids.Tbl.create ~dummy:(-1);
           chunks = [||];
           count = 0;
           graph_count = 0;
@@ -220,12 +220,13 @@ let coded_label t code build x =
   let s = store t in
   if code < 0 then Ids.intern s.labels (build x)
   else
-    match Ids.Tbl.find s.coded code with
-    | id -> id
-    | exception Not_found ->
-        let id = Ids.intern s.labels (build x) in
-        Ids.Tbl.add s.coded code id;
-        id
+    let id = Ids.Tbl.find s.coded code in
+    if id >= 0 then id
+    else begin
+      let id = Ids.intern s.labels (build x) in
+      Ids.Tbl.replace s.coded code id;
+      id
+    end
 
 (* Texts take the ids below -1, so one label column holds both. *)
 let text t str =
