@@ -189,6 +189,71 @@ let test_agg_json_round_trips () =
   (* print -> parse -> print is a fixpoint *)
   Alcotest.(check string) "fixpoint" line (Tpc.Json.to_string parsed)
 
+(* -- the reap watchdog ------------------------------------------------ *)
+
+let events_processed (w : Tpc.Run.world) =
+  (Simkernel.Engine.stats w.Tpc.Run.engine).Simkernel.Engine.events_processed
+
+(* An armed fault plan, even an empty one, arms the reap watchdog at each
+   commit, and the watchdog stops once the root reports Committed.  So a
+   fault-free world, where every transaction that starts its commit
+   commits, processes exactly the events of the same world unarmed.  A
+   reap left to fire after each commit added one event per commit. *)
+let test_reap_stops_at_committed () =
+  let cfg = { M.default_cfg with M.txns = 60; concurrency = 4; seed = 7 } in
+  let tree = Workload.flat ~n:4 () in
+  let run inject =
+    let agg, w, _ = M.run_full ?inject cfg tree in
+    (agg.Agg.committed, events_processed w)
+  in
+  let committed, unarmed = run None in
+  let committed', armed = run (Some (Faultlab.inject [])) in
+  Alcotest.(check int) "every transaction committed" 60 committed;
+  Alcotest.(check int) "the same commits armed" committed committed';
+  Alcotest.(check int) "events with an empty plan armed" unarmed armed
+
+(* The root dies after sub0's Prepare was lost, so sub0 never votes: no
+   protocol state there will ever release its locks.  The reap watchdog,
+   [lock_timeout] after the commit started, abandons sub0's branch; sub1,
+   which voted, stays in doubt and keeps its write set.  The second
+   transaction is the one hit: the first arrives at time 0, before any
+   fault can be armed. *)
+let test_reap_abandons_unprepared_branch () =
+  let cfg =
+    { M.default_cfg with M.txns = 2; keyspace = 100_000; update_prob = 1.0;
+      read_prob = 0.0; seed = 1 }
+  in
+  let tree = Workload.flat ~n:3 () in
+  (* no lock is contended, so a commit starts when its transaction
+     arrives *)
+  let first_done, arrival =
+    match M.run_full cfg tree with
+    | _, _, [ a; b ] -> (Option.get a.M.ts_completed, b.M.ts_arrival)
+    | _ -> Alcotest.fail "expected two transactions"
+  in
+  let armed = arrival -. 0.25 in
+  Alcotest.(check bool) "mx-1 is over before the fault is armed" true (first_done < armed);
+  let plan =
+    [
+      Faultlab.Drop { at = armed; src = "coord"; dst = "sub0"; nth = 1 };
+      Faultlab.Crash { at = arrival +. 0.5; node = "coord"; restart_after = None };
+    ]
+  in
+  let _, w, summaries = M.run_full ~inject:(Faultlab.inject plan) cfg tree in
+  let txn = "mx-2" in
+  let holds name = Lockmgr.holds_any (Kvstore.locks (Tpc.Run.kv w name)) ~txn in
+  let updated name = Kvstore.is_updated (Tpc.Run.kv w name) ~txn in
+  (match summaries with
+  | [ _; s ] ->
+      Alcotest.(check bool) "the commit started" true s.M.ts_commit_started;
+      Alcotest.(check bool) "the root never reported" true (s.M.ts_outcome = None)
+  | _ -> Alcotest.fail "expected two transactions");
+  Alcotest.(check bool) "sub0 released its locks" false (holds "sub0");
+  Alcotest.(check bool) "sub0 dropped its write set" false (updated "sub0");
+  Alcotest.(check bool) "sub1 is in doubt" true
+    (Tpc.Participant.is_in_doubt (Tpc.Run.participant w "sub1") ~txn);
+  Alcotest.(check bool) "sub1 keeps its locks" true (holds "sub1")
+
 (* A workload no run can have is refused before any world is built. *)
 let test_impossible_workloads_rejected () =
   let tree = Workload.flat ~n:3 () in
@@ -245,4 +310,8 @@ let suite =
       test_agg_json_round_trips;
     Alcotest.test_case "impossible workloads rejected" `Quick
       test_impossible_workloads_rejected;
+    Alcotest.test_case "reap watchdog stops at Committed" `Quick
+      test_reap_stops_at_committed;
+    Alcotest.test_case "reap abandons a branch never prepared" `Quick
+      test_reap_abandons_unprepared_branch;
   ]
