@@ -152,7 +152,12 @@ type stats = {
       (** events scheduled by any call, each element of a {!stream}
           counted when the stream is created *)
   events_cancelled : int;  (** {!cancel} calls that hit a pending event *)
-  max_queue_depth : int;  (** high-water mark of pending (live) events *)
+  max_queue_depth : int;
+      (** high-water mark of {!pending} events.  A {!stream}'s elements
+          not yet on the agenda count as pending, as its contract
+          requires, so a run fed by one long stream reads about the
+          stream's length here, not the agenda's own depth (which the
+          arena's size, {!arena_capacity}, bounds). *)
   wall_seconds : float;
       (** host time spent inside {!run} and {!run_until} — the only
           non-virtual quantity in the simulator.  Measured on the
